@@ -3,7 +3,7 @@
 Where the shallow rules (:mod:`repro.analysis`) judge one line at a
 time, the deep pass builds a whole-program model first — a call graph
 name-resolved across modules (methods resolved through class bases and
-through duck-typed attach points like ``db.set_query_engine``) plus a
+through duck-typed attach points like ``db.set_store``) plus a
 def-use taint dataflow — and then runs four rule families over it:
 
 * **deep-taint** (D1) — nondeterminism sources (wall clock, module-level

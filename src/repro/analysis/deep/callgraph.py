@@ -6,11 +6,12 @@ resolve through class bases and through two attribute-typing passes:
 
 * constructor assignments — ``self.table = FlowTable()`` types the
   ``table`` attribute for every later ``self.table.add(...)`` call;
-* duck-typed attach points — a setter whose whole job is storing a
-  parameter (``def set_query_engine(self, engine): self._engine =
-  engine``) types the stored attribute from its *call sites*
-  (``db.set_query_engine(QueryEngine(...))``), which is how the hwdb →
-  query layer inversion stays resolvable without hwdb importing query.
+* duck-typed attach points — a setter that stores its first
+  parameter (``def set_store(self, store): self._store = store``)
+  types the stored attribute from its *call sites*
+  (``db.set_store(self)`` in ``DurableStore.attach``), which is how the
+  hwdb → store layer inversion stays resolvable without hwdb importing
+  store.
 
 Everything is best-effort and under-approximating: a call that cannot
 be resolved contributes no edge and marks the caller *open* (consumers

@@ -8,11 +8,11 @@ never above):
         ``core.logging_setup`` (stdlib-only logging config)
  1      ``net`` (+ ``core.config``, shared config vocabulary)
  2      ``openflow``
- 3      ``hwdb``
- 4      ``query`` + ``store`` — both compile against hwdb's tables and
-        attach through duck-typed hooks (``set_query_engine`` /
-        ``set_store``), so hwdb never imports either; they also never
-        import each other
+ 3      ``hwdb`` + ``query`` — the database builds its own query
+        engine (a function-scoped import, since ``query`` compiles
+        against ``hwdb.cql``)
+ 4      ``store`` — attaches under hwdb's rings through the duck-typed
+        ``set_store`` hook, so hwdb never imports it
  5      ``nox``
  6      ``services``
  7      ``policy``
@@ -53,7 +53,7 @@ LAYER_PREFIXES: Tuple[Tuple[int, str], ...] = (
     (1, "repro.core.config"),
     (2, "repro.openflow"),
     (3, "repro.hwdb"),
-    (4, "repro.query"),
+    (3, "repro.query"),
     (4, "repro.store"),
     (5, "repro.nox"),
     (6, "repro.services"),

@@ -5,7 +5,7 @@ Modes::
     python -m repro fuzz --seed 1 --scenarios 100   # a corpus sweep
     python -m repro fuzz --seed 7 --hash-only       # just the trace hash
     python -m repro fuzz --replay repro.json        # re-run a repro file
-    python -m repro fuzz --cql-queries 500          # engine vs legacy CQL diff
+    python -m repro fuzz --cql-queries 500          # engine vs reference CQL diff
 
 A corpus sweep runs ``--scenarios`` seeds starting at ``--seed``; every
 invariant violation is shrunk to a minimal scenario and written as a
@@ -187,7 +187,7 @@ def main(argv=None) -> int:
         "--cql-queries",
         type=int,
         default=None,
-        help="run N differential CQL queries (query engine vs legacy "
+        help="run N differential CQL queries (query engine vs reference "
         "executor) instead of scenario fuzzing",
     )
     parser.add_argument("-v", "--verbose", action="store_true")

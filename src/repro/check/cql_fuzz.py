@@ -1,34 +1,39 @@
-"""Differential CQL fuzzing: the query engine vs the legacy executor.
+"""Differential CQL fuzzing: the query engine vs the reference executor.
 
-The engine's core promise is *bit-identical* results — any query, any
-tier (incremental / plan / legacy fallback), any ring state.  This
-module checks that promise the FoundationDB way: a seeded generator
-produces random-but-valid CQL SELECTs over two small ring tables, the
-rings churn between ticks (small capacities force wrap-around and
-overwrite of unconsumed rows), and after every tick the same statement
-is executed by both paths at the same clock reading.  Results must
-match column-for-column and value-for-value *including Python types*
-(``2`` is not ``2.0`` on the wire); errors must match type and message.
+The engine's core promise is *bit-identical* results — any query, either
+tier (incremental / plan), any ring state.  This module checks that
+promise the FoundationDB way: a seeded generator produces random-but-
+valid CQL SELECTs over two small ring tables, the rings churn between
+ticks (small capacities force wrap-around and overwrite of unconsumed
+rows), and after every tick the same statement is executed by the
+database (its engine) and by the naive reference executor
+(:mod:`.cql_reference`) at the same clock reading.  Results must match
+column-for-column and value-for-value *including Python types* (``2``
+is not ``2.0`` on the wire); errors must match type and message.
 
 The generator is type-aware by construction — ``sum()`` only over
 numeric columns, comparisons only between compatible types, ``HAVING``
-only over aggregate expressions — so every generated query is one the
-legacy executor accepts.  Determinism: one ``random.Random(seed)``
-drives everything, so a failing seed is a one-command reproduction.
+only over aggregate expressions — so every generated query is valid.
+Determinism: one ``random.Random(seed)`` drives everything, so a
+failing seed is a one-command reproduction.  :func:`engine_digests`
+replays the same stream through the engine alone; its output for seed 1
+is frozen as ``tests/fuzz_corpus/cql_seed1.json``.
 """
 
 from __future__ import annotations
 
+import hashlib
 import logging
 import random
-from typing import List, Optional, Tuple
+from typing import Iterator, List, Tuple
 
 from ..core.clock import SimulatedClock
 from ..core.errors import HwdbError
-from ..hwdb.cql.executor import ResultSet, execute_select
+from ..hwdb.cql.ast_nodes import Select
+from ..hwdb.cql.executor import ResultSet
 from ..hwdb.cql.parser import parse
 from ..hwdb.database import HomeworkDatabase
-from ..query.engine import QueryEngine
+from .cql_reference import execute_select
 
 logger = logging.getLogger(__name__)
 
@@ -48,7 +53,7 @@ ANY_AGGREGATES = ("count", "first", "last")
 
 
 class Mismatch:
-    """One divergence between the engine and the legacy executor."""
+    """One divergence between the engine and the reference executor."""
 
     def __init__(self, query: str, tick: int, detail: str):
         self.query = query
@@ -260,21 +265,18 @@ def _outcome(fn) -> Tuple[str, object]:
         return ("error", (type(exc).__name__, str(exc)))
 
 
-def run_differential(
-    queries: int = 500, seed: int = 1, ticks: int = 4
-) -> List[Mismatch]:
-    """Replay ``queries`` generated SELECTs, ``ticks`` churn rounds each.
+def _replay(
+    queries: int, seed: int, ticks: int
+) -> Iterator[Tuple[int, str, Select, int, HomeworkDatabase]]:
+    """Yield ``(index, text, statement, tick, db)`` once per tick.
 
-    Every query is executed repeatedly against a mutating ring — that is
-    what makes the *incremental* tier earn its keep: the engine carries
-    per-group state between calls while the legacy executor recomputes
-    from scratch, and the two must never be told apart.
+    Each generated query gets ``ticks`` rounds of ring churn plus a
+    clock advance, all drawn from one ``random.Random(seed)``.  The
+    stream does not depend on what the consumer executes.
     """
     rng = random.Random(seed)
     db, clock = _build_db(rng)
-    engine = QueryEngine(db)
     gen = _QueryGen(rng)
-    mismatches: List[Mismatch] = []
     for index in range(queries):
         text = gen.build()
         try:
@@ -284,20 +286,55 @@ def run_differential(
         for tick in range(ticks):
             _churn(db, rng)
             clock.advance(rng.uniform(0.5, 5.0))
-            now = db.now
-            expected = _outcome(lambda: execute_select(statement, db._tables, now))
-            actual = _outcome(
-                lambda: engine.execute_select(statement, db._tables, now)
+            yield index, text, statement, tick, db
+
+
+def run_differential(
+    queries: int = 500, seed: int = 1, ticks: int = 4
+) -> List[Mismatch]:
+    """Replay ``queries`` generated SELECTs, ``ticks`` churn rounds each.
+
+    Every query is executed repeatedly against a mutating ring — that is
+    what makes the *incremental* tier earn its keep: the engine carries
+    per-group state between calls while the reference executor
+    recomputes from scratch, and the two must never be told apart.
+    """
+    mismatches: List[Mismatch] = []
+    diverged = -1
+    for index, text, statement, tick, db in _replay(queries, seed, ticks):
+        if index == diverged:
+            continue  # one report per query
+        expected = _outcome(
+            lambda: execute_select(statement, db._tables, db.now)
+        )
+        actual = _outcome(lambda: db.execute_parsed(statement))
+        if expected != actual:
+            diverged = index
+            mismatches.append(
+                Mismatch(text, tick, f"reference={expected!r} engine={actual!r}")
             )
-            if expected != actual:
-                mismatches.append(
-                    Mismatch(text, tick, f"legacy={expected!r} engine={actual!r}")
-                )
-                logger.error(
-                    "cql-fuzz mismatch (query %d tick %d): %s", index, tick, text
-                )
-                break
+            logger.error(
+                "cql-fuzz mismatch (query %d tick %d): %s", index, tick, text
+            )
     return mismatches
+
+
+def engine_digests(
+    queries: int = 500, seed: int = 1, ticks: int = 4
+) -> List[Tuple[str, str]]:
+    """``(query text, SHA-256 of its tick outcomes)`` per generated query,
+    from the database's engine alone (no reference executor)."""
+    texts: List[str] = []
+    outcomes: List[list] = []
+    for index, text, statement, _tick, db in _replay(queries, seed, ticks):
+        if index == len(texts):
+            texts.append(text)
+            outcomes.append([])
+        outcomes[-1].append(_outcome(lambda: db.execute_parsed(statement)))
+    return [
+        (text, hashlib.sha256(repr(ticks_out).encode()).hexdigest())
+        for text, ticks_out in zip(texts, outcomes)
+    ]
 
 
 def fuzz_cql(queries: int, seed: int, say=logger.info) -> int:
@@ -308,9 +345,9 @@ def fuzz_cql(queries: int, seed: int, say=logger.info) -> int:
             say("MISMATCH tick=%d: %s\n  %s", miss.tick, miss.query, miss.detail)
         say("cql-fuzz: %d/%d queries diverged", len(mismatches), queries)
         return 1
-    say("cql-fuzz: %d queries, engine == legacy executor on every tick", queries)
+    say("cql-fuzz: %d queries, engine == reference executor on every tick", queries)
     return 0
 
 
-#: Re-exported for the property-based regression test.
-__all__ = ["Mismatch", "run_differential", "fuzz_cql"]
+#: Re-exported for the property-based regression tests.
+__all__ = ["Mismatch", "run_differential", "engine_digests", "fuzz_cql"]

@@ -34,7 +34,6 @@ from ..obs import MetricsFlusher, MetricsRegistry, Tracer
 from ..openflow.channel import SecureChannel
 from ..openflow.datapath import Datapath
 from ..policy.engine import PolicyEngine
-from ..query.engine import QueryEngine
 from ..services.control_api.api import ControlApi
 from ..services.dhcp.server import DhcpServer
 from ..services.dnsproxy.proxy import DnsProxy
@@ -109,9 +108,9 @@ class HomeworkRouter:
         )
         install_standard_schema(self.db)
         self.db.attach_scheduler(sim)
-        # Optional durable tier under the rings.  Attached before the
-        # query engine exists, so the engine's first compile already
-        # sees the spill hooks and routes around incremental mode.
+        # Optional durable tier under the rings.  Attaching it clears
+        # the database's plan cache, so later compiles see the spill
+        # hooks and route around incremental mode.
         self.store: Optional[DurableStore] = None
         self._store_tmp: Optional[tempfile.TemporaryDirectory] = None
         self._store_flush_timer = None
@@ -131,10 +130,6 @@ class HomeworkRouter:
                 registry=self.metrics,
             )
             self.store.attach(self.db)
-        # The continuous-query engine self-attaches to the database:
-        # every SELECT (ad-hoc, RPC, subscription) now routes through
-        # its plan cache and incremental maintenance.
-        self.query_engine = QueryEngine(self.db, registry=self.metrics)
         self.rpc_server = RpcServer(self.db, registry=self.metrics)
         self.aggregator = BandwidthAggregator(self.db)
 

@@ -40,7 +40,6 @@ COUNTER_METRICS = (
     "dnsproxy.query_total",
     "query.incremental_tick_total",
     "query.full_tick_total",
-    "query.fallback_total",
 )
 
 

@@ -1,14 +1,16 @@
-"""Query executor for the CQL variant.
+"""Row model and expression evaluator for the CQL variant.
 
-Evaluates a parsed :class:`~repro.hwdb.cql.ast_nodes.Select` against the
-database's ring-buffer tables at a given instant: applies per-stream
-windows (the *temporal* operators), joins sources (the *relational*
-operators), then filters, groups, aggregates, orders and limits.
+The pieces every SELECT runs on, whichever way it is executed: the
+:class:`ResultSet` it returns, the joined-row :class:`Binding`, per-stream
+windows (the *temporal* operators, :func:`apply_window_ex`), the
+:class:`Evaluator` for scalar and aggregate expressions, grouping and
+ORDER BY.  :mod:`repro.query` compiles SELECTs into operator plans over
+these; the reference executor the differential fuzzer compares against
+(:mod:`repro.check.cql_reference`) uses the very same functions.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 import re
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
@@ -24,7 +26,6 @@ from .ast_nodes import (
     Literal,
     OrderItem,
     Projection,
-    Select,
     TableRef,
     Unary,
     W_ALL,
@@ -75,7 +76,7 @@ class ResultSet:
         return f"ResultSet(columns={self.columns}, rows={len(self.rows)})"
 
 
-class _Binding:
+class Binding:
     """One joined row: alias → (table, row) with column resolution."""
 
     __slots__ = ("sources",)
@@ -107,11 +108,6 @@ def _column_value(table: StreamTable, row: Row, name: str) -> Any:
     if name == TS_COLUMN:
         return row.timestamp
     return row.values[table.column_position(name)]
-
-
-def apply_window(table: StreamTable, ref: TableRef, now: float) -> List[Row]:
-    """Materialise the windowed view of ``table`` at time ``now``."""
-    return apply_window_ex(table, ref, now)[0]
 
 
 def apply_window_ex(table: StreamTable, ref: TableRef, now: float):
@@ -159,18 +155,18 @@ def apply_window_ex(table: StreamTable, ref: TableRef, now: float):
 # Expression evaluation
 # ----------------------------------------------------------------------
 
-def _has_aggregate(expr: Expr) -> bool:
+def has_aggregate(expr: Expr) -> bool:
     if isinstance(expr, FunctionCall):
         if expr.name in AGGREGATE_FUNCTIONS:
             return True
-        return any(_has_aggregate(a) for a in expr.args)
+        return any(has_aggregate(a) for a in expr.args)
     if isinstance(expr, Binary):
-        return _has_aggregate(expr.left) or _has_aggregate(expr.right)
+        return has_aggregate(expr.left) or has_aggregate(expr.right)
     if isinstance(expr, Unary):
-        return _has_aggregate(expr.operand)
+        return has_aggregate(expr.operand)
     if isinstance(expr, InList):
-        return _has_aggregate(expr.needle) or any(
-            _has_aggregate(i) for i in expr.haystack
+        return has_aggregate(expr.needle) or any(
+            has_aggregate(i) for i in expr.haystack
         )
     return False
 
@@ -196,7 +192,7 @@ class Evaluator:
 
     # -- scalar path -----------------------------------------------------
 
-    def scalar(self, expr: Expr, binding: Optional[_Binding]) -> Any:
+    def scalar(self, expr: Expr, binding: Optional[Binding]) -> Any:
         if isinstance(expr, Literal):
             return expr.value
         if isinstance(expr, ColumnRef):
@@ -219,7 +215,7 @@ class Evaluator:
 
     # -- aggregate path ---------------------------------------------------
 
-    def aggregate(self, expr: Expr, group: Sequence[_Binding]) -> Any:
+    def aggregate(self, expr: Expr, group: Sequence[Binding]) -> Any:
         if isinstance(expr, Literal):
             return expr.value
         if isinstance(expr, ColumnRef):
@@ -240,33 +236,12 @@ class Evaluator:
             return self._scalar_function(expr, lambda e: self.aggregate(e, group))
         raise QueryError(f"cannot evaluate expression {expr!r}")
 
-    def _aggregate_function(self, call: FunctionCall, group: Sequence[_Binding]) -> Any:
-        if call.name == "count":
-            if call.star:
-                return len(group)
-            values = self._arg_values(call, group)
-            return sum(1 for v in values if v is not None)
-        values = [v for v in self._arg_values(call, group) if v is not None]
-        if call.name == "sum":
-            return sum(values) if values else 0
-        if call.name == "avg":
-            return sum(values) / len(values) if values else None
-        if call.name == "min":
-            return min(values) if values else None
-        if call.name == "max":
-            return max(values) if values else None
-        if call.name == "first":
-            return values[0] if values else None
-        if call.name == "last":
-            return values[-1] if values else None
-        if call.name == "stddev":
-            if len(values) < 2:
-                return 0.0
-            mean = sum(values) / len(values)
-            return math.sqrt(sum((v - mean) ** 2 for v in values) / (len(values) - 1))
-        raise QueryError(f"unknown aggregate {call.name!r}")
+    def _aggregate_function(self, call: FunctionCall, group: Sequence[Binding]) -> Any:
+        if call.name == "count" and call.star:
+            return len(group)
+        return aggregate_values(call.name, self._arg_values(call, group))
 
-    def _arg_values(self, call: FunctionCall, group: Sequence[_Binding]) -> List[Any]:
+    def _arg_values(self, call: FunctionCall, group: Sequence[Binding]) -> List[Any]:
         if not call.args:
             raise QueryError(f"{call.name}() needs an argument")
         arg = call.args[0]
@@ -277,7 +252,7 @@ class Evaluator:
     def _unary(self, expr: Unary, ev: Callable[[Expr], Any]) -> Any:
         value = ev(expr.operand)
         if expr.op == "not":
-            return not _truthy(value)
+            return not truthy(value)
         if expr.op == "-":
             return -value if value is not None else None
         raise QueryError(f"unknown unary operator {expr.op!r}")
@@ -285,9 +260,9 @@ class Evaluator:
     def _binary(self, expr: Binary, ev: Callable[[Expr], Any]) -> Any:
         op = expr.op
         if op == "and":
-            return _truthy(ev(expr.left)) and _truthy(ev(expr.right))
+            return truthy(ev(expr.left)) and truthy(ev(expr.right))
         if op == "or":
-            return _truthy(ev(expr.left)) or _truthy(ev(expr.right))
+            return truthy(ev(expr.left)) or truthy(ev(expr.right))
         left = ev(expr.left)
         if op == "is_null":
             return left is None
@@ -356,93 +331,37 @@ class Evaluator:
         raise QueryError(f"unknown function {name!r}")
 
 
-def _truthy(value: Any) -> bool:
+def truthy(value: Any) -> bool:
     return bool(value)
 
 
-# ----------------------------------------------------------------------
-# SELECT execution
-# ----------------------------------------------------------------------
-
-def execute_select(
-    select: Select,
-    tables: Dict[str, StreamTable],
-    now: float,
-) -> ResultSet:
-    """Run ``select`` against ``tables`` at time ``now``."""
-    evaluator = Evaluator(now)
-
-    # 1. Windowed sources.
-    alias_rows: List[Tuple[str, StreamTable, List[Row]]] = []
-    seen_aliases = set()
-    for ref in select.sources:
-        table = tables.get(ref.table)
-        if table is None:
-            raise QueryError(f"no such table {ref.table!r}")
-        if ref.alias in seen_aliases:
-            raise QueryError(f"duplicate table alias {ref.alias!r}")
-        seen_aliases.add(ref.alias)
-        alias_rows.append((ref.alias, table, apply_window(table, ref, now)))
-
-    # 2. Join (cartesian product filtered by WHERE).
-    bindings: List[_Binding] = []
-    for combo in itertools.product(*(rows for _, _, rows in alias_rows)):
-        binding = _Binding(
-            {
-                alias: (table, row)
-                for (alias, table, _), row in zip(alias_rows, combo)
-            }
-        )
-        if select.where is None or _truthy(evaluator.scalar(select.where, binding)):
-            bindings.append(binding)
-
-    # 3. Projection plan.
-    if select.star:
-        projections = _star_projections(alias_rows, len(select.sources) > 1)
-    else:
-        projections = select.projections
-    aggregated = bool(select.group_by) or any(
-        _has_aggregate(p.expr) for p in projections
-    )
-
-    columns = [_projection_name(p, i) for i, p in enumerate(projections)]
-
-    # 4. Grouping / aggregation.
-    if aggregated:
-        groups = _group(bindings, select.group_by, evaluator)
-        out_rows: List[Tuple] = []
-        for group in groups:
-            if select.having is not None and not _truthy(
-                evaluator.aggregate(select.having, group)
-            ):
-                continue
-            out_rows.append(
-                tuple(evaluator.aggregate(p.expr, group) for p in projections)
-            )
-    else:
-        out_rows = [
-            tuple(evaluator.scalar(p.expr, binding) for p in projections)
-            for binding in bindings
-        ]
-
-    # 5. DISTINCT, then ORDER BY + LIMIT.
-    if select.distinct:
-        seen = set()
-        unique: List[Tuple] = []
-        for row in out_rows:
-            if row not in seen:
-                seen.add(row)
-                unique.append(row)
-        out_rows = unique
-    if select.order_by:
-        out_rows = _order_rows(out_rows, select.order_by, projections, columns, evaluator)
-    if select.limit is not None:
-        out_rows = out_rows[: select.limit]
-
-    return ResultSet(columns, out_rows, executed_at=now)
+def aggregate_values(name: str, raw_values: Sequence[Any]) -> Any:
+    """Aggregate ``name`` over one group's argument values, in group order
+    (``count(*)`` is just the group size and never gets here)."""
+    if name == "count":
+        return sum(1 for v in raw_values if v is not None)
+    values = [v for v in raw_values if v is not None]
+    if name == "sum":
+        return sum(values) if values else 0
+    if name == "avg":
+        return sum(values) / len(values) if values else None
+    if name == "min":
+        return min(values) if values else None
+    if name == "max":
+        return max(values) if values else None
+    if name == "first":
+        return values[0] if values else None
+    if name == "last":
+        return values[-1] if values else None
+    if name == "stddev":
+        if len(values) < 2:
+            return 0.0
+        mean = sum(values) / len(values)
+        return math.sqrt(sum((v - mean) ** 2 for v in values) / (len(values) - 1))
+    raise QueryError(f"unknown aggregate {name!r}")
 
 
-def _star_projections(alias_rows, qualify: bool) -> List[Projection]:
+def star_projections(alias_rows, qualify: bool) -> List[Projection]:
     projections: List[Projection] = []
     for alias, table, _rows in alias_rows:
         projections.append(
@@ -461,7 +380,7 @@ def _star_projections(alias_rows, qualify: bool) -> List[Projection]:
     return projections
 
 
-def _projection_name(projection: Projection, index: int) -> str:
+def projection_name(projection: Projection, index: int) -> str:
     if projection.alias:
         return projection.alias
     expr = projection.expr
@@ -476,21 +395,21 @@ def _projection_name(projection: Projection, index: int) -> str:
     return f"col{index}"
 
 
-def _group(
-    bindings: List[_Binding],
+def group_bindings(
+    bindings: List[Binding],
     group_by: List[Expr],
     evaluator: Evaluator,
-) -> List[List[_Binding]]:
+) -> List[List[Binding]]:
     if not group_by:
         return [bindings]
-    buckets: Dict[Tuple, List[_Binding]] = {}
+    buckets: Dict[Tuple, List[Binding]] = {}
     for binding in bindings:
         key = tuple(evaluator.scalar(expr, binding) for expr in group_by)
         buckets.setdefault(key, []).append(binding)
     return list(buckets.values())
 
 
-def _order_rows(
+def order_rows(
     rows: List[Tuple],
     order_by: List[OrderItem],
     projections: List[Projection],
@@ -519,19 +438,3 @@ def _order_rows(
             reverse=item.descending,
         )
     return rows
-
-
-# ----------------------------------------------------------------------
-# Public aliases for the query engine
-# ----------------------------------------------------------------------
-# ``repro.query`` compiles SELECTs into an operator DAG but reuses this
-# module's row model and evaluation semantics wholesale, so the two
-# execution paths cannot drift apart.  These names are that contract.
-
-Binding = _Binding
-group_bindings = _group
-order_rows = _order_rows
-projection_name = _projection_name
-star_projections = _star_projections
-has_aggregate = _has_aggregate
-truthy = _truthy

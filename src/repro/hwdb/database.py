@@ -8,8 +8,9 @@ interface enabling applications to subscribe to query results,
 persisting output as desired."
 
 This module is the database core: table management, inserts, one-shot
-queries and continuous subscriptions.  The RPC front-end lives in
-:mod:`repro.hwdb.rpc`, persistence in :mod:`repro.hwdb.persist`.
+queries and continuous subscriptions.  SELECTs run on the database's
+own :class:`~repro.query.engine.QueryEngine`.  The RPC front-end lives
+in :mod:`repro.hwdb.rpc`, persistence in :mod:`repro.hwdb.persist`.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 from ..core.clock import Clock
 from ..core.errors import HwdbError, QueryError
 from .cql.ast_nodes import CreateTable, Explain, Insert, Select
-from .cql.executor import ResultSet, execute_select
+from .cql.executor import ResultSet
 from .cql.parser import parse
 from .table import Column, StreamTable
 from .types import type_by_name
@@ -63,8 +64,9 @@ class Subscription:
     def fire(self) -> Optional[ResultSet]:
         """Execute once and deliver (subject to ``deliver_empty``).
 
-        A query that can no longer execute (e.g. its table was dropped)
-        cancels the subscription rather than crashing the scheduler.
+        A query that can no longer execute (its table was dropped, or a
+        row arrived that its expressions cannot evaluate) cancels the
+        subscription rather than crashing the scheduler.
         """
         if not self.active:
             return None
@@ -110,12 +112,16 @@ class HomeworkDatabase:
     INSERT_SAMPLE_MASK = 0xF
 
     def __init__(self, clock: Clock, default_capacity: int = 4096, registry=None):
+        # Function-scoped: repro.query imports repro.hwdb.cql, and this
+        # package's __init__ imports this module.
+        from ..query.engine import QueryEngine
+
         self._clock = clock
         self.default_capacity = default_capacity
         self._tables: Dict[str, StreamTable] = {}
         self._subscriptions: Dict[int, Subscription] = {}
         self._scheduler = None  # set via attach_scheduler
-        self._engine = None  # set via set_query_engine
+        self._engine = QueryEngine()
         self._store = None  # set via set_store
         self.queries_executed = 0
         self.inserts = 0
@@ -138,21 +144,11 @@ class HomeworkDatabase:
             self._m_query_lat = registry.histogram("hwdb.query_seconds")
             self._m_subs_active = registry.gauge("hwdb.subscriptions_active")
             self._m_sub_fire = registry.histogram("hwdb.subscription_fire_seconds")
-
-    def set_query_engine(self, engine) -> None:
-        """Attach a continuous-query engine (duck-typed so hwdb never
-        imports :mod:`repro.query`, which sits a layer above).
-
-        When attached, SELECTs route through ``engine.execute_select``
-        and EXPLAIN through ``engine.explain``; the engine is expected
-        to be behaviourally identical to the legacy executor, falling
-        back to it whenever in doubt.
-        """
-        self._engine = engine
+        self._engine.set_registry(registry)
 
     def set_store(self, store) -> None:
-        """Attach a durable storage tier (duck-typed, like the query
-        engine: hwdb never imports :mod:`repro.store`).
+        """Attach a durable storage tier (duck-typed: hwdb never imports
+        :mod:`repro.store`, which sits a layer above).
 
         The store is notified of table creation/drops so every ring
         gets its ``spill``/``archive`` hooks.  Attaching invalidates the
@@ -160,8 +156,7 @@ class HomeworkDatabase:
         table's history extends past the ring.
         """
         self._store = store
-        if self._engine is not None:
-            self._engine.invalidate()
+        self._engine.invalidate()
 
     @property
     def now(self) -> float:
@@ -194,8 +189,7 @@ class HomeworkDatabase:
         self._tables[key] = table
         if self._store is not None:
             self._store.on_create_table(table)
-        if self._engine is not None:
-            self._engine.invalidate()
+        self._engine.invalidate()
         return table
 
     def drop_table(self, name: str) -> None:
@@ -204,8 +198,7 @@ class HomeworkDatabase:
         del self._tables[name.lower()]
         if self._store is not None:
             self._store.on_drop_table(name.lower())
-        if self._engine is not None:
-            self._engine.invalidate()
+        self._engine.invalidate()
 
     def table(self, name: str) -> StreamTable:
         try:
@@ -267,12 +260,6 @@ class HomeworkDatabase:
                 return result
             return self._execute_select(statement)
         if isinstance(statement, Explain):
-            if self._engine is None:
-                return ResultSet(
-                    ["plan"],
-                    [("legacy executor (no query engine attached)",)],
-                    executed_at=self.now,
-                )
             return self._engine.explain(statement, self._tables, self.now)
         if isinstance(statement, Insert):
             table = self.table(statement.table)
@@ -291,9 +278,7 @@ class HomeworkDatabase:
         raise QueryError(f"unsupported statement type {type(statement).__name__}")
 
     def _execute_select(self, statement: Select) -> ResultSet:
-        if self._engine is not None:
-            return self._engine.execute_select(statement, self._tables, self.now)
-        return execute_select(statement, self._tables, self.now)
+        return self._engine.execute_select(statement, self._tables, self.now)
 
     # ------------------------------------------------------------------
     # Subscriptions
@@ -317,10 +302,9 @@ class HomeworkDatabase:
         self._subscriptions[subscription.id] = subscription
         if self._m_subs_active is not None:
             self._m_subs_active.set(float(len(self._subscriptions)))
-        if self._engine is not None:
-            # Pin the compiled plan: subscriptions outlive ad-hoc cache
-            # churn and carry the incremental state between fires.
-            self._engine.attach_subscription(statement)
+        # Pin the compiled plan: subscriptions outlive ad-hoc cache
+        # churn and carry the incremental state between fires.
+        self._engine.attach_subscription(statement)
         if start:
             if self._scheduler is None:
                 raise HwdbError(
@@ -345,7 +329,7 @@ class HomeworkDatabase:
         subscription = self._subscriptions.pop(sub_id, None)
         if self._m_subs_active is not None:
             self._m_subs_active.set(float(len(self._subscriptions)))
-        if subscription is not None and self._engine is not None:
+        if subscription is not None:
             self._engine.detach_subscription(subscription.select)
 
     def stats(self) -> Dict[str, Any]:

@@ -1,19 +1,19 @@
-"""repro.query — incremental continuous-query engine for hwdb.
+"""repro.query — hwdb's continuous-query engine.
 
 Compiles CQL SELECTs into operator-DAG plans, maintains windowed
-aggregates incrementally between subscription ticks, shares scans
-across subscriptions, and falls back to the legacy executor whenever it
-cannot prove bit-identical behaviour.  See DESIGN.md §12.
+aggregates incrementally between subscription ticks and shares scans
+across subscriptions.  Every SELECT hwdb runs goes through here; the
+compile step is also where a query's errors are raised.  See DESIGN.md
+§12.
 """
 
 from .engine import QueryEngine
 from .incremental import NotIncremental, build_incremental
-from .plan import Plan, PlanNotSupported, compile_select
+from .plan import Plan, compile_select
 
 __all__ = [
     "QueryEngine",
     "Plan",
-    "PlanNotSupported",
     "compile_select",
     "NotIncremental",
     "build_incremental",

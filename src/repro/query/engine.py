@@ -1,28 +1,24 @@
-"""The continuous-query engine facade.
+"""The continuous-query engine: the one way hwdb runs a SELECT.
 
-One :class:`QueryEngine` sits next to a :class:`HomeworkDatabase` (the
-router constructs it; the database talks to it only through the
-duck-typed ``set_query_engine`` hook, keeping hwdb below this package
-in the layer DAG).  Every SELECT the database executes routes here:
+Each :class:`~repro.hwdb.database.HomeworkDatabase` builds its own
+:class:`QueryEngine`, and every SELECT it executes (ad-hoc, RPC,
+subscription, EXPLAIN) routes here.  The plan cache, keyed by the
+query's *normalized* unparse text so formatting differences share an
+entry, yields or compiles a cache entry in one of two modes:
 
-1. The plan cache (keyed by the query's *normalized* unparse text, so
-   formatting differences share an entry) yields or compiles a cache
-   entry in one of three modes:
+* ``incremental`` — windowed-aggregate state maintained across ticks
+  (:mod:`.incremental`);
+* ``plan`` — full re-execution of the compiled operator DAG, with
+  cross-query scan sharing (:mod:`.plan`, :mod:`.share`).
 
-   * ``incremental`` — windowed-aggregate state maintained across
-     ticks (:mod:`.incremental`);
-   * ``plan`` — full re-execution of the compiled operator DAG, with
-     cross-query scan sharing (:mod:`.plan`, :mod:`.share`);
-   * ``legacy`` — the original executor, for anything the planner
-     cannot prove it reproduces exactly.
-
-2. If a plan-tier or incremental execution raises anyway, the engine
-   answers with the legacy executor.  An :class:`HwdbError` means the
-   legacy path raises (or handles) the same condition authoritatively,
-   so the entry stays live; any other exception is an engine defect —
-   the entry is poisoned to legacy mode, logged, and counted, and the
-   caller still gets the legacy answer.  Subscriptions therefore can
-   never be broken by the optimizer, only slowed down.
+Only :class:`HwdbError` leaves :meth:`QueryEngine.execute_select`.
+Compilation raises :class:`QueryError` for every fault the text and the
+schema can show, so those errors never depend on the data.  A value an
+expression cannot combine (``'a' + 1``) raises while the plan runs; the
+engine drops that cache entry, whose incremental state may hold a
+half-ingested batch, and reports a :class:`QueryError` as well.  A
+subscription that hits either is cancelled instead of crashing the
+scheduler.
 
 Subscriptions pin their cache entries (``attach_subscription``) so LRU
 eviction only ever discards ad-hoc queries; DDL invalidates everything.
@@ -30,29 +26,25 @@ eviction only ever discards ad-hoc queries; DDL invalidates everything.
 
 from __future__ import annotations
 
-import logging
 from contextlib import nullcontext
 from collections import OrderedDict
 from typing import Dict, List, Optional, Tuple
 
-from ..core.errors import HwdbError
+from ..core.errors import QueryError
 from ..hwdb.cql.ast_nodes import Explain, Select
-from ..hwdb.cql.executor import ResultSet, execute_select as legacy_execute
+from ..hwdb.cql.executor import ResultSet
 from ..hwdb.cql.unparse import unparse
 from .explain import render_plan
 from .incremental import IncrementalState, NotIncremental, build_incremental
-from .plan import Plan, PlanNotSupported, compile_select
+from .plan import Plan, compile_select
 from .share import ShareCache
 from .stats import EngineMetrics
-
-logger = logging.getLogger(__name__)
 
 #: Unpinned plan-cache entries beyond this are evicted, oldest first.
 PLAN_CACHE_SIZE = 256
 
 MODE_INCREMENTAL = "incremental"
 MODE_PLAN = "plan"
-MODE_LEGACY = "legacy"
 
 
 class _CacheEntry:
@@ -60,7 +52,7 @@ class _CacheEntry:
 
     def __init__(
         self,
-        plan: Optional[Plan],
+        plan: Plan,
         state: Optional[IncrementalState],
         mode: str,
         reason: Optional[str],
@@ -74,14 +66,16 @@ class _CacheEntry:
 class QueryEngine:
     """Compiles, caches, shares and incrementally maintains SELECTs."""
 
-    def __init__(self, db, registry=None):
-        self.db = db
-        self.metrics = EngineMetrics(registry)
+    def __init__(self):
+        self.metrics = EngineMetrics()
         self.share = ShareCache()
         self._cache: "OrderedDict[str, _CacheEntry]" = OrderedDict()
         self._pins: Dict[str, int] = {}
         self._share_now: Optional[float] = None
-        db.set_query_engine(self)
+
+    def set_registry(self, registry) -> None:
+        """Publish ``query.*`` metrics to ``registry`` (None: stop)."""
+        self.metrics = EngineMetrics(registry)
 
     # -- plan cache ----------------------------------------------------
 
@@ -98,10 +92,7 @@ class QueryEngine:
         return entry
 
     def _compile(self, select: Select, tables) -> _CacheEntry:
-        try:
-            plan = compile_select(select, tables)
-        except PlanNotSupported as exc:
-            return _CacheEntry(None, None, MODE_LEGACY, str(exc))
+        plan = compile_select(select, tables)
         archived = sorted(
             {
                 node.ref.table
@@ -166,13 +157,9 @@ class QueryEngine:
     # -- execution -----------------------------------------------------
 
     def execute_select(self, select: Select, tables, now: float) -> ResultSet:
-        """Run ``select``; behaviourally identical to the legacy
-        :func:`execute_select`, which remains the arbiter on any doubt."""
+        """Run ``select`` at ``now``; raises only :class:`HwdbError`."""
         text = unparse(select)
         entry = self._entry_for(select, tables, text)
-        if entry.mode == MODE_LEGACY:
-            self.metrics.fallback()
-            return legacy_execute(select, tables, now)
         if self._share_now != now:
             # Scan sharing is only sound within one instant: windows and
             # now() are functions of the clock.
@@ -188,7 +175,7 @@ class QueryEngine:
         )
         try:
             with tick_span:
-                if entry.mode == MODE_INCREMENTAL:
+                if entry.state is not None:
                     result = entry.state.tick(tables, now)
                     self.metrics.incremental_tick()
                 else:
@@ -196,23 +183,11 @@ class QueryEngine:
                         tables, now, share=self.share, timer=timer
                     )
                     self.metrics.full_tick()
-        except HwdbError:
-            # Hwdb-level conditions (table dropped mid-tick, ...) are the
-            # legacy executor's to answer — same inputs, same outcome.
-            self.metrics.fallback()
-            return legacy_execute(select, tables, now)
-        except Exception:
-            logger.warning(
-                "query engine failed on %r; poisoning entry to legacy mode",
-                text,
-                exc_info=True,
-            )
-            self.metrics.plan_error()
-            entry.mode = MODE_LEGACY
-            entry.reason = "runtime failure; see log"
-            entry.state = None
-            self.metrics.fallback()
-            return legacy_execute(select, tables, now)
+        except (TypeError, ValueError, OverflowError) as exc:
+            # A row the expression cannot evaluate.  Drop the entry so a
+            # partly ingested incremental state is rebuilt next time.
+            self._cache.pop(text, None)
+            raise QueryError(f"cannot evaluate {text}: {exc}") from exc
         if started is not None:
             self.metrics.observe_tick(timer() - started)
         self._record_share_metrics()
@@ -232,8 +207,6 @@ class QueryEngine:
         entry = self._entry_for(select, tables, text)
         if statement.analyze:
             self.execute_select(select, tables, now)
-            # The run may have poisoned (or re-created) the entry.
-            entry = self._cache.get(text, entry)
         lines = render_plan(
             text,
             entry.mode,

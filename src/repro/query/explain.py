@@ -18,23 +18,21 @@ def render_plan(
     text: str,
     mode: str,
     reason: Optional[str],
-    plan: Optional[Plan],
+    plan: Plan,
     state: Optional[IncrementalState],
     analyze: bool,
 ) -> List[str]:
     """Lines describing how the engine runs ``text``.
 
-    ``mode`` is the engine's routing decision (``incremental``,
-    ``plan`` or ``legacy``); ``reason`` says why anything short of
-    incremental was chosen.  With ``analyze``, per-operator row counts
-    and cumulative timings observed so far are appended (the engine runs
-    the query once before rendering, so they are never empty).
+    ``mode`` is the engine's routing decision (``incremental`` or
+    ``plan``); ``reason`` says why the plan tier was chosen.  With
+    ``analyze``, per-operator row counts and cumulative timings observed
+    so far are appended (the engine runs the query once before
+    rendering, so they are never empty).
     """
     lines = [f"Query: {text}", f"Mode: {mode}"]
     if reason:
         lines.append(f"Reason: {reason}")
-    if plan is None:
-        return lines
     if plan.notes:
         lines.append("Rewrites:")
         for note in plan.notes:

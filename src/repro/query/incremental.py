@@ -9,15 +9,16 @@ the last tick (delta scan on the table's append sequence number) and
 evicts rows that fell out of the window, then recomputes the aggregates
 from the retained per-row values.
 
-Bit-identity with the legacy executor is non-negotiable (the engine's
-acceptance tests diff row-for-row), which drives two design rules:
+Bit-identity with full re-execution of the plan is non-negotiable (the
+differential fuzzer and the frozen corpus diff row-for-row, types
+included), which drives two design rules:
 
 * **No running accumulators.**  A running ``sum += x`` then ``-= x``
   does not reproduce floating point exactly.  Instead each window entry
   stores the *ingest-time argument values* for every aggregate slot,
-  and emit recomputes ``sum()/avg()/stddev()...`` with the executor's
-  exact formulas over the values in window (sequence) order — the same
-  list, in the same order, through the same arithmetic.
+  and emit recomputes ``sum()/avg()/stddev()...`` with the evaluator's
+  own :func:`aggregate_values` over the values in window (sequence)
+  order — the same list, in the same order, through the same arithmetic.
 * **Evict exactly what a rescan would not see.**  Rows leave the state
   when the ring overwrote them (``seq <= table.overwritten``) or their
   timestamp left the window.  Both are checked on deque fronts only —
@@ -27,12 +28,11 @@ acceptance tests diff row-for-row), which drives two design rules:
 Anything this module cannot maintain exactly — extra sources, ROWS/NOW
 windows, DISTINCT, ``now()`` anywhere ingest-time state would capture
 it — raises :class:`NotIncremental` at build time, and the engine runs
-the compiled plan (or legacy executor) every tick instead.
+the compiled plan every tick instead.
 """
 
 from __future__ import annotations
 
-import math
 from collections import deque
 from typing import Dict, List, Optional, Tuple
 
@@ -54,6 +54,7 @@ from ..hwdb.cql.executor import (
     Binding,
     Evaluator,
     ResultSet,
+    aggregate_values,
     order_rows,
     truthy,
 )
@@ -64,7 +65,7 @@ from .plan import AggregateOp, DistinctOp, FilterOp, Plan, ScanOp
 
 class NotIncremental(Exception):
     """This plan must be fully re-executed each tick.  Not an error —
-    a routing decision, like :class:`~repro.query.plan.PlanNotSupported`."""
+    a routing decision."""
 
 
 def _contains_now(expr: Expr) -> bool:
@@ -103,7 +104,7 @@ class _SlotRef(Expr):
 class _RepRef(Expr):
     """Stand-in for a bare column in aggregate context: resolves to the
     group's first (front) row's value — what ``group[0].resolve`` gives
-    the legacy executor."""
+    a full re-execution."""
 
     __slots__ = ("index",)
 
@@ -119,7 +120,7 @@ class _EmitEvaluator(Evaluator):
 
     Everything else — scalar functions, arithmetic, ``now()``, HAVING
     truthiness — goes through the inherited implementation, so emit
-    arithmetic is the legacy arithmetic.
+    arithmetic is the plan's arithmetic.
     """
 
     def __init__(self, now: float):
@@ -200,34 +201,6 @@ class _SkeletonBuilder:
 # ----------------------------------------------------------------------
 # The per-subscription state machine
 # ----------------------------------------------------------------------
-
-def _slot_value(name: str, star: bool, raw_values: List) -> object:
-    """The legacy aggregate formulas, verbatim, over ingest-time values
-    in window order (see :meth:`Evaluator._aggregate_function`)."""
-    if name == "count":
-        if star:
-            return len(raw_values)
-        return sum(1 for v in raw_values if v is not None)
-    values = [v for v in raw_values if v is not None]
-    if name == "sum":
-        return sum(values) if values else 0
-    if name == "avg":
-        return sum(values) / len(values) if values else None
-    if name == "min":
-        return min(values) if values else None
-    if name == "max":
-        return max(values) if values else None
-    if name == "first":
-        return values[0] if values else None
-    if name == "last":
-        return values[-1] if values else None
-    # stddev — the planner only emits names from AGGREGATE_FUNCTIONS.
-    if len(values) < 2:
-        return 0.0
-    mean = sum(values) / len(values)
-    total = sum((v - mean) ** 2 for v in values)
-    return math.sqrt(total / (len(values) - 1))
-
 
 class IncrementalState:
     """Materialised per-group window state for one subscription."""
@@ -358,27 +331,30 @@ class IncrementalState:
             for key in emptied:
                 del self._groups[key]
         # Without GROUP BY the single global group legitimately goes
-        # empty: the legacy executor still evaluates it (sum -> 0,
+        # empty: a full re-execution still evaluates it (sum -> 0,
         # count(*) -> 0, avg -> None...), so it must survive here too.
 
     def _emit(self, now: float) -> ResultSet:
         self.ticks += 1
         if self.group_by:
-            # Legacy group order is first occurrence in the current
+            # Plan group order is first occurrence in the current
             # window, i.e. ascending front sequence number.  Emptied
             # groups were deleted in _evict, so fronts always exist.
             groups = sorted(
                 self._groups.values(), key=lambda entries: entries[0][0]
             )
         else:
-            # The single global group survives empty — the legacy
-            # executor still evaluates it (count(*) -> 0, sum -> 0...).
+            # The single global group survives empty — a full
+            # re-execution still evaluates it (count(*) -> 0, sum -> 0...).
             groups = list(self._groups.values()) or [deque()]
         evaluator = _EmitEvaluator(now)
         out_rows: List[Tuple] = []
         for entries in groups:
+            # The planner only admits a star argument on count().
             slot_values = tuple(
-                _slot_value(name, star, [entry[2][i] for entry in entries])
+                len(entries)
+                if star
+                else aggregate_values(name, [entry[2][i] for entry in entries])
                 for i, (name, star, _arg) in enumerate(self.agg_slots)
             )
             if entries:

@@ -1,8 +1,8 @@
 """Rule-based rewrites applied while compiling a SELECT into a plan.
 
 Four rules, all proven behaviour-preserving *given* the planner's
-``resolvable_all`` precondition (every expression statically resolves
-and every function is known, so evaluation cannot raise):
+compile-time checks (every column reference resolves and every function
+is known, so evaluation cannot raise a name error):
 
 * **constant folding** — literal-only pure subtrees collapse to their
   value; ``now()`` never folds, and a subtree whose evaluation errors
@@ -23,8 +23,8 @@ and every function is known, so evaluation cannot raise):
   these values per window entry.
 
 Everything here is a pure AST-in/AST-out utility: this module never
-imports :mod:`.plan`, and never mutates the input AST — callers keep
-the original ``Select`` pristine for the legacy fallback path.
+imports :mod:`.plan`, and never mutates the input AST — the compiled
+plan keeps the original ``Select`` for EXPLAIN and the incremental tier.
 """
 
 from __future__ import annotations
@@ -50,10 +50,10 @@ from ..hwdb.cql.parser import SCALAR_FUNCTIONS
 from ..hwdb.cql.unparse import unparse_expr
 from ..hwdb.table import TS_COLUMN
 
-#: Resolves a column reference to the owning source alias, or None when
-#: the reference does not resolve statically (the planner rejects such
-#: queries before any rewrite runs, so None here means "leave it be").
-Resolver = Callable[[ColumnRef], Optional[str]]
+#: Resolves a column reference to the owning source alias.  The planner
+#: has resolved every reference before any rewrite runs, so this never
+#: raises here.
+Resolver = Callable[[ColumnRef], str]
 
 
 # ----------------------------------------------------------------------
@@ -185,7 +185,7 @@ def _try_fold(expr: Expr, evaluator: Evaluator) -> Expr:
         return Literal(evaluator.scalar(expr, None))
     except (QueryError, TypeError, ValueError, OverflowError):
         # Evaluation would fail at runtime too (e.g. 'a' + 1); leave the
-        # subtree so the executor surfaces it exactly as legacy would.
+        # subtree so the plan surfaces it when it runs.
         return expr
 
 
@@ -233,15 +233,8 @@ def rewrite_where(
             else:
                 rewrite.residual.append(conjunct)
             continue
-        owners = set()
-        unresolved = False
-        for ref in collect_column_refs(conjunct):
-            alias = resolve(ref)
-            if alias is None:
-                unresolved = True
-                break
-            owners.add(alias)
-        if unresolved or len(owners) != 1:
+        owners = {resolve(ref) for ref in collect_column_refs(conjunct)}
+        if len(owners) != 1:
             rewrite.residual.append(conjunct)
             continue
         alias = next(iter(owners))
@@ -311,9 +304,7 @@ def needed_columns(
     need: Dict[str, set] = {alias: set() for alias in aliases}
     for expr in exprs:
         for ref in collect_column_refs(expr):
-            owner = resolve(ref)
-            if owner is not None:
-                need[owner].add(ref.name)
+            need[resolve(ref)].add(ref.name)
     return {alias: tuple(sorted(names)) for alias, names in need.items()}
 
 

@@ -3,22 +3,19 @@
 ``compile_select`` turns a parsed :class:`Select` into a small tree of
 operators (scan -> join -> filter -> aggregate/project -> distinct ->
 sort -> limit) with the optimizer's rewrites baked in.  The operators
-reuse the legacy executor's row model (:class:`Binding`), grouping,
-ordering and expression evaluation wholesale, so for any query the
-planner accepts, plan execution is provably row-for-row identical to
-:func:`repro.hwdb.cql.executor.execute_select`.
+run on the shared row model (:class:`Binding`), grouping, ordering and
+expression evaluation of :mod:`repro.hwdb.cql.executor`, so a plan's
+answer is the reference executor's answer
+(:mod:`repro.check.cql_reference`), row for row.
 
-The one thing the planner must *never* do is change which errors a
-query raises.  The legacy executor surfaces most errors data-
-dependently — an unknown column only raises once a row exists to
-resolve it against, ``sum()`` without arguments only raises when a
-group is evaluated, HAVING is silently ignored on non-aggregated
-queries.  The planner therefore enforces a ``resolvable_all``
-precondition: every column reference must resolve statically, every
-function must be known, every aggregate well-formed.  Anything short of
-that raises :class:`PlanNotSupported` at compile time and the engine
-runs the query on the legacy executor, which reproduces the quirky
-behaviour by construction.
+Compilation is also where a query's errors come from.  Every column
+reference must resolve against the schema, every function must be
+known and every aggregate well-formed; anything else raises
+:class:`QueryError` here, with the message the reference gives when it
+meets the same fault.  What a query raises thus depends on its text
+and the schema alone, never on whether rows happen to exist.  The only
+errors left for run time are values an expression cannot combine
+(``'a' + 1``), which the engine reports as :class:`QueryError` too.
 """
 
 from __future__ import annotations
@@ -71,11 +68,6 @@ from .share import ShareCache
 from .stats import OperatorStats
 
 _WINDOW_KINDS = (W_ALL, W_NOW, W_RANGE, W_ROWS, W_SINCE)
-
-
-class PlanNotSupported(Exception):
-    """The planner cannot prove this SELECT error-free; run it on the
-    legacy executor instead.  Not an error — a routing decision."""
 
 
 class ExecContext:
@@ -220,7 +212,7 @@ class ScanOp(PlanNode):
 
 class JoinOp(PlanNode):
     """Cartesian product of the children, in source order — exactly the
-    join the legacy executor forms (its WHERE then filters; here the
+    join the reference executor forms (its WHERE then filters; here the
     single-source conjuncts already ran at the scans)."""
 
     kind = "join"
@@ -304,8 +296,8 @@ class AggregateOp(PlanNode):
 
 class ProjectOp(PlanNode):
     """Row-wise projection for non-aggregated queries.  HAVING, if
-    present, is dropped at compile time — the legacy executor ignores it
-    on this branch and the plan must match."""
+    present, is dropped at compile time: it only filters groups, and a
+    non-aggregated query has none."""
 
     kind = "project"
 
@@ -437,74 +429,69 @@ class Plan:
 # Compilation
 # ----------------------------------------------------------------------
 
-def make_resolver(
-    aliases: Dict[str, StreamTable],
-) -> Callable[[ColumnRef], Optional[str]]:
+def make_resolver(aliases: Dict[str, StreamTable]) -> Callable[[ColumnRef], str]:
     """Static version of ``Binding.resolve``: maps a reference to its
-    owning alias, or None wherever the runtime resolution would be
-    data-dependent (unknown or non-TS-ambiguous columns)."""
+    owning alias, or raises the :class:`QueryError` that resolving it
+    against a row would."""
 
-    def resolve(ref: ColumnRef) -> Optional[str]:
+    def resolve(ref: ColumnRef) -> str:
         if ref.table is not None:
             table = aliases.get(ref.table)
             if table is None:
-                return None
-            return ref.table if table.has_column(ref.name) else None
+                raise QueryError(f"unknown table alias {ref.table!r}")
+            if not table.has_column(ref.name):
+                raise QueryError(f"table {table.name!r} has no column {ref.name!r}")
+            return ref.table
         matches = [a for a, t in aliases.items() if t.has_column(ref.name)]
         if not matches:
-            return None
+            raise QueryError(f"unknown column {ref.name!r}")
         if len(matches) > 1 and ref.name != TS_COLUMN:
-            return None
+            raise QueryError(f"ambiguous column {ref.name!r}; qualify it")
         return matches[0]
 
     return resolve
 
 
 def _check_expr(
-    expr: Expr,
-    resolve: Callable[[ColumnRef], Optional[str]],
-    allow_aggregate: bool,
-    inside_aggregate: bool = False,
+    expr: Expr, resolve: Callable[[ColumnRef], str], allow_aggregate: bool
 ) -> None:
-    """Enforce resolvable_all: raise PlanNotSupported on anything whose
-    legacy evaluation could raise (or quirkily not raise)."""
+    """Raise now the name and shape errors that evaluating ``expr`` over
+    some row would raise."""
     if isinstance(expr, Literal):
         return
     if isinstance(expr, ColumnRef):
-        if resolve(expr) is None:
-            raise PlanNotSupported(
-                f"column {unparse_expr(expr)!r} does not resolve statically"
-            )
+        resolve(expr)
         return
     if isinstance(expr, Unary):
-        _check_expr(expr.operand, resolve, allow_aggregate, inside_aggregate)
+        _check_expr(expr.operand, resolve, allow_aggregate)
         return
     if isinstance(expr, Binary):
-        _check_expr(expr.left, resolve, allow_aggregate, inside_aggregate)
-        _check_expr(expr.right, resolve, allow_aggregate, inside_aggregate)
+        _check_expr(expr.left, resolve, allow_aggregate)
+        _check_expr(expr.right, resolve, allow_aggregate)
         return
     if isinstance(expr, InList):
-        _check_expr(expr.needle, resolve, allow_aggregate, inside_aggregate)
+        _check_expr(expr.needle, resolve, allow_aggregate)
         for item in expr.haystack:
-            _check_expr(item, resolve, allow_aggregate, inside_aggregate)
+            _check_expr(item, resolve, allow_aggregate)
         return
     if isinstance(expr, FunctionCall):
         if expr.name in AGGREGATE_FUNCTIONS:
             if not allow_aggregate:
-                raise PlanNotSupported(f"aggregate {expr.name}() in row context")
-            if inside_aggregate:
-                raise PlanNotSupported(f"nested aggregate {expr.name}()")
-            if not expr.star and not expr.args:
-                raise PlanNotSupported(f"{expr.name}() without an argument")
+                raise QueryError(
+                    f"aggregate {expr.name}() not allowed in row context"
+                )
+            if not expr.args and not (expr.star and expr.name == "count"):
+                raise QueryError(f"{expr.name}() needs an argument")
+            # Arguments are per-row: a nested aggregate is in row context.
             for arg in expr.args:
-                _check_expr(arg, resolve, allow_aggregate, inside_aggregate=True)
+                _check_expr(arg, resolve, allow_aggregate=False)
             return
-        if expr.name == "now" or expr.name in SCALAR_FUNCTIONS:
-            for arg in expr.args:
-                _check_expr(arg, resolve, allow_aggregate, inside_aggregate)
-            return
-        raise PlanNotSupported(f"unknown function {expr.name!r}")
-    raise PlanNotSupported(f"unsupported expression {expr!r}")
+        for arg in expr.args:
+            _check_expr(arg, resolve, allow_aggregate)
+        if expr.name != "now" and expr.name not in SCALAR_FUNCTIONS:
+            raise QueryError(f"unknown function {expr.name!r}")
+        return
+    raise QueryError(f"cannot evaluate expression {expr!r}")
 
 
 def _check_order_by(order_by: List[OrderItem], columns: List[str]) -> None:
@@ -520,24 +507,30 @@ def _check_order_by(order_by: List[OrderItem], columns: List[str]) -> None:
             isinstance(expr, Literal)
             and isinstance(expr.value, int)
             and not isinstance(expr.value, bool)
-            and 1 <= expr.value <= len(columns)
         ):
+            if not 1 <= expr.value <= len(columns):
+                raise QueryError(f"ORDER BY position {expr.value} out of range")
             continue
-        raise PlanNotSupported("ORDER BY term not statically resolvable")
+        raise QueryError("ORDER BY must reference an output column or position")
 
 
 def compile_select(select: Select, tables: Dict[str, StreamTable]) -> Plan:
-    """Compile ``select`` against the current schema, or raise
-    :class:`PlanNotSupported` when the legacy executor must run it."""
+    """Compile ``select`` against the current schema.
+
+    Raises :class:`QueryError` for every fault the query's text and the
+    schema can show: unknown tables, columns, aliases and functions,
+    ambiguous columns, misplaced or malformed aggregates, bad ORDER BY
+    terms and duplicate aliases.
+    """
     aliases: Dict[str, StreamTable] = {}
     for ref in select.sources:
         table = tables.get(ref.table)
         if table is None:
-            raise PlanNotSupported(f"unknown table {ref.table!r}")
+            raise QueryError(f"no such table {ref.table!r}")
         if ref.alias in aliases:
-            raise PlanNotSupported(f"duplicate table alias {ref.alias!r}")
+            raise QueryError(f"duplicate table alias {ref.alias!r}")
         if ref.window.kind not in _WINDOW_KINDS:
-            raise PlanNotSupported(f"window kind {ref.window.kind!r}")
+            raise QueryError(f"unsupported window kind {ref.window.kind!r}")
         aliases[ref.alias] = table
 
     if select.star:

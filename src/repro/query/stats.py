@@ -60,8 +60,6 @@ class EngineMetrics:
         "_cache_miss",
         "_incremental",
         "_full",
-        "_fallback",
-        "_plan_error",
         "_share_hit",
         "_share_miss",
         "_tick_seconds",
@@ -74,8 +72,6 @@ class EngineMetrics:
             self._cache_miss = None
             self._incremental = None
             self._full = None
-            self._fallback = None
-            self._plan_error = None
             self._share_hit = None
             self._share_miss = None
             self._tick_seconds = None
@@ -84,8 +80,6 @@ class EngineMetrics:
             self._cache_miss = registry.counter("query.plan_cache_miss_total")
             self._incremental = registry.counter("query.incremental_tick_total")
             self._full = registry.counter("query.full_tick_total")
-            self._fallback = registry.counter("query.fallback_total")
-            self._plan_error = registry.counter("query.plan_error_total")
             self._share_hit = registry.counter("query.share_hit_total")
             self._share_miss = registry.counter("query.share_miss_total")
             self._tick_seconds = registry.histogram("query.tick_seconds")
@@ -110,14 +104,6 @@ class EngineMetrics:
     def full_tick(self) -> None:
         if self._full is not None:
             self._full.inc()
-
-    def fallback(self) -> None:
-        if self._fallback is not None:
-            self._fallback.inc()
-
-    def plan_error(self) -> None:
-        if self._plan_error is not None:
-            self._plan_error.inc()
 
     def share_hit(self, n: int = 1) -> None:
         if self._share_hit is not None and n:

@@ -20,9 +20,8 @@ durable cold tier:
   consumed by :func:`repro.hwdb.cql.executor.apply_window_ex`).
 
 hwdb itself never imports this package: a store attaches to a database
-via ``db.set_store(store)`` exactly like the query engine's
-``set_query_engine`` hook, and to tables via the ``table.spill`` /
-``table.archive`` attributes.
+via the duck-typed ``db.set_store(store)`` hook, and to tables via the
+``table.spill`` / ``table.archive`` attributes.
 """
 
 from .archive import ArchiveScanInfo, DurableStore, TableTier

@@ -138,7 +138,8 @@ class TestLayeringRule:
         assert layer_of("repro.core.router") == 11
         assert layer_of("repro.net.udp") == 1
         assert layer_of("repro.household") == 11
-        assert layer_of("repro.query.engine") == 4
+        assert layer_of("repro.query.engine") == 3
+        assert layer_of("repro.store.wal") == 4
 
     def test_upward_imports_flagged_type_checking_exempt(self):
         source = fixture("layering_low.py", "repro.net.fixture_low")

@@ -29,9 +29,9 @@ def findings(files, rules):
 
 class TestCallGraph:
     def test_duck_attach_resolves_layer_inversion(self):
-        # hwdb never imports query; the engine attaches itself through
-        # set_query_engine.  The graph must still type Database._engine
-        # and resolve the execute() call through it.
+        # The lower layer never imports the upper one, which attaches
+        # itself through a setter.  The graph must still type
+        # Database._engine and resolve the execute() call through it.
         files = [
             fixture("duck_db.py", "repro.duck.duck_db"),
             fixture("duck_engine.py", "repro.duck.duck_engine"),

@@ -1,17 +1,22 @@
-"""Property-based regression: the query engine vs the legacy executor.
+"""Property-based regression: the query engine vs the reference executor.
 
 Replays the differential CQL fuzzer (:mod:`repro.check.cql_fuzz`) with
 fixed seeds inside the test suite — ≥500 generated queries, each
-executed over several churn ticks by both the engine and the legacy
-executor, results compared value-for-value including Python types.
-Any divergence is a hard failure with the offending query in the
-message; reproduce it with
+executed over several churn ticks by both the database's engine and the
+reference executor, results compared value-for-value including Python
+types.  Any divergence is a hard failure with the offending query in
+the message; reproduce it with
 ``python -m repro fuzz --cql-queries N --seed S``.
 """
 
+import json
+from pathlib import Path
+
 import pytest
 
-from repro.check.cql_fuzz import run_differential
+from repro.check.cql_fuzz import engine_digests, run_differential
+
+CORPUS = Path(__file__).parent / "fuzz_corpus" / "cql_seed1.json"
 
 
 def test_500_queries_seed_1():
@@ -24,3 +29,34 @@ def test_more_seeds_shallow(seed):
     """Two extra generator personalities at lower volume."""
     mismatches = run_differential(queries=150, seed=seed)
     assert mismatches == [], mismatches[:3]
+
+
+def test_frozen_corpus_replays_identically():
+    """The engine alone reproduces the frozen answers, digest for digest.
+
+    The engine and the reference executor share the evaluator, grouping
+    and ordering in :mod:`repro.hwdb.cql.executor`, so a change there
+    moves both sides at once and the differential tests above cannot
+    see it.  The corpus holds one SHA-256 per generated query over its
+    four tick outcomes, recorded while the two executors agreed.
+
+    Regenerate it only for an intended change of answers::
+
+        PYTHONPATH=src python -c "
+        import json
+        from repro.check.cql_fuzz import engine_digests
+        digests = [{'query': q, 'sha256': h} for q, h in engine_digests(500, 1, 4)]
+        payload = {'format': 'repro.cql-corpus/1', 'queries': 500, 'seed': 1,
+                   'ticks': 4, 'digests': digests}
+        with open('tests/fuzz_corpus/cql_seed1.json', 'w') as fh:
+            json.dump(payload, fh, indent=1)
+            fh.write('\\n')
+        "
+    """
+    corpus = json.loads(CORPUS.read_text())
+    assert corpus["format"] == "repro.cql-corpus/1"
+    expected = [(d["query"], d["sha256"]) for d in corpus["digests"]]
+    actual = engine_digests(corpus["queries"], corpus["seed"], corpus["ticks"])
+    assert len(actual) == len(expected) == corpus["queries"]
+    for index, (got, want) in enumerate(zip(actual, expected)):
+        assert got == want, f"query {index} moved: {want[0]}"

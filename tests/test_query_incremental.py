@@ -1,19 +1,18 @@
 """Incremental-tier edge cases: empty rings, wrap-around, overwrites.
 
-Satellite of the query-engine PR: the window shapes where incremental
-state maintenance is easiest to get wrong.  Every test drives an
-engine-backed database and a legacy-only twin in lockstep and demands
+The window shapes where incremental state maintenance is easiest to get
+wrong.  Every test runs the database's own engine and the reference
+executor over the same rings at the same instant and demands
 bit-identical results — the same oracle the fuzzer uses, aimed at the
 corners a random workload might miss.
 """
 
 import pytest
 
+from repro.check.cql_reference import execute_select
 from repro.core.clock import SimulatedClock
-from repro.hwdb.cql.executor import execute_select
 from repro.hwdb.cql.parser import parse
 from repro.hwdb.database import HomeworkDatabase
-from repro.query.engine import QueryEngine
 from repro.query.incremental import NotIncremental, build_incremental
 from repro.query.plan import compile_select
 
@@ -36,11 +35,11 @@ def fingerprint(result):
     )
 
 
-def assert_identical(db, engine, text):
-    """Engine output must match the legacy executor's, types included."""
+def assert_identical(db, text):
+    """Engine output must match the reference executor's, types included."""
     statement = parse(text)
     expected = fingerprint(execute_select(statement, db._tables, db.now))
-    actual = fingerprint(engine.execute_select(statement, db._tables, db.now))
+    actual = fingerprint(db.execute_parsed(statement))
     assert actual == expected, text
 
 
@@ -53,24 +52,22 @@ class TestEmptyRing:
     )
     def test_aggregate_over_empty_ring(self, window):
         db = make_db()
-        engine = QueryEngine(db)
-        assert_identical(db, engine, AGG.format(window=window))
+        assert_identical(db, AGG.format(window=window))
 
     @pytest.mark.parametrize("window", ["[SINCE 2.0] ", "[ROWS 3] "])
     def test_window_drains_to_empty_then_refills(self, window):
         """A ring that empties (all rows beyond the window) and refills
         must not strand stale incremental groups."""
         db = make_db()
-        engine = QueryEngine(db)
         text = "SELECT device, sum(bytes) AS b FROM flows [RANGE 3 SECONDS] GROUP BY device"
         db._clock.advance(1.0)
         db.insert("flows", {"device": "a", "bytes": 10})
-        assert_identical(db, engine, text)
+        assert_identical(db, text)
         db._clock.advance(60.0)  # everything ages out of the window
-        assert_identical(db, engine, text)
+        assert_identical(db, text)
         db.insert("flows", {"device": "b", "bytes": 20})
-        assert_identical(db, engine, text)
-        assert_identical(db, engine, AGG.format(window=window))
+        assert_identical(db, text)
+        assert_identical(db, AGG.format(window=window))
 
 
 class TestRingWrapAround:
@@ -78,22 +75,20 @@ class TestRingWrapAround:
         """More inserts than capacity: the retained rows straddle the
         ring's physical wrap and the window covers all of them."""
         db = make_db(capacity=8)
-        engine = QueryEngine(db)
         text = "SELECT device, sum(bytes) AS b, count(*) AS n FROM flows GROUP BY device"
         for i in range(20):  # 2.5 laps of the ring
             db._clock.advance(0.5)
             db.insert("flows", {"device": f"dev{i % 3}", "bytes": i * 7})
-            assert_identical(db, engine, text)
+            assert_identical(db, text)
         assert db.table("flows").overwritten == 12
 
     def test_since_window_vs_wrap(self):
         db = make_db(capacity=8)
-        engine = QueryEngine(db)
         text = "SELECT device, sum(bytes) AS b FROM flows [SINCE 4.0] GROUP BY device"
         for i in range(30):
             db._clock.advance(0.4)
             db.insert("flows", {"device": f"dev{i % 2}", "bytes": 100 + i})
-            assert_identical(db, engine, text)
+            assert_identical(db, text)
 
 
 class TestOverwrittenUnconsumedRows:
@@ -102,43 +97,40 @@ class TestOverwrittenUnconsumedRows:
         rows the incremental state never saw are gone.  The watermark
         jump must match what a from-scratch recompute sees."""
         db = make_db(capacity=8)
-        engine = QueryEngine(db)
         text = "SELECT device, sum(bytes) AS b FROM flows [RANGE 60 SECONDS] GROUP BY device"
         db._clock.advance(1.0)
         db.insert("flows", {"device": "a", "bytes": 1})
-        assert_identical(db, engine, text)
+        assert_identical(db, text)
         # 25 inserts into an 8-slot ring: the engine's next delta scan
         # can only ever see the 8 survivors.
         for i in range(25):
             db._clock.advance(0.1)
             db.insert("flows", {"device": f"dev{i % 4}", "bytes": 1000 + i})
-        assert_identical(db, engine, text)
-        assert_identical(db, engine, text)  # steady state after the burst
+        assert_identical(db, text)
+        assert_identical(db, text)  # steady state after the burst
 
     def test_eviction_of_ring_overwritten_entries(self):
         """Rows ingested into incremental state and *then* overwritten
         in the ring must leave the state too (seq-based eviction)."""
         db = make_db(capacity=4)
-        engine = QueryEngine(db)
         text = "SELECT sum(bytes) AS b, first(device) AS d FROM flows"
         for i in range(12):
             db._clock.advance(1.0)
             db.insert("flows", {"device": f"dev{i}", "bytes": 2 ** i})
-            assert_identical(db, engine, text)
+            assert_identical(db, text)
 
 
 class TestStateLifecycle:
     def test_table_recreation_resets_state(self):
         db = make_db()
-        engine = QueryEngine(db)
         text = "SELECT device, sum(bytes) AS b FROM flows GROUP BY device"
         db._clock.advance(1.0)
         db.insert("flows", {"device": "a", "bytes": 5})
-        assert_identical(db, engine, text)
+        assert_identical(db, text)
         db.drop_table("flows")
         db.create_table("flows", SCHEMA, 8)
         db.insert("flows", {"device": "z", "bytes": 9})
-        assert_identical(db, engine, text)
+        assert_identical(db, text)
 
     def test_state_counters_expose_activity(self):
         db = make_db(capacity=8)
@@ -179,36 +171,25 @@ class TestStateLifecycle:
 class TestSubscriptionDelivery:
     def test_subscription_identical_to_legacy_over_many_ticks(self):
         """The headline behaviour: a Figure-1 subscription fired across
-        churn, wrap and quiet periods never differs from legacy."""
-        engine_db = make_db(capacity=16)
-        legacy_db = make_db(capacity=16)
-        QueryEngine(engine_db)
+        churn, wrap and quiet periods never differs from the reference
+        executor run at the same instant."""
+        db = make_db(capacity=16)
         text = (
             "SELECT device, sum(bytes) AS b FROM flows [RANGE 5 SECONDS] "
             "GROUP BY device ORDER BY b DESC"
         )
-        subs = []
-        for database in (engine_db, legacy_db):
-            results = []
-            subs.append(
-                (
-                    database.subscribe(
-                        text, 1.0, results.append, deliver_empty=True, start=False
-                    ),
-                    results,
-                )
-            )
+        results = []
+        subscription = db.subscribe(
+            text, 1.0, results.append, deliver_empty=True, start=False
+        )
+        expected = []
         for tick in range(40):
-            for database in (engine_db, legacy_db):
-                if tick < 25:  # then a quiet tail drains the window
-                    for j in range(tick % 5):
-                        database.insert(
-                            "flows", {"device": f"dev{j % 3}", "bytes": tick * 10 + j}
-                        )
-                database._clock.advance(1.0)
-            for subscription, _ in subs:
-                subscription.fire()
-        engine_results = [fingerprint(r) for r in subs[0][1]]
-        legacy_results = [fingerprint(r) for r in subs[1][1]]
-        assert engine_results == legacy_results
-        assert len(engine_results) == 40
+            if tick < 25:  # then a quiet tail drains the window
+                for j in range(tick % 5):
+                    db.insert("flows", {"device": f"dev{j % 3}", "bytes": tick * 10 + j})
+            db._clock.advance(1.0)
+            subscription.fire()
+            expected.append(fingerprint(execute_select(parse(text), db._tables, db.now)))
+        assert [fingerprint(r) for r in results] == expected
+        assert len(results) == 40
+        assert db._engine.cache_info()[0][1] == "incremental"

@@ -1,28 +1,25 @@
-"""repro.query compilation: tiers, optimizer rewrites, caches, EXPLAIN.
+"""repro.query compilation: tiers, errors, optimizer rewrites, caches, EXPLAIN.
 
-The engine's contract is behavioural identity with the legacy executor,
-so most correctness lives in the differential tests
+The engine's contract is behavioural identity with the reference
+executor, so most correctness lives in the differential tests
 (``test_query_fuzz.py``); this file pins down the *machinery* — which
-tier a statement lands in, what the optimizer rewrites, how the plan
-and share caches behave, and what EXPLAIN reports.
+tier a statement lands in, which errors compilation raises, what the
+optimizer rewrites, how the plan and share caches behave, and what
+EXPLAIN reports.
 """
 
 import pytest
 
+from repro.check.cql_reference import execute_select
 from repro.core.clock import SimulatedClock
 from repro.core.errors import QueryError
-from repro.hwdb.cql.executor import execute_select
 from repro.hwdb.cql.parser import parse
 from repro.hwdb.database import HomeworkDatabase
+from repro.hwdb.rpc import RpcServer
 from repro.obs.metrics import MetricsRegistry
-from repro.query.engine import (
-    MODE_INCREMENTAL,
-    MODE_LEGACY,
-    MODE_PLAN,
-    PLAN_CACHE_SIZE,
-    QueryEngine,
-)
-from repro.query.plan import PlanNotSupported, compile_select
+from repro.query.engine import MODE_INCREMENTAL, MODE_PLAN, PLAN_CACHE_SIZE
+from repro.query.plan import compile_select
+from repro.sim.simulator import Simulator
 
 SCHEMA = [("device", "varchar"), ("proto", "integer"), ("bytes", "integer")]
 
@@ -36,7 +33,7 @@ def db():
 
 @pytest.fixture
 def engine(db):
-    return QueryEngine(db)
+    return db._engine
 
 
 def fill(db, rows=20):
@@ -77,37 +74,129 @@ class TestTierRouting:
         fill(db)
         assert mode_of(engine, db, "SELECT DISTINCT device FROM flows") == MODE_PLAN
 
-    def test_unknown_column_falls_back_to_legacy(self, engine, db):
-        # The legacy executor only errors on unknown columns when rows
-        # exist — a data-dependent behaviour no plan can reproduce, so
-        # the compiler must refuse and route the statement to legacy.
-        assert mode_of(engine, db, "SELECT nosuch FROM flows") == MODE_LEGACY
-        fill(db)
-        with pytest.raises(QueryError):
-            engine.execute_select(parse("SELECT nosuch FROM flows"), db._tables, db.now)
 
-    def test_compile_rejects_unknown_table(self, db):
-        with pytest.raises(PlanNotSupported):
-            compile_select(parse("SELECT x FROM nosuch"), db._tables)
+ERROR_CASES = [
+    ("unknown-column", "SELECT nosuch FROM flows", "unknown column 'nosuch'"),
+    (
+        "count-star-plus-unknown-column",
+        "SELECT count(*) AS n, nosuch FROM flows",
+        "unknown column 'nosuch'",
+    ),
+    (
+        "qualified-unknown-column",
+        "SELECT f.nosuch FROM flows f",
+        "table 'flows' has no column 'nosuch'",
+    ),
+    (
+        "ambiguous-join-column",
+        "SELECT device FROM flows f, hosts h",
+        "ambiguous column 'device'; qualify it",
+    ),
+    ("unknown-alias", "SELECT x.device FROM flows", "unknown table alias 'x'"),
+    (
+        "aggregate-in-where",
+        "SELECT device FROM flows WHERE sum(bytes) > 1",
+        "aggregate sum() not allowed in row context",
+    ),
+    (
+        "nested-aggregate",
+        "SELECT sum(sum(bytes)) AS s FROM flows",
+        "aggregate sum() not allowed in row context",
+    ),
+    ("sum-without-argument", "SELECT sum() AS s FROM flows", "sum() needs an argument"),
+    ("sum-of-star", "SELECT sum(*) AS s FROM flows", "sum() needs an argument"),
+    ("unknown-function", "SELECT frob(device) FROM flows", "unknown function 'frob'"),
+    (
+        "order-by-true",
+        "SELECT device FROM flows ORDER BY TRUE",
+        "ORDER BY must reference an output column or position",
+    ),
+    (
+        "order-by-out-of-range",
+        "SELECT device FROM flows ORDER BY 3",
+        "ORDER BY position 3 out of range",
+    ),
+    (
+        "order-by-qualified",
+        "SELECT device FROM flows f ORDER BY f.device",
+        "ORDER BY must reference an output column or position",
+    ),
+    ("unknown-table", "SELECT x FROM nosuch", "no such table 'nosuch'"),
+    (
+        "duplicate-alias",
+        "SELECT f.device FROM flows f, hosts f",
+        "duplicate table alias 'f'",
+    ),
+]
+
+
+class TestErrorContract:
+    """A query's errors depend on its text and the schema, never on
+    whether rows exist: compilation raises them all."""
+
+    @pytest.mark.parametrize(
+        "text,message",
+        [case[1:] for case in ERROR_CASES],
+        ids=[case[0] for case in ERROR_CASES],
+    )
+    def test_same_error_empty_and_filled(self, db, text, message):
+        db.create_table("hosts", [("device", "varchar"), ("owner", "varchar")], 8)
+        with pytest.raises(QueryError) as empty:
+            db.query(text)
+        db.insert("flows", {"device": "tv", "proto": 6, "bytes": 1})
+        db.insert("hosts", {"device": "tv", "owner": "kim"})
+        with pytest.raises(QueryError) as filled:
+            db.query(text)
+        with pytest.raises(QueryError) as compiled:
+            compile_select(parse(text), db._tables)
+        assert str(empty.value) == str(filled.value) == str(compiled.value) == message
+
+    def test_evaluation_error_cancels_subscription_not_simulator(self):
+        """``'tv' + 1`` only fails once a row exists; the subscription is
+        cancelled and the simulator runs on.  Over RPC it is a plain
+        ``ERROR`` reply, not an internal error."""
+        sim = Simulator()
+        registry = MetricsRegistry()
+        db = HomeworkDatabase(sim.clock, registry=registry)
+        db.create_table("flows", SCHEMA, 64)
+        db.attach_scheduler(sim)
+        text = "SELECT device + 1 AS x FROM flows"
+        subscription = db.subscribe(text, 1.0, lambda result: None)
+        sim.schedule_at(
+            2.5, lambda: db.insert("flows", {"device": "tv", "proto": 6, "bytes": 1})
+        )
+        sim.run_until(10.0)
+        assert sim.now == 10.0
+        assert not subscription.active
+        assert subscription.executions == 2
+        replies = []
+        RpcServer(db, registry=registry).handle_datagram(
+            f"QUERY {text}".encode(), replies.append
+        )
+        assert replies[0].startswith(b"ERROR cannot evaluate")
+        assert registry.counter("rpc.internal_error_total").value == 0
+
+    def test_evaluation_error_evicts_incremental_state(self, engine, db):
+        text = "SELECT sum(device) AS s FROM flows [RANGE 60 SECONDS]"
+        assert mode_of(engine, db, text) == MODE_INCREMENTAL
+        fill(db, rows=2)
+        with pytest.raises(QueryError):
+            db.query(text)
+        assert engine.cache_info() == []
 
 
 class TestOptimizer:
     def test_timestamp_predicate_tightens_window(self, db):
         fill(db)
-        plan = compile_select(
-            parse("SELECT device, sum(bytes) AS b FROM flows "
-                  "WHERE timestamp >= 5.0 GROUP BY device"),
-            db._tables,
+        text = (
+            "SELECT device, sum(bytes) AS b FROM flows "
+            "WHERE timestamp >= 5.0 GROUP BY device"
         )
+        plan = compile_select(parse(text), db._tables)
         assert any("window" in note for note in plan.notes)
-        legacy = execute_select(
-            parse("SELECT device, sum(bytes) AS b FROM flows "
-                  "WHERE timestamp >= 5.0 GROUP BY device"),
-            db._tables,
-            db.now,
-        )
+        reference = execute_select(parse(text), db._tables, db.now)
         optimized = plan.execute(db._tables, db.now)
-        assert optimized.rows == legacy.rows
+        assert optimized.rows == reference.rows
 
     def test_predicate_pushdown_noted(self, db):
         plan = compile_select(
@@ -119,8 +208,8 @@ class TestOptimizer:
         fill(db)
         text = "SELECT device FROM flows WHERE bytes > 100 + 200"
         plan = compile_select(parse(text), db._tables)
-        legacy = execute_select(parse(text), db._tables, db.now)
-        assert plan.execute(db._tables, db.now).rows == legacy.rows
+        reference = execute_select(parse(text), db._tables, db.now)
+        assert plan.execute(db._tables, db.now).rows == reference.rows
 
 
 class TestPlanCache:
@@ -158,10 +247,10 @@ class TestPlanCache:
 
 
 class TestShareCache:
-    def test_same_scan_shared_across_queries(self, db):
+    def test_same_scan_shared_across_queries(self, engine, db):
         fill(db)
         registry = MetricsRegistry()
-        engine = QueryEngine(db, registry=registry)
+        db.set_registry(registry)
         now = db.now
         # Two distinct non-aggregated statements over the same table,
         # window and (empty) pushed predicate, at the same tick.
@@ -173,10 +262,10 @@ class TestShareCache:
         )
         assert registry.counter("query.share_hit_total").value >= 1
 
-    def test_share_cache_cleared_between_ticks(self, db):
+    def test_share_cache_cleared_between_ticks(self, engine, db):
         fill(db)
         registry = MetricsRegistry()
-        engine = QueryEngine(db, registry=registry)
+        db.set_registry(registry)
         engine.execute_select(
             parse("SELECT device FROM flows [ROWS 10]"), db._tables, db.now
         )
@@ -188,7 +277,7 @@ class TestShareCache:
 
 
 class TestExplain:
-    def test_explain_reports_tier_and_tree(self, engine, db):
+    def test_explain_reports_tier_and_tree(self, db):
         fill(db)
         result = db.query(
             "EXPLAIN SELECT device, sum(bytes) AS b FROM flows "
@@ -199,21 +288,15 @@ class TestExplain:
         assert any("Mode: incremental" in line for line in lines)
         assert any("Scan" in line for line in lines)
 
-    def test_explain_analyze_includes_row_counts(self, engine, db):
+    def test_explain_analyze_includes_row_counts(self, db):
         fill(db)
         result = db.query("EXPLAIN ANALYZE SELECT device, bytes FROM flows [ROWS 5]")
         lines = [row[0] for row in result.rows]
         assert any("rows=" in line for line in lines)
 
-    def test_explain_without_engine(self):
-        db = HomeworkDatabase(SimulatedClock())
-        db.create_table("flows", SCHEMA, 8)
-        result = db.query("EXPLAIN SELECT device FROM flows")
-        assert "legacy" in result.rows[0][0]
-
 
 class TestExecutedAt:
-    def test_engine_results_stamped(self, engine, db):
+    def test_engine_results_stamped(self, db):
         fill(db)
         result = db.query("SELECT device FROM flows")
         assert result.executed_at == db.now
@@ -222,7 +305,6 @@ class TestExecutedAt:
         from repro.hwdb.rpc import pack_resultset, unpack_resultset
 
         fill(db)
-        QueryEngine(db)
         result = db.query("SELECT device, bytes FROM flows [ROWS 3]")
         assert result.executed_at == db.now
         wire = pack_resultset(result)
@@ -235,27 +317,19 @@ class TestMetrics:
     def test_tick_counters_move(self, db):
         fill(db)
         registry = MetricsRegistry()
-        engine = QueryEngine(db, registry=registry)
-        engine.execute_select(
-            parse("SELECT device, sum(bytes) AS b FROM flows "
-                  "[RANGE 10 SECONDS] GROUP BY device"),
-            db._tables,
-            db.now,
+        db.set_registry(registry)
+        db.query(
+            "SELECT device, sum(bytes) AS b FROM flows "
+            "[RANGE 10 SECONDS] GROUP BY device"
         )
-        with pytest.raises(QueryError):
-            # Unresolvable column: routed to legacy, which raises once
-            # rows exist — the fallback counter still moves.
-            engine.execute_select(
-                parse("SELECT nosuch2 FROM flows"), db._tables, db.now
-            )
+        db.query("SELECT device FROM flows [ROWS 3]")
         assert registry.counter("query.incremental_tick_total").value == 1
-        assert registry.counter("query.fallback_total").value == 1
+        assert registry.counter("query.full_tick_total").value == 1
 
     def test_subscription_gauge_and_fire_histogram(self):
         registry = MetricsRegistry()
         db = HomeworkDatabase(SimulatedClock(), registry=registry)
         db.create_table("flows", SCHEMA, 64)
-        QueryEngine(db, registry=registry)
         fill(db)
         subscription = db.subscribe(
             "SELECT device, sum(bytes) AS b FROM flows GROUP BY device",

@@ -14,7 +14,7 @@ from repro.core.clock import SimulatedClock
 from repro.core.errors import StoreError
 from repro.hwdb.database import HomeworkDatabase
 from repro.hwdb.snapshot import snapshot_database
-from repro.query.engine import MODE_PLAN, QueryEngine
+from repro.query.engine import MODE_PLAN
 from repro.store import (
     DurableStore,
     RetentionPolicy,
@@ -405,8 +405,6 @@ class TestTierSpanningQueries:
 
     def test_explain_analyze_shows_segment_pruning(self, tmp_path):
         db_s, _db_b, _store = self.twins(tmp_path, n=40)
-        engine = QueryEngine(db_s)
-        db_s.set_query_engine(engine)
         result = db_s.query(
             "EXPLAIN ANALYZE SELECT * FROM flows [RANGE 20 SECONDS]"
         )
@@ -419,10 +417,8 @@ class TestTierSpanningQueries:
 
     def test_engine_demotes_archived_tables_to_plan_tier(self, tmp_path):
         db_s, _db_b, _store = self.twins(tmp_path, n=12)
-        engine = QueryEngine(db_s)
-        db_s.set_query_engine(engine)
         db_s.query("SELECT device, sum(bytes) AS b FROM flows GROUP BY device")
-        info = dict(engine.cache_info())
+        info = dict(db_s._engine.cache_info())
         (mode,) = info.values()
         assert mode.startswith(MODE_PLAN)
 

@@ -143,3 +143,63 @@ def test_golden_trace_tracing_invariant_fast(seed):
 @pytest.mark.parametrize("seed", range(GOLDEN_SEEDS_FAST, GOLDEN_SEEDS))
 def test_golden_trace_tracing_invariant_full(seed):
     _assert_tracing_invisible(seed)
+
+
+# ----------------------------------------------------------------------
+# Golden-trace determinism: absolute hashes, pinned across builds
+# ----------------------------------------------------------------------
+
+#: ``(trace_hash, events_executed)`` per fuzzer seed, frozen from a
+#: known-good build.  The invariance tests above compare two runs of one
+#: build, so a change to the bytes the datapath forwards passes them;
+#: these compare against the frozen values instead.
+PINNED = Path(__file__).parent / "golden" / "fuzz_trace_hashes.json"
+
+
+def _pinned_seeds():
+    payload = json.loads(PINNED.read_text())
+    assert payload["format"] == "repro.golden-traces/1"
+    return {entry["seed"]: entry for entry in payload["seeds"]}
+
+
+def _assert_pinned(seed: int):
+    """Regenerate the file only for an intended change of behaviour::
+
+        PYTHONPATH=src python -c "
+        import json
+        from repro.check import ScenarioRunner, generate_scenario
+        rows = []
+        for seed in range(50):
+            runner = ScenarioRunner(generate_scenario(seed))
+            result = runner.run()
+            rows.append({'seed': seed, 'trace_hash': result.trace_hash,
+                         'events_executed': runner.sim.events_executed})
+        payload = {'format': 'repro.golden-traces/1', 'seeds': rows}
+        with open('tests/golden/fuzz_trace_hashes.json', 'w') as fh:
+            json.dump(payload, fh, indent=1)
+            fh.write('\\n')
+        "
+    """
+    pinned = _pinned_seeds()[seed]
+    runner = ScenarioRunner(generate_scenario(seed))
+    result = runner.run()
+    assert result.violation is None, result.violation.message
+    assert (result.trace_hash, runner.sim.events_executed) == (
+        pinned["trace_hash"],
+        pinned["events_executed"],
+    ), f"seed {seed}: trace hash or event count moved from the pinned value"
+
+
+def test_pinned_file_covers_every_golden_seed():
+    assert sorted(_pinned_seeds()) == list(range(GOLDEN_SEEDS))
+
+
+@pytest.mark.parametrize("seed", range(GOLDEN_SEEDS_FAST))
+def test_golden_trace_pinned_fast(seed):
+    _assert_pinned(seed)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("seed", range(GOLDEN_SEEDS_FAST, GOLDEN_SEEDS))
+def test_golden_trace_pinned_full(seed):
+    _assert_pinned(seed)

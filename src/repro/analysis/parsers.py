@@ -24,8 +24,8 @@ slices never raise, so they are safe without a guard.  The
 offset < len(data)`` loop bound, a ``range(0, len(data))``) — the point
 is that the author measured the buffer before trusting offsets into it.
 
-A parameter counts as bytes-like when its annotation mentions ``bytes``
-or ``memoryview``, or — unannotated — when it uses one of the
+A parameter counts as bytes-like when its annotation mentions ``bytes``,
+``bytearray`` or ``memoryview``, or — unannotated — when it uses one of the
 conventional buffer names (``data``, ``raw``, ``payload``...).
 """
 
@@ -51,7 +51,7 @@ def _bytes_like_params(fn: ast.AST) -> Set[str]:
             continue
         if arg.annotation is not None:
             rendered = ast.unparse(arg.annotation)
-            if "bytes" in rendered or "memoryview" in rendered:
+            if any(kind in rendered for kind in ("bytes", "bytearray", "memoryview")):
                 params.add(arg.arg)
         elif arg.arg in BUFFER_NAMES:
             params.add(arg.arg)

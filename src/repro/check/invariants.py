@@ -101,6 +101,32 @@ def check_flow_no_overlap(router: "HomeworkRouter", ctx: CheckContext) -> Option
     return None
 
 
+def check_microflow_cache_coherent(
+    router: "HomeworkRouter", ctx: CheckContext
+) -> Optional[str]:
+    """Every cached microflow runs the entry the table would pick now.
+
+    A cache entry that outlives the invalidation meant for it keeps
+    forwarding by a rule that was deleted, expired or shadowed, which
+    for a policy deny is a bypass.  ``resolve`` leaves the table's
+    lookup statistics untouched.
+    """
+    datapath = router.datapath
+    for key_tuple, cached in datapath._cache.items():
+        current = datapath.table.resolve(key_tuple)
+        if current is not cached.entry:
+            return (
+                f"cached microflow {key_tuple} runs {cached.entry!r} but the "
+                f"table now picks {current!r}"
+            )
+        if cached.actions != current.actions:
+            return (
+                f"cached microflow {key_tuple} runs actions {cached.actions} "
+                f"but its entry now has {current.actions}"
+            )
+    return None
+
+
 def check_nat_bijective(router: "HomeworkRouter", ctx: CheckContext) -> Optional[str]:
     """The NAT's private and external maps are mirror images."""
     nat = router.router_core.nat
@@ -347,6 +373,7 @@ INVARIANTS: Tuple[Tuple[str, Checker], ...] = (
     ("host-lease-agree", check_host_lease_agree),
     ("dhcp-client-liveness", check_dhcp_client_liveness),
     ("flow-no-overlap", check_flow_no_overlap),
+    ("microflow-cache-coherent", check_microflow_cache_coherent),
     ("nat-bijective", check_nat_bijective),
     ("nat-expiry", check_nat_expiry),
     ("policy-network-agree", check_policy_network_agree),

@@ -8,18 +8,17 @@ processing pipeline.  Packets can be modified as they are forwarded."
 An empty action list drops; :data:`PORT_CONTROLLER` punts to NOX;
 :data:`PORT_NORMAL` hands the frame to the switch's learning pipeline;
 ``Set*`` actions rewrite headers in flight (how the router rewrites MACs
-when routing between the per-device /30 networks).
+when routing between the per-device /30 networks, and how NAT rewrites
+addresses and ports).  They edit the frame's bytes at fixed offsets
+(:mod:`repro.net.rewrite`); the frame is never unpacked.
 """
 
 from __future__ import annotations
 
 from typing import List, Union
 
+from ..net import rewrite
 from ..net.addresses import IPv4Address, MACAddress
-from ..net.ethernet import Ethernet
-from ..net.ipv4 import IPv4
-from ..net.tcp import TCP
-from ..net.udp import UDP
 
 # Reserved port numbers, per OpenFlow 1.0.
 PORT_MAX = 0xFF00
@@ -47,8 +46,8 @@ RESERVED_PORT_NAMES = {
 class Action:
     """Base class; actions either forward (Output) or rewrite (Set*)."""
 
-    def apply(self, frame: Ethernet) -> None:
-        """Mutate ``frame`` in place (no-op for Output)."""
+    def apply(self, buf: bytearray) -> None:
+        """Edit the frame bytes in ``buf`` in place (no-op for Output)."""
 
     def __eq__(self, other: object) -> bool:
         return type(self) is type(other) and self.__dict__ == getattr(
@@ -76,8 +75,8 @@ class SetDlSrc(Action):
     def __init__(self, mac: Union[str, MACAddress]):
         self.mac = MACAddress(mac)
 
-    def apply(self, frame: Ethernet) -> None:
-        frame.src = self.mac
+    def apply(self, buf: bytearray) -> None:
+        rewrite.set_dl_src(buf, self.mac.packed)
 
     def __repr__(self) -> str:
         return f"SetDlSrc({self.mac})"
@@ -89,8 +88,8 @@ class SetDlDst(Action):
     def __init__(self, mac: Union[str, MACAddress]):
         self.mac = MACAddress(mac)
 
-    def apply(self, frame: Ethernet) -> None:
-        frame.dst = self.mac
+    def apply(self, buf: bytearray) -> None:
+        rewrite.set_dl_dst(buf, self.mac.packed)
 
     def __repr__(self) -> str:
         return f"SetDlDst({self.mac})"
@@ -102,10 +101,8 @@ class SetNwSrc(Action):
     def __init__(self, ip: Union[str, IPv4Address]):
         self.ip = IPv4Address(ip)
 
-    def apply(self, frame: Ethernet) -> None:
-        packet = frame.find(IPv4)
-        if packet is not None:
-            packet.src = self.ip
+    def apply(self, buf: bytearray) -> None:
+        rewrite.set_nw_src(buf, self.ip.packed)
 
     def __repr__(self) -> str:
         return f"SetNwSrc({self.ip})"
@@ -117,10 +114,8 @@ class SetNwDst(Action):
     def __init__(self, ip: Union[str, IPv4Address]):
         self.ip = IPv4Address(ip)
 
-    def apply(self, frame: Ethernet) -> None:
-        packet = frame.find(IPv4)
-        if packet is not None:
-            packet.dst = self.ip
+    def apply(self, buf: bytearray) -> None:
+        rewrite.set_nw_dst(buf, self.ip.packed)
 
     def __repr__(self) -> str:
         return f"SetNwDst({self.ip})"
@@ -132,12 +127,8 @@ class SetTpSrc(Action):
     def __init__(self, port: int):
         self.port = int(port)
 
-    def apply(self, frame: Ethernet) -> None:
-        for layer in (TCP, UDP):
-            segment = frame.find(layer)
-            if segment is not None:
-                segment.sport = self.port
-                return
+    def apply(self, buf: bytearray) -> None:
+        rewrite.set_tp_src(buf, self.port)
 
     def __repr__(self) -> str:
         return f"SetTpSrc({self.port})"
@@ -149,12 +140,8 @@ class SetTpDst(Action):
     def __init__(self, port: int):
         self.port = int(port)
 
-    def apply(self, frame: Ethernet) -> None:
-        for layer in (TCP, UDP):
-            segment = frame.find(layer)
-            if segment is not None:
-                segment.dport = self.port
-                return
+    def apply(self, buf: bytearray) -> None:
+        rewrite.set_tp_dst(buf, self.port)
 
     def __repr__(self) -> str:
         return f"SetTpDst({self.port})"

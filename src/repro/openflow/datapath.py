@@ -19,12 +19,9 @@ from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
 
 from ..core.errors import DatapathError
 from ..core.metrics import MetricsRegistry
-from ..net.ethernet import Ethernet
-from ..net.packet import PacketError
 from ..net.port import Port
 from ..net.trace import trace_of, with_trace
 from .actions import (
-    Action,
     ActionList,
     Output,
     PORT_ALL,
@@ -36,8 +33,8 @@ from .actions import (
     PORT_NORMAL,
     PORT_TABLE,
 )
-from .flow_table import FlowEntry, FlowTable
-from .match import FlowKey, extract_key
+from .flow_table import FlowEntry, FlowTable, matching_keys
+from .match import extract_key
 from .messages import (
     BarrierReply,
     BarrierRequest,
@@ -514,25 +511,21 @@ class Datapath:
                 # traced, regardless of sampling.
                 ctx.finish("datapath", "drop", decision="drop", cause="drop_flow")
             return  # drop
-        needs_rewrite = any(not isinstance(a, Output) for a in actions)
-        frame: Optional[Ethernet] = None
-        if needs_rewrite:
-            try:
-                frame = Ethernet.unpack(raw)
-            except PacketError:
-                return
+        # Set* actions edit one copy of the frame in place; each Output
+        # sends the frame as edited so far.
+        buf: Optional[bytearray] = None
         for action in actions:
             if isinstance(action, Output):
-                if frame is not None:
-                    # Re-serialising makes fresh bytes; the lineage must
-                    # ride the rewritten frame too.
-                    data = with_trace(frame.pack(), trace_of(raw))
-                else:
+                if buf is None:
                     data = raw
+                else:
+                    # Fresh bytes: the lineage must ride the copy too.
+                    data = with_trace(bytes(buf), trace_of(raw))
                 self._output(data, action.port, in_port)
             else:
-                assert frame is not None
-                action.apply(frame)
+                if buf is None:
+                    buf = bytearray(raw)
+                action.apply(buf)
 
     def _output(self, data: bytes, out_port: int, in_port: int) -> None:
         if out_port == PORT_NONE:
@@ -573,15 +566,12 @@ class Datapath:
     # ------------------------------------------------------------------
 
     def _invalidate_cache_for(self, entry: FlowEntry) -> None:
-        """Drop cached microflows covered by (or pointing at) ``entry``."""
+        """Drop the cached microflows ``entry`` matches: every key cached
+        for it (the table returned it for them), and every key an added
+        entry may now win."""
         if not self._cache:
             return
-        stale = [
-            key_tuple
-            for key_tuple, cached in self._cache.items()
-            if cached.entry is entry or entry.match.matches(_key_from_tuple(key_tuple))
-        ]
-        for key_tuple in stale:
+        for key_tuple in matching_keys(entry.match, self._cache):
             del self._cache[key_tuple]
 
     def cache_len(self) -> int:
@@ -592,23 +582,6 @@ class Datapath:
             f"Datapath(id={self.datapath_id}, ports={len(self._ports)}, "
             f"flows={len(self.table)}, cache={len(self._cache)})"
         )
-
-
-def _key_from_tuple(key_tuple: Tuple) -> FlowKey:
-    from ..net.addresses import IPv4Address, MACAddress
-
-    (in_port, dl_src, dl_dst, dl_type, nw_src, nw_dst, nw_proto, tp_src, tp_dst) = key_tuple
-    return FlowKey(
-        in_port=in_port,
-        dl_src=MACAddress(dl_src),
-        dl_dst=MACAddress(dl_dst),
-        dl_type=dl_type,
-        nw_src=IPv4Address(nw_src) if nw_src is not None else None,
-        nw_dst=IPv4Address(nw_dst) if nw_dst is not None else None,
-        nw_proto=nw_proto,
-        tp_src=tp_src,
-        tp_dst=tp_dst,
-    )
 
 
 def _loose_match(pattern, entry: FlowEntry) -> bool:

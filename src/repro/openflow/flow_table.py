@@ -18,7 +18,7 @@ the original O(n) scan as the differential-testing reference.
 from __future__ import annotations
 
 from bisect import bisect_right
-from typing import Dict, List, Optional, Tuple
+from typing import Collection, Dict, List, Optional, Tuple
 
 from ..core.errors import DatapathError
 from .actions import ActionList
@@ -142,6 +142,22 @@ def _bucket_key(match: Match, mask: Tuple) -> Tuple:
     return tuple(parts)
 
 
+def _masked(key_tuple: Tuple, mask: Tuple) -> Optional[Tuple]:
+    """A packet key tuple's values under a bucket mask: what a rule's
+    :func:`_bucket_key` must equal for the rule to match the packet.
+
+    None when the packet lacks a field the mask makes concrete (e.g. a
+    transport port on an ARP frame): no rule with that mask matches.
+    """
+    parts: List[int] = []
+    for index, netmask in mask:
+        value = key_tuple[index]
+        if value is None:
+            return None
+        parts.append(value if netmask is None else value & netmask)
+    return tuple(parts)
+
+
 class _Bucket:
     """All wildcard entries sharing one mask, hashed by concrete fields.
 
@@ -211,16 +227,10 @@ class _Bucket:
         match condition field-for-field), so the best-first slot order
         makes the head the bucket's answer.
         """
-        parts: List[int] = []
-        for index, netmask in self.mask:
-            value = key_tuple[index]
-            if value is None:
-                # Field concrete in the mask but absent from the packet
-                # (e.g. a transport port on an ARP frame): no rule in
-                # this bucket can match.
-                return None
-            parts.append(value if netmask is None else value & netmask)
-        slot = self.slots.get(tuple(parts))
+        masked = _masked(key_tuple, self.mask)
+        if masked is None:
+            return None
+        slot = self.slots.get(masked)
         return slot[0] if slot else None
 
 
@@ -393,7 +403,14 @@ class FlowTable:
     def lookup(self, key: FlowKey) -> Optional[FlowEntry]:
         """Highest-priority entry matching ``key``, or None (table miss)."""
         self.lookup_count += 1
-        key_tuple = key.as_tuple()
+        best = self.resolve(key.as_tuple())
+        if best is not None:
+            self.matched_count += 1
+        return best
+
+    def resolve(self, key_tuple: Tuple) -> Optional[FlowEntry]:
+        """The entry :meth:`lookup` picks for a key tuple, without
+        counting the lookup in the table statistics."""
         best: Optional[FlowEntry] = None
         slot = self._exact.get(key_tuple)
         if slot:
@@ -408,8 +425,6 @@ class FlowTable:
                 < (-best.priority, best._order)
             ):
                 best = candidate
-        if best is not None:
-            self.matched_count += 1
         return best
 
     def modify(
@@ -513,6 +528,21 @@ _EXACT_MASK: Tuple = tuple(
     (index, 0xFFFFFFFF if index in (_NW_SRC_INDEX, _NW_DST_INDEX) else None)
     for index in range(len(MATCH_FIELDS))
 )
+
+
+def matching_keys(match: Match, key_tuples: Collection[Tuple]) -> List[Tuple]:
+    """The packet key tuples among ``key_tuples`` that ``match`` matches.
+
+    The masked comparison a bucket probe makes.  An exact match can only
+    match its own key, so with a dict of keys it is one membership test.
+    """
+    if match.is_exact:
+        key = _bucket_key(match, _EXACT_MASK)
+        return [key] if key in key_tuples else []
+    mask = _mask_of(match)
+    want = _bucket_key(match, mask)
+    return [key for key in key_tuples if _masked(key, mask) == want]
+
 
 #: The indexed table is the default; the explicit name documents intent
 #: where the index itself is under test.

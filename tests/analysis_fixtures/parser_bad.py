@@ -8,3 +8,7 @@ def parse(data: bytes):
     sport = int.from_bytes(data[0:2], "big")
     fields = struct.unpack("!HH", data)
     return version, sport, fields
+
+
+def patch(buf: bytearray):
+    buf[12] = 0x08

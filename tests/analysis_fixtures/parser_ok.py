@@ -15,3 +15,8 @@ def parse(data: bytes):
 def truncate(data: bytes) -> bytes:
     # A standalone slice never raises; no guard required.
     return data[:28]
+
+
+def patch(buf: bytearray) -> None:
+    if len(buf) >= 14:
+        buf[12] = 0x08

@@ -58,6 +58,7 @@ class TestParserRule:
             ("parser-bounds", 7),  # data[0] index
             ("parser-bounds", 8),  # int.from_bytes(data[0:2], ...)
             ("parser-bounds", 9),  # struct.unpack("!HH", data)
+            ("parser-bounds", 14),  # buf[12] store into a bytearray
         ]
 
     def test_guarded_and_pure_slices_are_clean(self):

@@ -30,6 +30,16 @@ def key(sport=1000, dport=80, in_port=1):
     return FlowKey.extract(frame.pack(), in_port)
 
 
+def tcp_frame(sport, dport, src="10.0.0.1", dst="10.0.0.2"):
+    """A canonical TCP frame; the checksums are the codecs' own."""
+    return Ethernet(
+        "02:00:00:00:00:02",
+        "02:00:00:00:00:01",
+        ETH_TYPE_IPV4,
+        IPv4(src, dst, proto=PROTO_TCP, payload=TCP(sport, dport)),
+    ).pack()
+
+
 class TestActions:
     def test_drop_is_empty(self):
         assert drop() == []
@@ -39,39 +49,36 @@ class TestActions:
         assert isinstance(actions[0], Output) and actions[0].port == 3
 
     def test_set_dl_actions_rewrite(self):
-        frame = Ethernet("02:00:00:00:00:02", "02:00:00:00:00:01", 0x0800, b"")
-        SetDlSrc("02:aa:aa:aa:aa:aa").apply(frame)
-        SetDlDst("02:bb:bb:bb:bb:bb").apply(frame)
+        buf = bytearray(
+            Ethernet("02:00:00:00:00:02", "02:00:00:00:00:01", 0x0800, b"").pack()
+        )
+        SetDlSrc("02:aa:aa:aa:aa:aa").apply(buf)
+        SetDlDst("02:bb:bb:bb:bb:bb").apply(buf)
+        frame = Ethernet.unpack(bytes(buf))
         assert str(frame.src) == "02:aa:aa:aa:aa:aa"
         assert str(frame.dst) == "02:bb:bb:bb:bb:bb"
 
     def test_set_nw_actions_rewrite(self):
-        frame = Ethernet(
-            "02:00:00:00:00:02",
-            "02:00:00:00:00:01",
-            ETH_TYPE_IPV4,
-            IPv4("10.0.0.1", "10.0.0.2", proto=PROTO_TCP, payload=TCP(1, 2)),
-        )
-        SetNwSrc("1.1.1.1").apply(frame)
-        SetNwDst("2.2.2.2").apply(frame)
-        ip = frame.find(IPv4)
+        buf = bytearray(tcp_frame(1, 2))
+        SetNwSrc("1.1.1.1").apply(buf)
+        SetNwDst("2.2.2.2").apply(buf)
+        ip = Ethernet.unpack(bytes(buf)).find(IPv4)
         assert str(ip.src) == "1.1.1.1" and str(ip.dst) == "2.2.2.2"
+        assert bytes(buf) == tcp_frame(1, 2, src="1.1.1.1", dst="2.2.2.2")
 
     def test_set_tp_actions_rewrite(self):
-        frame = Ethernet(
-            "02:00:00:00:00:02",
-            "02:00:00:00:00:01",
-            ETH_TYPE_IPV4,
-            IPv4("10.0.0.1", "10.0.0.2", proto=PROTO_TCP, payload=TCP(1, 2)),
-        )
-        SetTpSrc(100).apply(frame)
-        SetTpDst(200).apply(frame)
-        tcp = frame.find(TCP)
+        buf = bytearray(tcp_frame(1, 2))
+        SetTpSrc(100).apply(buf)
+        SetTpDst(200).apply(buf)
+        tcp = Ethernet.unpack(bytes(buf)).find(TCP)
         assert (tcp.sport, tcp.dport) == (100, 200)
+        assert bytes(buf) == tcp_frame(100, 200)
 
     def test_nw_action_noop_on_non_ip(self):
-        frame = Ethernet("02:00:00:00:00:02", "02:00:00:00:00:01", 0x9999, b"")
-        SetNwSrc("1.1.1.1").apply(frame)  # silently does nothing
+        raw = Ethernet("02:00:00:00:00:02", "02:00:00:00:00:01", 0x9999, bytes(40)).pack()
+        buf = bytearray(raw)
+        SetNwSrc("1.1.1.1").apply(buf)  # silently does nothing
+        assert bytes(buf) == raw
 
     def test_route_rewrite_composition(self):
         actions = route_rewrite("02:aa:00:00:00:01", "02:bb:00:00:00:02", 7)
@@ -118,6 +125,14 @@ class TestFlowEntry:
 
 
 class TestFlowTable:
+    def test_resolve_picks_like_lookup_without_counting(self):
+        table = FlowTable()
+        table.add(FlowEntry(Match(tp_dst=80), output(1), priority=10))
+        table.add(FlowEntry(Match.any(), output(2), priority=1))
+        web = key(dport=80)
+        assert table.resolve(web.as_tuple()) is table.lookup(web)
+        assert (table.lookup_count, table.matched_count) == (1, 1)
+
     def test_lookup_miss(self):
         table = FlowTable()
         assert table.lookup(key()) is None

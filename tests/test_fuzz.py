@@ -18,6 +18,7 @@ from repro.check import (
 from repro.check.cli import load_repro, write_repro
 from repro.check.faults import LinkFault
 from repro.check.scenario import Op, Scenario
+from repro.openflow.datapath import Datapath
 from repro.sim.simulator import Simulator
 
 pytestmark = [pytest.mark.tier1, pytest.mark.fuzz]
@@ -137,6 +138,34 @@ class TestReplayFiles:
     @staticmethod
     def _failing_scenario():
         return Scenario(1, dict(BASE_CONFIG), [Op(1.0, "corrupt_flows", {})], 10.0)
+
+
+class TestPlantedBugs:
+    def test_skipped_cache_invalidation_is_found_and_shrunk(self, monkeypatch):
+        """A datapath that skips every 7th cache invalidation keeps
+        forwarding stale microflows; the fuzzer must catch and shrink it."""
+        original = Datapath._invalidate_cache_for
+
+        def skip_every_seventh(datapath, entry):
+            calls = getattr(datapath, "_planted_calls", 0) + 1
+            datapath._planted_calls = calls
+            if calls % 7:
+                original(datapath, entry)
+
+        monkeypatch.setattr(Datapath, "_invalidate_cache_for", skip_every_seventh)
+        for seed in range(20):
+            scenario = generate_scenario(seed)
+            result = ScenarioRunner(scenario).run()
+            if result.violation is not None:
+                break
+        assert result.violation is not None, "no seed in 0..19 caught the bug"
+        assert result.violation.invariant == "microflow-cache-coherent"
+
+        shrunk = shrink_scenario(scenario, "microflow-cache-coherent")
+        assert shrunk.result.violation.invariant == "microflow-cache-coherent"
+        assert len(shrunk.scenario.ops) < len(scenario.ops)
+        replayed = ScenarioRunner(shrunk.scenario).run()
+        assert replayed.violation.invariant == "microflow-cache-coherent"
 
 
 class TestFaultInjection:

@@ -19,7 +19,7 @@ from repro.net.dns_msg import (
 from repro.net.ipv4 import PROTO_TCP, PROTO_UDP
 from repro.net.pcap import PcapWriter, read_all
 from repro.openflow.actions import output
-from repro.openflow.flow_table import FlowEntry, FlowTable, _covers
+from repro.openflow.flow_table import FlowEntry, FlowTable, _covers, matching_keys
 from repro.openflow.match import FlowKey, Match
 from repro.policy.engine import PolicyEngine
 from repro.policy.model import DNS_BLOCK, DNS_ONLY, NET_ALLOW, NET_DENY, Policy
@@ -107,6 +107,19 @@ class TestMatchProperties:
         narrow = Match.from_key(key)
         if _covers(wide, narrow):
             assert wide.matches(key)
+
+    @settings(max_examples=100)
+    @given(st.data())
+    def test_matching_keys_agrees_with_matches(self, data):
+        """Cache invalidation's masked comparison picks exactly the keys
+        ``Match.matches`` accepts, for wildcard and exact patterns."""
+        keys = [data.draw(flow_keys()) for _ in range(data.draw(st.integers(1, 6)))]
+        pattern = data.draw(
+            st.one_of(wildcard_matches(keys[0]), st.just(Match.from_key(keys[0])))
+        )
+        by_tuple = {key.as_tuple(): key for key in keys}
+        expected = {t for t, key in by_tuple.items() if pattern.matches(key)}
+        assert set(matching_keys(pattern, by_tuple)) == expected
 
     @settings(max_examples=100)
     @given(st.data())

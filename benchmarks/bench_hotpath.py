@@ -1,7 +1,7 @@
 """Hot-path microbench — standalone wrapper around :mod:`repro.bench`.
 
 The same kernels ``python -m repro bench`` gates on (indexed flow
-lookup, batched dispatch, memoized classification), exposed both as
+lookup, event dispatch, memoized classification), exposed both as
 pytest-benchmark cases and as a standalone report writer.  The report is
 named ``BENCH_HOTPATH_RUN.json`` — deliberately *not* the committed
 ``BENCH_HOTPATH.json`` baseline, which is only refreshed through

@@ -96,7 +96,6 @@ DEFAULT_FAMILIES: Tuple[FamilySpec, ...] = (
             "repro.query.plan._check_expr",
             "repro.query.optimize.clone_expr",
             "repro.query.optimize.fold_expr",
-            "repro.query.optimize._strip_alias",
         ),
         producers=("repro.hwdb.cql.parser",),
     ),

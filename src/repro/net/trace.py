@@ -13,8 +13,8 @@ A :class:`TraceContext` is a bounded append-only list of
 themselves*: :func:`with_trace` wraps ``bytes`` in a
 :class:`TracedBytes` subclass carrying a ``trace`` attribute, so the
 context survives buffering in the datapath, PacketIn/PacketOut ``data``
-fields, and the coalesced delivery batches of PR 8 — all of those move
-the *object*, never a copy.  Any code that re-serialises a frame
+fields and the link's scheduled deliveries — all of those move the
+*object*, never a copy.  Any code that re-serialises a frame
 (``frame.pack()`` after a NAT rewrite, a DNS reply built from a query)
 must re-attach the context with :func:`with_trace`.
 """

@@ -5,18 +5,14 @@ low-latency local TCP connection; we model it as an ordered message pipe
 with configurable one-way latency, letting benches measure how channel
 latency dominates the flow-setup path (experiment T2).
 
-Deliveries are *coalesced* (DESIGN.md §14): messages sent in the same
-simulated instant share one arrival time, so they ride a single
-scheduled flush event instead of one heap entry each — a controller
-callback emitting flow-mod + packet-out + stats-reply costs one push/pop
-rather than three.  Ordering and the per-message event accounting are
-unchanged, so fuzzer trace hashes are identical with coalescing on or
-off (``COALESCE_DELIVERY`` is the test hook).
+Each message is one simulator event, scheduled one latency after it is
+sent; messages sent at the same instant arrive in send order because
+the simulator breaks timestamp ties by scheduling order.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, List, Optional
+from typing import TYPE_CHECKING, Callable, Optional
 
 from ..core.errors import SimulationError
 from ..core.metrics import MetricsRegistry
@@ -28,22 +24,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from .datapath import Datapath
 
 ControllerSink = Callable[[OpenFlowMessage], None]
-
-#: Default for per-channel delivery coalescing; the golden-trace tests
-#: flip it off to prove batched and unbatched runs hash identically.
-COALESCE_DELIVERY = True
-
-
-class _Flush:
-    """Messages sharing one direction, sink and arrival time."""
-
-    __slots__ = ("due", "deliver", "messages")
-
-    def __init__(self, due: float, deliver: ControllerSink):
-        self.due = due
-        self.deliver = deliver
-        self.messages: List[OpenFlowMessage] = []
-
 
 class SecureChannel:
     """Ordered, bidirectional OpenFlow message pipe with latency."""
@@ -61,15 +41,11 @@ class SecureChannel:
         self.datapath: Optional["Datapath"] = None
         self._controller_sink: Optional[ControllerSink] = None
         self.connected = False
-        self.coalesce = COALESCE_DELIVERY
         self.registry = registry if registry is not None else MetricsRegistry()
         self._m_to_controller = self.registry.counter("openflow.channel_to_controller_total")
         self._m_to_switch = self.registry.counter("openflow.channel_to_switch_total")
         self._m_disconnects = self.registry.counter("openflow.channel_disconnect_total")
         self._m_reconnects = self.registry.counter("openflow.channel_reconnect_total")
-        self._m_flushes = self.registry.counter("openflow.channel_flush_total")
-        self._pending_to_controller: Optional[_Flush] = None
-        self._pending_to_switch: Optional[_Flush] = None
 
     def connect(self, datapath: "Datapath", controller_sink: ControllerSink) -> None:
         """Wire both ends and exchange Hello messages."""
@@ -101,36 +77,12 @@ class SecureChannel:
         self.to_controller(Hello())
         self.to_switch(Hello())
 
-    def _send(self, pending_attr: str, deliver: ControllerSink, msg: OpenFlowMessage) -> None:
-        """Deliver ``msg`` after one channel latency, coalescing same-
-        instant sends into one flush event."""
+    def _send(self, deliver: ControllerSink, msg: OpenFlowMessage) -> None:
+        """Deliver ``msg`` after one channel latency, as its own event."""
         if self.latency <= 0:
             deliver(msg)
             return
-        if not self.coalesce:
-            self.sim.schedule(self.latency, lambda: deliver(msg))
-            return
-        due = self.sim.now + self.latency
-        flush = getattr(self, pending_attr)
-        # Bound-method equality (same receiver, same function) keeps a
-        # batch from outliving a connect() that swapped the sink.
-        if flush is not None and flush.due == due and flush.deliver == deliver:
-            flush.messages.append(msg)
-            return
-        flush = _Flush(due, deliver)
-        flush.messages.append(msg)
-        setattr(self, pending_attr, flush)
-        self.sim.schedule(self.latency, lambda: self._run_flush(pending_attr, flush))
-
-    def _run_flush(self, pending_attr: str, flush: _Flush) -> None:
-        if getattr(self, pending_attr) is flush:
-            setattr(self, pending_attr, None)
-        self._m_flushes.inc()
-        messages = flush.messages
-        self.sim.note_coalesced(len(messages) - 1)
-        deliver = flush.deliver
-        for msg in messages:
-            deliver(msg)
+        self.sim.schedule(self.latency, lambda: deliver(msg))
 
     def to_controller(self, msg: OpenFlowMessage) -> None:
         """Switch → controller delivery after one channel latency."""
@@ -142,11 +94,11 @@ class SecureChannel:
         self._m_to_controller.inc()
         if ctx is not None:
             ctx.hop("channel", "deliver", cause=f"latency={self.latency}")
-        self._send("_pending_to_controller", self._controller_sink, msg)
+        self._send(self._controller_sink, msg)
 
     def to_switch(self, msg: OpenFlowMessage) -> None:
         """Controller → switch delivery after one channel latency."""
         if not self.connected or self.datapath is None:
             return
         self._m_to_switch.inc()
-        self._send("_pending_to_switch", self.datapath.handle_message, msg)
+        self._send(self.datapath.handle_message, msg)

@@ -297,7 +297,7 @@ class Datapath:
                 send_flow_removed=mod.send_flow_removed,
             )
             try:
-                self.table.add(entry, check_overlap=getattr(mod, "check_overlap", False))
+                self.table.add(entry, check_overlap=mod.check_overlap)
             except DatapathError as exc:
                 self._reply(ErrorMessage("overlap", str(exc), xid=mod.xid))
                 return
@@ -329,7 +329,7 @@ class Datapath:
                         FlowRemoved.from_entry(entry, RR_DELETE)
                     )
         else:
-            self._reply(ErrorMessage("bad_flow_mod", f"command={mod.command}"))
+            self._reply(ErrorMessage("bad_flow_mod", f"command={mod.command}", xid=mod.xid))
 
     def _handle_packet_out(self, msg: PacketOut) -> None:
         data = msg.data
@@ -337,7 +337,7 @@ class Datapath:
             self._punt_times.pop(msg.buffer_id, None)
             buffered = self._buffers.pop(msg.buffer_id, None)
             if buffered is None:
-                self._reply(ErrorMessage("bad_buffer", str(msg.buffer_id)))
+                self._reply(ErrorMessage("bad_buffer", str(msg.buffer_id), xid=msg.xid))
                 return
             data = buffered[0]
         if not data:

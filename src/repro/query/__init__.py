@@ -1,10 +1,9 @@
 """repro.query — hwdb's continuous-query engine.
 
-Compiles CQL SELECTs into operator-DAG plans, maintains windowed
-aggregates incrementally between subscription ticks and shares scans
-across subscriptions.  Every SELECT hwdb runs goes through here; the
-compile step is also where a query's errors are raised.  See DESIGN.md
-§12.
+Compiles CQL SELECTs into operator-DAG plans and maintains windowed
+aggregates incrementally between subscription ticks.  Every SELECT hwdb
+runs goes through here; the compile step is also where a query's errors
+are raised.  See DESIGN.md §12.
 """
 
 from .engine import QueryEngine

@@ -8,8 +8,8 @@ entry, yields or compiles a cache entry in one of two modes:
 
 * ``incremental`` — windowed-aggregate state maintained across ticks
   (:mod:`.incremental`);
-* ``plan`` — full re-execution of the compiled operator DAG, with
-  cross-query scan sharing (:mod:`.plan`, :mod:`.share`).
+* ``plan`` — full re-execution of the compiled operator DAG
+  (:mod:`.plan`); every scan computes its own rows.
 
 Only :class:`HwdbError` leaves :meth:`QueryEngine.execute_select`.
 Compilation raises :class:`QueryError` for every fault the text and the
@@ -37,7 +37,6 @@ from ..hwdb.cql.unparse import unparse
 from .explain import render_plan
 from .incremental import IncrementalState, NotIncremental, build_incremental
 from .plan import Plan, compile_select
-from .share import ShareCache
 
 #: Unpinned plan-cache entries beyond this are evicted, oldest first.
 PLAN_CACHE_SIZE = 256
@@ -63,7 +62,7 @@ class _CacheEntry:
 
 
 class QueryEngine:
-    """Compiles, caches, shares and incrementally maintains SELECTs."""
+    """Compiles, caches and incrementally maintains SELECTs."""
 
     def __init__(self, registry: MetricsRegistry):
         self.registry = registry
@@ -71,13 +70,8 @@ class QueryEngine:
         self._m_cache_misses = registry.counter("query.plan_cache_miss_total")
         self._m_incremental = registry.counter("query.incremental_tick_total")
         self._m_full = registry.counter("query.full_tick_total")
-        self.share = ShareCache(
-            registry.counter("query.share_hit_total"),
-            registry.counter("query.share_miss_total"),
-        )
         self._cache: "OrderedDict[str, _CacheEntry]" = OrderedDict()
         self._pins: Dict[str, int] = {}
-        self._share_now: Optional[float] = None
 
     # -- plan cache ----------------------------------------------------
 
@@ -136,7 +130,6 @@ class QueryEngine:
         kept — the subscription still exists and recompiles on its next
         fire."""
         self._cache.clear()
-        self.share.clear()
 
     # -- subscription pinning ------------------------------------------
 
@@ -162,11 +155,6 @@ class QueryEngine:
         """Run ``select`` at ``now``; raises only :class:`HwdbError`."""
         text = unparse(select)
         entry = self._entry_for(select, tables, text)
-        if self._share_now != now:
-            # Scan sharing is only sound within one instant: windows and
-            # now() are functions of the clock.
-            self.share.clear()
-            self._share_now = now
         try:
             # Tick latency lands in the span's histogram.
             with self.registry.span("query.tick", mode=entry.mode):
@@ -174,9 +162,7 @@ class QueryEngine:
                     result = entry.state.tick(tables, now)
                     self._m_incremental.inc()
                 else:
-                    result = entry.plan.execute(
-                        tables, now, share=self.share, timer=self.registry.clock
-                    )
+                    result = entry.plan.execute(tables, now, timer=self.registry.clock)
                     self._m_full.inc()
         except (TypeError, ValueError, OverflowError) as exc:
             # A row the expression cannot evaluate.  Drop the entry so a

@@ -292,7 +292,7 @@ def _tighten(
 
 
 # ----------------------------------------------------------------------
-# Projection pruning + scan sharing keys
+# Projection pruning
 # ----------------------------------------------------------------------
 
 def needed_columns(
@@ -306,40 +306,3 @@ def needed_columns(
         for ref in collect_column_refs(expr):
             need[resolve(ref)].add(ref.name)
     return {alias: tuple(sorted(names)) for alias, names in need.items()}
-
-
-def alias_normalised_key(expr: Optional[Expr], alias: str) -> Optional[str]:
-    """Scan-predicate cache key: the predicate text with the scan's own
-    alias rewritten to ``$`` so equivalent predicates under different
-    aliases share (``$`` cannot collide with a parsed identifier)."""
-    if expr is None:
-        return None
-    return unparse_expr(_strip_alias(expr, alias))
-
-
-def _strip_alias(expr: Expr, alias: str) -> Expr:
-    if isinstance(expr, Literal):
-        return expr
-    if isinstance(expr, ColumnRef):
-        if expr.table == alias:
-            return ColumnRef(expr.name, "$")
-        return expr
-    if isinstance(expr, Unary):
-        return Unary(expr.op, _strip_alias(expr.operand, alias))
-    if isinstance(expr, Binary):
-        return Binary(
-            expr.op,
-            _strip_alias(expr.left, alias),
-            _strip_alias(expr.right, alias),
-        )
-    if isinstance(expr, InList):
-        return InList(
-            _strip_alias(expr.needle, alias),
-            [_strip_alias(item, alias) for item in expr.haystack],
-            expr.negated,
-        )
-    if isinstance(expr, FunctionCall):
-        return FunctionCall(
-            expr.name, [_strip_alias(a, alias) for a in expr.args], star=expr.star
-        )
-    return expr

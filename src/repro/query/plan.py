@@ -58,13 +58,7 @@ from ..hwdb.cql.executor import (
 from ..hwdb.cql.parser import AGGREGATE_FUNCTIONS, SCALAR_FUNCTIONS
 from ..hwdb.cql.unparse import unparse, unparse_expr
 from ..hwdb.table import StreamTable, TS_COLUMN
-from .optimize import (
-    alias_normalised_key,
-    and_chain,
-    needed_columns,
-    rewrite_where,
-)
-from .share import ShareCache
+from .optimize import and_chain, needed_columns, rewrite_where
 from .stats import OperatorStats
 
 _WINDOW_KINDS = (W_ALL, W_NOW, W_RANGE, W_ROWS, W_SINCE)
@@ -73,21 +67,19 @@ _WINDOW_KINDS = (W_ALL, W_NOW, W_RANGE, W_ROWS, W_SINCE)
 class ExecContext:
     """Everything one plan execution needs, bundled for the operators."""
 
-    __slots__ = ("tables", "now", "evaluator", "stats", "share", "timer")
+    __slots__ = ("tables", "now", "evaluator", "stats", "timer")
 
     def __init__(
         self,
         tables: Dict[str, StreamTable],
         now: float,
         stats: OperatorStats,
-        share: Optional[ShareCache] = None,
         timer: Optional[Callable[[], float]] = None,
     ):
         self.tables = tables
         self.now = now
         self.evaluator = Evaluator(now)
         self.stats = stats
-        self.share = share
         self.timer = timer
 
 
@@ -136,12 +128,7 @@ def _window_text(window: Window) -> str:
 
 
 class ScanOp(PlanNode):
-    """Windowed table scan with an optional pushed-down predicate.
-
-    Output rows (before binding) are published to the tick's
-    :class:`ShareCache` so sibling subscriptions watching the same
-    table/window/predicate reuse them.
-    """
+    """Windowed table scan with an optional pushed-down predicate."""
 
     kind = "scan"
 
@@ -149,13 +136,11 @@ class ScanOp(PlanNode):
         self,
         ref: TableRef,
         predicate: Optional[Expr],
-        predicate_key: Optional[str],
         needed: Tuple[str, ...],
     ):
         super().__init__()
         self.ref = ref
         self.predicate = predicate
-        self.predicate_key = predicate_key
         self.needed = needed
         self.last_archive = None  # ArchiveScanInfo from the latest run
 
@@ -179,35 +164,17 @@ class ScanOp(PlanNode):
         table = ctx.tables.get(self.ref.table)
         if table is None:
             raise QueryError(f"no such table {self.ref.table!r}")
-        key = None
-        if ctx.share is not None:
-            key = (
-                self.ref.table,
-                id(table),
-                self.ref.window.kind,
-                self.ref.window.value,
-                table.total_inserted,
-                self.predicate_key,
-            )
-            shared = ctx.share.get(key)
-            if shared is not None:
-                alias = self.ref.alias
-                return [Binding({alias: (table, row)}) for row in shared]
         rows, self.last_archive = apply_window_ex(table, self.ref, ctx.now)
         alias = self.ref.alias
         bindings = [Binding({alias: (table, row)}) for row in rows]
-        if self.predicate is not None:
-            evaluator = ctx.evaluator
-            kept = [
-                (row, binding)
-                for row, binding in zip(rows, bindings)
-                if truthy(evaluator.scalar(self.predicate, binding))
-            ]
-            rows = [row for row, _ in kept]
-            bindings = [binding for _, binding in kept]
-        if key is not None:
-            ctx.share.put(key, rows)
-        return bindings
+        if self.predicate is None:
+            return bindings
+        evaluator = ctx.evaluator
+        return [
+            binding
+            for binding in bindings
+            if truthy(evaluator.scalar(self.predicate, binding))
+        ]
 
 
 class JoinOp(PlanNode):
@@ -417,10 +384,9 @@ class Plan:
         self,
         tables: Dict[str, StreamTable],
         now: float,
-        share: Optional[ShareCache] = None,
         timer: Optional[Callable[[], float]] = None,
     ) -> ResultSet:
-        ctx = ExecContext(tables, now, self.stats, share=share, timer=timer)
+        ctx = ExecContext(tables, now, self.stats, timer=timer)
         rows = self.root.execute(ctx)
         return ResultSet(self.columns, rows, executed_at=now)
 
@@ -569,14 +535,7 @@ def compile_select(select: Select, tables: Dict[str, StreamTable]) -> Plan:
     for ref in select.sources:
         predicate = and_chain(rewrite.scan_predicates.get(ref.alias, []))
         scan_ref = TableRef(ref.table, rewrite.windows[ref.alias], ref.alias)
-        scans.append(
-            ScanOp(
-                scan_ref,
-                predicate,
-                alias_normalised_key(predicate, ref.alias),
-                needed.get(ref.alias, ()),
-            )
-        )
+        scans.append(ScanOp(scan_ref, predicate, needed.get(ref.alias, ())))
     node: PlanNode = scans[0] if len(scans) == 1 else JoinOp(tuple(scans))
     residual = and_chain(rewrite.residual)
     if residual is not None:

@@ -8,7 +8,7 @@ visualise.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, List, Tuple
+from typing import TYPE_CHECKING
 
 from ..core.errors import SimulationError
 from ..net.port import Port, ReceiveHandler
@@ -18,22 +18,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from .simulator import Simulator
 
 __all__ = ["Link", "Port", "ReceiveHandler", "WirelessLink"]
-
-#: Default for per-destination delivery coalescing (DESIGN.md §14): frames
-#: arriving at the same port at the same instant share one scheduled flush
-#: event.  The golden-trace tests flip this off to prove batched and
-#: unbatched delivery produce identical traces.
-COALESCE_DELIVERY = True
-
-
-class _DeliveryBatch:
-    """Frames sharing one destination port and arrival time."""
-
-    __slots__ = ("due", "frames")
-
-    def __init__(self, due: float):
-        self.due = due
-        self.frames: List[bytes] = []
 
 
 class Link:
@@ -65,13 +49,8 @@ class Link:
         self.frames_carried = 0
         self.bytes_carried = 0
         self.frames_dropped = 0
-        self.coalesce = COALESCE_DELIVERY
-        self.flushes = 0
         # Track per-direction busy-until time so back-to-back frames queue.
         self._busy_until = {id(a): 0.0, id(b): 0.0}
-        # Per-destination open delivery batch (coalescing); keyed by the
-        # destination port's id, like _busy_until.
-        self._pending: Dict[int, Tuple[Port, _DeliveryBatch]] = {}
         # Optional fault-injection hook (repro.check): when set, every
         # transmission asks the fault for a delivery plan — a sequence of
         # extra-latency offsets.  () drops the frame, (0.0,) is a normal
@@ -96,30 +75,9 @@ class Link:
         return self.fault.plan(self.sim, frame)
 
     def _schedule_delivery(self, destination: Port, arrival: float, frame: bytes) -> None:
-        """Deliver ``frame`` to ``destination`` at ``arrival``, coalescing
-        identical-arrival frames into one flush event."""
-        if not self.coalesce:
-            self.sim.schedule_at(arrival, lambda: destination.deliver(frame))
-            return
-        key = id(destination)
-        pending = self._pending.get(key)
-        if pending is not None and pending[1].due == arrival:
-            pending[1].frames.append(frame)
-            return
-        batch = _DeliveryBatch(arrival)
-        batch.frames.append(frame)
-        self._pending[key] = (destination, batch)
-        self.sim.schedule_at(arrival, lambda: self._run_flush(key, destination, batch))
-
-    def _run_flush(self, key: int, destination: Port, batch: _DeliveryBatch) -> None:
-        pending = self._pending.get(key)
-        if pending is not None and pending[1] is batch:
-            del self._pending[key]
-        self.flushes += 1
-        frames = batch.frames
-        self.sim.note_coalesced(len(frames) - 1)
-        for frame in frames:
-            destination.deliver(frame)
+        """Deliver ``frame`` to ``destination`` at ``arrival``: one
+        simulator event per delivered copy."""
+        self.sim.schedule_at(arrival, lambda: destination.deliver(frame))
 
     def transmit(self, from_port: Port, frame: bytes) -> None:
         """Schedule delivery of ``frame`` at the far end."""

@@ -13,18 +13,13 @@ from __future__ import annotations
 import heapq
 import itertools
 import random
-from typing import Any, Callable, List, Optional, Tuple
+from typing import Any, Callable, List, Optional
 
 from ..core.clock import SimulatedClock
 from ..core.errors import SimulationError
 from ..core.events import EventBus
 
 Action = Callable[[], Any]
-
-#: Default for :class:`Simulator`'s same-timestamp run draining.  The
-#: golden-trace determinism tests flip this off to prove batched and
-#: unbatched dispatch produce byte-identical event traces.
-BATCH_DISPATCH = True
 
 
 class ScheduledEvent:
@@ -83,7 +78,6 @@ class Simulator:
         self.events_executed = 0
         self._cancelled_in_queue = 0
         self.compactions = 0
-        self.batch_dispatch = BATCH_DISPATCH
 
     @property
     def now(self) -> float:
@@ -148,8 +142,8 @@ class Simulator:
         Heap order among live events is fully determined by
         ``(when, seq)``, so dropping garbage never changes which event
         runs next — determinism is unaffected.  The rebuild is in place:
-        the batched dispatch loop holds a reference to the queue list
-        across callbacks, and a cancel inside a callback can land here.
+        a cancel inside a running callback can land here, and the queue
+        stays the one list object that every push and pop uses.
         """
         self._queue[:] = [event for event in self._queue if not event.cancelled]
         heapq.heapify(self._queue)
@@ -178,79 +172,23 @@ class Simulator:
             event.seq = next(self._seq)
             heapq.heappush(self._queue, event)
 
-    def note_coalesced(self, extra: int) -> None:
-        """Account for callbacks delivered inside one batched event.
-
-        A :class:`~repro.sim.link.Link` or secure-channel flush that
-        delivers ``k`` coalesced messages from a single scheduled event
-        reports ``k - 1`` here, so ``events_executed`` — part of the
-        fuzzer's determinism digest — counts delivered callbacks
-        identically whether dispatch is batched or not.
-        """
-        if extra > 0:
-            self.events_executed += extra
-
     def run_until(self, when: float) -> int:
         """Execute events up to and including time ``when``.
 
         The clock always lands on ``when`` afterwards (even if the queue
-        drains early).  Returns the number of events executed.
-
-        With ``batch_dispatch`` on (the default), all events sharing a
-        timestamp are popped as one *run* and dispatched in a tight
-        loop: one clock advance and one heap-head inspection per run
-        instead of per event.  Order is unchanged — runs pop in
-        ``(when, seq)`` order, callbacks scheduling into the current
-        timestamp get fresh (larger) seqs and are drained as a
-        follow-up run before time moves on.
+        drains early).  Returns the number of events executed.  A
+        callback that raises propagates out with the clock at its time;
+        the events after it stay queued for the next call.
         """
         if when < self.now:
             raise SimulationError(f"cannot run backwards to {when}")
         executed = 0
-        if not self.batch_dispatch:
-            while True:
-                event = self._pop_due(when)
-                if event is None:
-                    break
-                self._execute(event)
-                executed += 1
-            self.clock.advance_to(when)
-            return executed
-        queue = self._queue
-        pop = heapq.heappop
-        push = heapq.heappush
-        while queue:
-            head = queue[0]
-            if head.when > when:
+        while True:
+            event = self._pop_due(when)
+            if event is None:
                 break
-            run_at = head.when
-            run: List[ScheduledEvent] = [pop(queue)]
-            while queue and queue[0].when == run_at:
-                run.append(pop(queue))
-            self.clock.advance_to(run_at)
-            position = 0
-            try:
-                while position < len(run):
-                    event = run[position]
-                    position += 1
-                    if event.cancelled:
-                        if self._cancelled_in_queue > 0:
-                            self._cancelled_in_queue -= 1
-                        continue
-                    self.events_executed += 1
-                    event.action()
-                    if event.periodic and not event.cancelled:
-                        event.when += event.interval
-                        event.seq = next(self._seq)
-                        push(queue, event)
-                    executed += 1
-            except BaseException:
-                # A callback blew up mid-run: restore the unexecuted
-                # tail (seqs unchanged, so heap order is preserved) and
-                # let the caller see exactly the unbatched behaviour.
-                for leftover in run[position:]:
-                    push(queue, leftover)
-                raise
+            self._execute(event)
+            executed += 1
         self.clock.advance_to(when)
         return executed
 

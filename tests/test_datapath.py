@@ -20,6 +20,7 @@ from repro.openflow.messages import (
     BarrierRequest,
     EchoReply,
     EchoRequest,
+    ErrorMessage,
     FeaturesReply,
     FeaturesRequest,
     FlowMod,
@@ -288,6 +289,16 @@ class TestProtocolMessages:
         dp.handle_message(PacketOut(output(2), buffer_id=punt.buffer_id))
         sim.run_for(1.0)
         assert len(received) == 1
+
+    def test_packet_out_unknown_buffer_error_echoes_xid(self, dp):
+        dp.handle_message(PacketOut(output(2), buffer_id=12345, xid=31))
+        errors = [m for m in dp.messages if isinstance(m, ErrorMessage)]
+        assert [(e.error_type, e.xid) for e in errors] == [("bad_buffer", 31)]
+
+    def test_unknown_flow_mod_command_error_echoes_xid(self, dp):
+        dp.handle_message(FlowMod(99, Match(), xid=32))
+        errors = [m for m in dp.messages if isinstance(m, ErrorMessage)]
+        assert [(e.error_type, e.xid) for e in errors] == [("bad_flow_mod", 32)]
 
     def test_flow_stats(self, dp):
         dp.handle_message(FlowMod.add(Match(tp_dst=80), output(2)))

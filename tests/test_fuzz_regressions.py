@@ -11,9 +11,6 @@ from pathlib import Path
 
 import pytest
 
-import repro.openflow.channel as channel_module
-import repro.sim.link as link_module
-import repro.sim.simulator as simulator_module
 from repro.check import ScenarioRunner
 from repro.check.cli import load_repro
 from repro.check.scenario import generate_scenario
@@ -52,57 +49,12 @@ def test_corpus_files_record_their_bug(path):
 
 
 # ----------------------------------------------------------------------
-# Golden-trace determinism: batched dispatch must be invisible
+# Golden-trace determinism: the flight recorder must be invisible
 # ----------------------------------------------------------------------
 
 GOLDEN_SEEDS = 50
 #: Fast subset replayed in tier-1; the full 50 run under -m slow.
 GOLDEN_SEEDS_FAST = 6
-
-
-def _run_with_batching(seed: int, batched: bool, monkeypatch):
-    """One fuzzer scenario with dispatch/delivery batching on or off.
-
-    The module flags are read at construction time, so patching them
-    before building the :class:`ScenarioRunner` flips every simulator,
-    link and channel the scenario creates.
-    """
-    monkeypatch.setattr(simulator_module, "BATCH_DISPATCH", batched)
-    monkeypatch.setattr(link_module, "COALESCE_DELIVERY", batched)
-    monkeypatch.setattr(channel_module, "COALESCE_DELIVERY", batched)
-    scenario = generate_scenario(seed)
-    runner = ScenarioRunner(scenario)
-    result = runner.run()
-    return result.trace_hash, runner.sim.events_executed
-
-
-def _assert_batching_invisible(seed: int, monkeypatch):
-    batched_hash, batched_events = _run_with_batching(seed, True, monkeypatch)
-    linear_hash, linear_events = _run_with_batching(seed, False, monkeypatch)
-    assert batched_hash == linear_hash, (
-        f"seed {seed}: batched dispatch changed the trace hash "
-        f"({batched_hash[:12]} != {linear_hash[:12]})"
-    )
-    assert batched_events == linear_events, (
-        f"seed {seed}: events_executed diverged "
-        f"({batched_events} != {linear_events})"
-    )
-
-
-@pytest.mark.parametrize("seed", range(GOLDEN_SEEDS_FAST))
-def test_golden_trace_batching_invariant_fast(seed, monkeypatch):
-    _assert_batching_invisible(seed, monkeypatch)
-
-
-@pytest.mark.slow
-@pytest.mark.parametrize("seed", range(GOLDEN_SEEDS_FAST, GOLDEN_SEEDS))
-def test_golden_trace_batching_invariant_full(seed, monkeypatch):
-    _assert_batching_invisible(seed, monkeypatch)
-
-
-# ----------------------------------------------------------------------
-# Golden-trace determinism: the flight recorder must be invisible too
-# ----------------------------------------------------------------------
 
 
 def _run_with_tracing(seed: int, traced: bool):

@@ -13,6 +13,14 @@ def sim():
     return Simulator(seed=3)
 
 
+class _DuplicateEveryFrame:
+    """Fault hook that delivers two copies of every frame, as the
+    fuzzer's duplicate fault does."""
+
+    def plan(self, sim, frame):
+        return (0.0, 0.0)
+
+
 def _pair(sim, link_cls=Link, **kwargs):
     a, b = Port("a"), Port("b")
     received = {"a": [], "b": []}
@@ -123,6 +131,18 @@ class TestLink:
         sim.run_for(1.0)
         assert link.frames_carried == 1
         assert link.bytes_carried == 5
+
+    def test_duplicate_fault_delivers_each_copy_as_its_own_event(self, sim):
+        a, b, link, _ = _pair(sim)
+        link.fault = _DuplicateEveryFrame()
+        arrivals = []
+        b.on_receive(lambda data, port: arrivals.append((sim.now, data)))
+        a.send(b"first")
+        a.send(b"second")
+        assert sim.run_for(1.0) == 4
+        assert [data for _, data in arrivals] == [b"first", b"first", b"second", b"second"]
+        assert arrivals[0][0] == arrivals[1][0] < arrivals[2][0] == arrivals[3][0]
+        assert link.frames_carried == 2
 
 
 class TestWirelessLink:

@@ -246,34 +246,6 @@ class TestPlanCache:
         assert engine.pinned_count == 0
 
 
-class TestShareCache:
-    def test_same_scan_shared_across_queries(self, engine, db):
-        fill(db)
-        registry = db.registry
-        now = db.now
-        # Two distinct non-aggregated statements over the same table,
-        # window and (empty) pushed predicate, at the same tick.
-        engine.execute_select(
-            parse("SELECT device FROM flows [ROWS 10]"), db._tables, now
-        )
-        engine.execute_select(
-            parse("SELECT bytes FROM flows [ROWS 10]"), db._tables, now
-        )
-        assert registry.counter("query.share_hit_total").value >= 1
-
-    def test_share_cache_cleared_between_ticks(self, engine, db):
-        fill(db)
-        registry = db.registry
-        engine.execute_select(
-            parse("SELECT device FROM flows [ROWS 10]"), db._tables, db.now
-        )
-        db._clock.advance(1.0)
-        engine.execute_select(
-            parse("SELECT bytes FROM flows [ROWS 10]"), db._tables, db.now
-        )
-        assert registry.counter("query.share_hit_total").value == 0
-
-
 class TestExplain:
     def test_explain_reports_tier_and_tree(self, db):
         fill(db)

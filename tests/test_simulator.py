@@ -185,6 +185,30 @@ def test_events_executed_counter():
     assert sim.events_executed == 2
 
 
+def test_raising_callback_leaves_later_events_for_the_next_run():
+    sim = Simulator()
+    order = []
+
+    def boom():
+        order.append("boom")
+        sim.schedule(0.0, lambda: order.append("queued-by-boom"))
+        raise RuntimeError("callback failed")
+
+    sim.schedule(1.0, lambda: order.append("a"))
+    sim.schedule(1.0, boom)
+    sim.schedule(1.0, lambda: order.append("b"))
+    sim.schedule(2.0, lambda: order.append("c"))
+    with pytest.raises(RuntimeError, match="callback failed"):
+        sim.run_until(5.0)
+    assert order == ["a", "boom"]
+    assert sim.events_executed == 2
+    assert sim.now == 1.0
+    assert sim.run_until(5.0) == 3
+    assert order == ["a", "boom", "b", "queued-by-boom", "c"]
+    assert sim.events_executed == 5
+    assert sim.now == 5.0
+
+
 class TestHeapCompaction:
     """Cancelled entries are purged once they dominate the heap."""
 

@@ -8,7 +8,6 @@ Subcommands::
     python -m repro metrics     # run a household and pretty-print telemetry
     python -m repro lint        # repro-lint: repo-specific static analysis
     python -m repro fuzz        # deterministic scenario fuzzing (repro.check)
-    python -m repro fleet       # sharded multi-household runs (repro.fleet)
     python -m repro bench       # perf harness + regression gate (repro.bench)
     python -m repro store       # durable-store inspection/recovery (repro.store)
     python -m repro explain     # show the query engine's plan for a CQL query
@@ -302,11 +301,6 @@ def main(argv=None) -> int:
         from .check.cli import main as fuzz_main
 
         return fuzz_main(argv[1:])
-    if argv and argv[0] == "fleet":
-        # And the multi-household fleet orchestrator.
-        from .fleet.cli import main as fleet_main
-
-        return fleet_main(argv[1:])
     if argv and argv[0] == "bench":
         # And the perf harness / regression gate.
         from .bench.cli import main as bench_main
@@ -333,7 +327,6 @@ def main(argv=None) -> int:
             "metrics",
             "lint",
             "fuzz",
-            "fleet",
             "bench",
             "store",
             "explain",

@@ -58,12 +58,6 @@ DEFAULT_CONTRACTS: Tuple[ExceptionContract, ...] = (
     ),
     ExceptionContract("repro.hwdb.rpc.RpcServer.handle_datagram", ()),
     ExceptionContract(
-        "repro.hwdb.snapshot.restore_table", ("repro.core.errors.HwdbError",)
-    ),
-    ExceptionContract(
-        "repro.hwdb.snapshot.restore_database", ("repro.core.errors.HwdbError",)
-    ),
-    ExceptionContract(
         "repro.nox.controller.Controller.receive",
         ("repro.core.errors.ControllerError",),
     ),

@@ -4,9 +4,10 @@ Sources are the things that differ between two runs of the same seed:
 the wall clock, module-level ``random``, ``id()`` and set iteration
 order (both vary with ``PYTHONHASHSEED`` / allocation order), process
 environment reads, ``uuid4``.  Sinks are the repo's reproducibility
-surfaces: trace/fleet digests, snapshot payloads, the RPC wire encoder.
-``sorted``/``min``/``max``/``sum``/``len`` sanitize — they collapse
-iteration order into a deterministic value.
+surfaces: the fuzzer's trace digest, hwdb table digests, ``to_snapshot``
+payloads and the RPC wire encoder.  ``sorted``/``min``/``max``/``sum``/
+``len`` sanitize — they collapse iteration order into a deterministic
+value.
 
 The check is interprocedural: per-function "returns nondeterminism"
 summaries and per-class "attribute holds nondeterminism" facts are
@@ -69,17 +70,12 @@ DEFAULT_SANITIZERS: FrozenSet[str] = frozenset({"sorted", "min", "max", "sum", "
 #: The repo's reproducibility surfaces (checked only when present).
 DEFAULT_SINK_FUNCTIONS: FrozenSet[str] = frozenset(
     {
-        "repro.hwdb.snapshot.snapshot_table",
-        "repro.hwdb.snapshot.snapshot_subscription",
-        "repro.hwdb.snapshot.snapshot_database",
         "repro.hwdb.snapshot.table_digest",
         "repro.hwdb.snapshot.database_digests",
         "repro.hwdb.rpc.pack_resultset",
         "repro.hwdb.rpc._encode_value",
-        "repro.check.runner.ScenarioRunner.finish",
+        "repro.check.runner.ScenarioRunner.run",
         "repro.check.runner.ScenarioRunner._digest",
-        "repro.fleet.aggregate.fleet_digest",
-        "repro.fleet.seeds.household_seed",
     }
 )
 

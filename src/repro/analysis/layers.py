@@ -23,10 +23,9 @@ never above):
  10     ``sim``
  11     app — ``ui``, ``core.router``, the package roots, ``analysis``,
         ``check`` (the fuzzer drives the whole stack)
- 12     ``fleet`` + ``bench`` + ``__main__`` — multi-household
-        orchestration and the perf harness drive whole routers; the CLI
-        dispatcher sits here because it (lazily) imports every
-        subcommand, fleet and bench included
+ 12     tools — ``bench`` + ``__main__``: the perf harness drives
+        whole routers; the CLI dispatcher sits here because it (lazily)
+        imports every subcommand, bench included
 ====== =====================================================
 
 Imports guarded by ``if TYPE_CHECKING:`` are exempt (they never execute).
@@ -69,7 +68,6 @@ LAYER_PREFIXES: Tuple[Tuple[int, str], ...] = (
     (11, "repro.core"),
     (11, "repro.analysis"),
     (11, "repro.check"),
-    (12, "repro.fleet"),
     (12, "repro.bench"),
     (12, "repro.__main__"),
     (11, "repro"),
@@ -88,7 +86,7 @@ LAYER_NAMES: Dict[int, str] = {
     9: "obs",
     10: "sim",
     11: "app",
-    12: "fleet",
+    12: "tools",
 }
 
 

@@ -108,14 +108,8 @@ class RunResult:
 
 
 class ScenarioRunner:
-    """One scenario, one fresh world, one verdict.
-
-    :meth:`run` executes the whole scenario in one call.  The phases are
-    also public — :meth:`start`, :meth:`run_ops` (which accepts a stop
-    index), :meth:`finish` — so a caller can pause a household mid-day,
-    serialize its state (``repro.fleet`` checkpoints) and continue later;
-    the trace, and therefore the hash, is identical either way.
-    """
+    """One scenario, one fresh world, one verdict: :meth:`run` executes
+    the whole scenario and returns its :class:`RunResult`."""
 
     def __init__(self, scenario: Scenario):
         self.scenario = scenario
@@ -137,76 +131,58 @@ class ScenarioRunner:
         self._dns_answers = 0
         self._dns_failures = 0
         self.skipped = 0
-        self.trace: List[str] = []
-        self.violation: Optional[Violation] = None
-        self.next_op = 0
-        self._started = False
 
     # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------
 
     def run(self) -> RunResult:
-        self.start()
-        self.run_ops()
-        return self.finish()
+        """Boot, apply every op, run the quiet tail, seal the trace.
 
-    def start(self) -> None:
-        """Boot the router and open the trace (idempotent)."""
-        if self._started:
-            return
-        self._started = True
-        self.router.start()
-        self.trace.append(
-            f"scenario seed={self.scenario.seed} ops={len(self.scenario.ops)}"
-        )
-
-    def run_ops(self, stop_before: Optional[int] = None) -> Optional[Violation]:
-        """Execute ops from where we left off up to ``stop_before``.
-
-        ``stop_before`` is an exclusive op index (default: all remaining
-        ops).  Stops early on the first invariant violation; returns it.
+        Ops stop at the first invariant violation; the tail then is
+        skipped.
         """
-        self.start()
+        self.router.start()
         ops = self.scenario.ops
-        bound = len(ops) if stop_before is None else min(stop_before, len(ops))
-        while self.next_op < bound and self.violation is None:
-            index = self.next_op
-            op = ops[index]
-            self.next_op = index + 1
+        trace = [f"scenario seed={self.scenario.seed} ops={len(ops)}"]
+        violation: Optional[Violation] = None
+        for index, op in enumerate(ops):
+            failure: Optional[InvariantViolation] = None
             try:
                 self.sim.run_until(max(op.t, self.sim.now))
                 status = self._apply(op)
+            except InvariantViolation as exc:
+                # An op that checks its own outcome (the crash op's
+                # recovery digest) reports its finding this way.
+                failure, status = exc, "violation"
             except Exception as exc:
                 # A scenario that crashes the simulated world is itself a
                 # finding — report it as the implicit no-crash invariant
                 # so it shrinks and replays like any other violation.
                 logger.debug("scenario seed=%d crashed at op %d", self.scenario.seed, index, exc_info=True)
-                self.violation = Violation("no-crash", repr(exc), index, self.sim.now)
-                self.trace.append(f"{index} t={self.sim.now:.6f} {op.kind} crash {self._digest()}")
+                violation = Violation("no-crash", repr(exc), index, self.sim.now)
+                trace.append(f"{index} t={self.sim.now:.6f} {op.kind} crash {self._digest()}")
                 break
-            self.trace.append(f"{index} t={self.sim.now:.6f} {op.kind} {status} {self._digest()}")
-            failure = check_all(self.router, self.ctx)
-            if failure is not None and self.violation is None:
-                self.violation = Violation(failure.invariant, failure.message, index, self.sim.now)
-        return self.violation
-
-    def finish(self) -> RunResult:
-        """Run the quiet tail, seal the trace, return the verdict."""
-        if self.violation is None:
-            self.violation = self._run_tail(self.trace)
-        self.trace.append(f"end t={self.sim.now:.6f} {self._digest()}")
-        digest = hashlib.sha256("\n".join(self.trace).encode()).hexdigest()
+            trace.append(f"{index} t={self.sim.now:.6f} {op.kind} {status} {self._digest()}")
+            if failure is None:
+                failure = check_all(self.router, self.ctx)
+            if failure is not None:
+                violation = Violation(failure.invariant, failure.message, index, self.sim.now)
+                break
+        if violation is None:
+            violation = self._run_tail(trace)
+        trace.append(f"end t={self.sim.now:.6f} {self._digest()}")
+        digest = hashlib.sha256("\n".join(trace).encode()).hexdigest()
         lineage: List[dict] = []
-        if self.violation is not None:
+        if violation is not None:
             lineage = [
                 ctx.to_dict() for ctx in self.router.tracer.drops(LINEAGE_LIMIT)
             ]
         return RunResult(
             self.scenario,
-            self.trace,
+            trace,
             digest,
-            self.violation,
+            violation,
             self.skipped,
             self.sim.events_executed,
             lineage,
@@ -465,7 +441,8 @@ class ScenarioRunner:
         state.  Without a torn tail the recovered database must be
         digest-identical to the live rings.  With one it must still
         recover *cleanly* — a torn final write loses whole batches,
-        never crashes and never invents rows.
+        never crashes and never invents rows.  A breach raises
+        :class:`InvariantViolation`, which :meth:`run` pins to this op.
         """
         store = self.router.store
         if store is None:
@@ -499,14 +476,11 @@ class ScenarioRunner:
                             for name in set(live) | set(rebuilt)
                             if live.get(name) != rebuilt.get(name)
                         )
-                        self.violation = Violation(
+                        raise InvariantViolation(
                             "store-recover-digest",
                             f"crash recovery diverged from live rings on "
                             f"tables {differing}",
-                            self.next_op - 1,
-                            self.sim.now,
                         )
-                        return "violation"
                 else:
                     # A torn tail may lose flushed batches (or, if the
                     # cut lands exactly on a frame boundary, nothing at
@@ -516,14 +490,11 @@ class ScenarioRunner:
                         live_total = self.router.db.table(name).total_inserted
                         rebuilt_total = scratch.table(name).total_inserted
                         if rebuilt_total > live_total:
-                            self.violation = Violation(
+                            raise InvariantViolation(
                                 "store-recover-digest",
                                 f"torn-tail recovery of {name!r} invented "
                                 f"rows: {rebuilt_total} > live {live_total}",
-                                self.next_op - 1,
-                                self.sim.now,
                             )
-                            return "violation"
             finally:
                 recovered.store.close()
         finally:

@@ -41,9 +41,5 @@ class StoreError(ReproError):
     """Raised by the durable storage tier (WAL, segments, recovery)."""
 
 
-class FleetError(ReproError):
-    """Fleet orchestration failure: bad checkpoint, divergent restore."""
-
-
 class PolicyError(ReproError):
     """Raised by the policy model/compiler."""

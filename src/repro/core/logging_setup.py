@@ -4,7 +4,7 @@ All CLI output flows through ``logging`` (the library never calls
 ``print()`` — repro-lint enforces that); this module owns the one
 handler that makes that pleasant both interactively and under pytest's
 capture.  It lives in ``repro.core`` so subcommand packages on any layer
-(``repro.check``, ``repro.analysis``, ``repro.fleet``) can configure
+(``repro.check``, ``repro.store``, ``repro.bench``) can configure
 logging without importing the CLI root above them.
 """
 

@@ -166,48 +166,6 @@ class Histogram:
             ("p99", self.percentile(0.99)),
         ]
 
-    def to_dict(self) -> Dict[str, Any]:
-        """Mergeable wire form: bounds + bucket counts + running stats.
-
-        Unlike :meth:`fields` (which collapses to percentiles), this
-        keeps the raw bucket counts, so histograms from many processes
-        can be summed losslessly — the fleet aggregator's merge path.
-        """
-        return {
-            "name": self.name,
-            "bounds": list(self.bounds),
-            "bucket_counts": list(self.bucket_counts),
-            "count": self.count,
-            "sum": self.sum,
-            "min": None if self.count == 0 else self.min,
-            "max": None if self.count == 0 else self.max,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "Histogram":
-        hist = cls(str(data["name"]), buckets=data["bounds"])
-        hist.bucket_counts = [int(n) for n in data["bucket_counts"]]
-        hist.count = int(data["count"])
-        hist.sum = float(data["sum"])
-        hist.min = float("inf") if data.get("min") is None else float(data["min"])
-        hist.max = float("-inf") if data.get("max") is None else float(data["max"])
-        return hist
-
-    def merge(self, other: "Histogram") -> None:
-        """Fold another histogram into this one (same bucket bounds)."""
-        if other.bounds != self.bounds:
-            raise ValueError(
-                f"cannot merge {other.name!r} into {self.name!r}: "
-                f"bucket bounds differ"
-            )
-        for i, n in enumerate(other.bucket_counts):
-            self.bucket_counts[i] += n
-        self.count += other.count
-        self.sum += other.sum
-        if other.count:
-            self.min = min(self.min, other.min)
-            self.max = max(self.max, other.max)
-
     def __repr__(self) -> str:
         return f"Histogram({self.name}, n={self.count}, mean={self.mean:.3g})"
 

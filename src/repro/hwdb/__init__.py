@@ -15,14 +15,7 @@ from .rpc import (
     pack_resultset,
     unpack_resultset,
 )
-from .snapshot import (
-    database_digests,
-    restore_database,
-    restore_table,
-    snapshot_database,
-    snapshot_table,
-    table_digest,
-)
+from .snapshot import database_digests, table_digest
 from .udp_gateway import HwdbUdpGateway, RemoteHwdbClient
 from .schema import (
     DNS_SCHEMA,
@@ -66,10 +59,6 @@ __all__ = [
     "JsonLinesSink",
     "MemorySink",
     "render_table",
-    "snapshot_database",
-    "snapshot_table",
-    "restore_database",
-    "restore_table",
     "database_digests",
     "table_digest",
     "install_standard_schema",

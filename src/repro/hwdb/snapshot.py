@@ -1,177 +1,24 @@
-"""Snapshot/restore for hwdb state.
+"""Content digests of hwdb tables.
 
-hwdb is deliberately ephemeral — fixed-size ring buffers, no disk — but
-a *checkpoint* of a running router (``repro.fleet``) must carry the
-database across a process boundary and bring it back bit-identically.
-These functions serialize everything observable about a database to
-plain JSON-able dicts and rebuild it:
-
-* per table: schema (column name/type pairs), capacity, every retained
-  row (timestamp + coerced values), ``total_inserted`` and
-  ``last_timestamp`` — so ``overwritten`` and monotonic-timestamp
-  clamping behave identically after restore;
-* per subscription: the query (unparsed back to CQL text), interval,
-  ``deliver_empty`` and the delivery/execution counters.  Callbacks are
-  code, not data — the restorer re-binds them via a factory (default: a
-  no-op sink).
-
-The payload is versioned (:data:`FORMAT`); loading any other version is
-a hard error, never a silent best-effort.
+A digest fingerprints everything observable about a ring-buffer table:
+its name, capacity, ``total_inserted`` and every retained row
+(timestamp + values).  Two databases that digest equal hold the same
+rows in the same order.  The fuzzer's crash op and ``repro.store``
+recovery compare a rebuilt database against the live rings this way,
+and the end-to-end bench folds the digests into its run fingerprint.
 """
 
 from __future__ import annotations
 
 import hashlib
-from typing import Any, Callable, Dict, List, Optional
+from typing import Dict
 
-from ..core.errors import HwdbError
-from .cql.unparse import unparse
-from .database import HomeworkDatabase, Subscription
+from .database import HomeworkDatabase
 from .table import StreamTable
 
-#: On-disk format tag; bump on any incompatible payload change.
-FORMAT = "repro.hwdb/1"
-
-SubscriptionCallbackFactory = Callable[[Dict[str, Any]], Callable]
-
-
-def snapshot_table(table: StreamTable) -> Dict[str, Any]:
-    """Everything observable about one ring-buffer table, as a dict."""
-    last_ts = table.last_timestamp
-    return {
-        "name": table.name,
-        "capacity": table.capacity,
-        "columns": [[column.name, column.ctype.name] for column in table.columns],
-        "total_inserted": table.total_inserted,
-        "last_timestamp": None if last_ts == float("-inf") else last_ts,
-        "rows": [[row.timestamp, list(row.values)] for row in table.rows()],
-    }
-
-
-def restore_table(db: HomeworkDatabase, snap: Dict[str, Any]) -> StreamTable:
-    """Recreate a table from :func:`snapshot_table` output inside ``db``."""
-    name = str(snap["name"])
-    if db.has_table(name):
-        raise HwdbError(f"cannot restore table {name!r}: it already exists")
-    columns = [(str(cname), str(tname)) for cname, tname in snap["columns"]]
-    table = db.create_table(name, columns, int(snap["capacity"]))
-    rows = [(float(ts), list(values)) for ts, values in snap["rows"]]
-    if len(rows) > table.capacity:
-        raise HwdbError(
-            f"snapshot of {name!r} holds {len(rows)} rows but capacity is "
-            f"{table.capacity}"
-        )
-    for ts, values in rows:
-        table.insert(ts, values)
-    table.total_inserted = int(snap["total_inserted"])
-    last_ts = snap.get("last_timestamp")
-    table.last_timestamp = float("-inf") if last_ts is None else float(last_ts)
-    return table
-
-
-def snapshot_subscription(subscription: Subscription) -> Dict[str, Any]:
-    return {
-        "query": unparse(subscription.select),
-        "interval": subscription.interval,
-        "deliver_empty": subscription.deliver_empty,
-        "active": subscription.active,
-        "executions": subscription.executions,
-        "deliveries": subscription.deliveries,
-    }
-
-
-def snapshot_database(
-    db: HomeworkDatabase, exclude_tables: tuple = (), store=None
-) -> Dict[str, Any]:
-    """Serialize a whole database (tables + subscriptions + counters).
-
-    ``exclude_tables`` names tables to leave out — fleet checkpoints drop
-    ``metrics`` because its rows carry wall-clock latencies that can
-    never replay bit-identically.
-
-    ``store`` (duck-typed: anything with ``manifest_summary()``) adds a
-    ``"store"`` key describing the database's durable tier — segment ids
-    and digests, never row payloads.  Restore ignores unknown keys, so
-    snapshots stay loadable without a store.
-    """
-    excluded = {name.lower() for name in exclude_tables}
-    snap = {
-        "format": FORMAT,
-        "default_capacity": db.default_capacity,
-        "queries_executed": db.registry.value("hwdb.query_total"),
-        "inserts": db.registry.value("hwdb.insert_total"),
-        "tables": [
-            snapshot_table(db.table(name))
-            for name in db.tables()
-            if name not in excluded
-        ],
-        "subscriptions": [
-            snapshot_subscription(sub)
-            for sub in sorted(db.subscriptions(), key=lambda s: s.id)
-            if sub.active
-        ],
-    }
-    if store is not None:
-        snap["store"] = store.manifest_summary()
-    return snap
-
-
-# SimulationError from re-arming subscription timers is unreachable:
-# subscribe() rejects non-positive intervals with HwdbError before the
-# scheduler (which raises it for the same condition) is ever called.
-def restore_database(  # repro: ignore[deep-except-escape]
-    db: HomeworkDatabase,
-    snap: Dict[str, Any],
-    callback_factory: Optional[SubscriptionCallbackFactory] = None,
-) -> List[Subscription]:
-    """Rebuild tables and re-register subscriptions from a snapshot.
-
-    ``db`` should be freshly constructed (no tables).  Subscription
-    callbacks are re-bound via ``callback_factory(sub_snapshot)``; with
-    no factory they become no-op sinks.  Timers are re-armed only when
-    the database has a scheduler attached.  Returns the restored
-    subscriptions in snapshot order.
-    """
-    if snap.get("format") != FORMAT:
-        raise HwdbError(
-            f"unsupported hwdb snapshot format {snap.get('format')!r} "
-            f"(expected {FORMAT!r})"
-        )
-    # The durable tier is rebuilt from its own directory (repro.store's
-    # recover_store), never from the snapshot — the "store" key is audit
-    # metadata (segment ids + digests). Validate its shape so a mangled
-    # checkpoint fails at load, not when someone later reads the audit.
-    store_snap = snap.get("store")
-    if store_snap is not None and "tables" not in store_snap:
-        raise HwdbError("malformed durable-store summary in snapshot")
-    db.default_capacity = int(snap.get("default_capacity", db.default_capacity))
-    for table_snap in snap["tables"]:
-        restore_table(db, table_snap)
-    db.registry.counter("hwdb.query_total").value = int(snap.get("queries_executed", 0))
-    db.registry.counter("hwdb.insert_total").value = int(snap.get("inserts", 0))
-    restored: List[Subscription] = []
-    for sub_snap in snap.get("subscriptions", ()):
-        callback = (
-            callback_factory(sub_snap) if callback_factory is not None else _no_op
-        )
-        subscription = db.subscribe(
-            str(sub_snap["query"]),
-            float(sub_snap["interval"]),
-            callback,
-            deliver_empty=bool(sub_snap.get("deliver_empty", False)),
-            start=db._scheduler is not None,
-        )
-        subscription.executions = int(sub_snap.get("executions", 0))
-        subscription.deliveries = int(sub_snap.get("deliveries", 0))
-        if not bool(sub_snap.get("active", True)):
-            # Standalone subscription snapshots can carry inactive subs;
-            # restore them registered but quiescent.
-            subscription.active = False
-            if subscription._timer is not None:
-                subscription._timer.cancel()
-                subscription._timer = None
-        restored.append(subscription)
-    return restored
+#: Tables left out of :func:`database_digests`: ``metrics`` rows carry
+#: wall-clock latencies, which never replay bit-identically.
+DIGEST_EXCLUDED_TABLES = frozenset({"metrics"})
 
 
 def table_digest(table: StreamTable) -> str:
@@ -193,29 +40,13 @@ def table_digest(table: StreamTable) -> str:
     return hasher.hexdigest()
 
 
-def database_digests(
-    db: HomeworkDatabase, exclude_tables: tuple = ("metrics",)
-) -> Dict[str, str]:
-    """Per-table digests (metrics excluded by default — wall-clock data)."""
-    excluded = {name.lower() for name in exclude_tables}
+def database_digests(db: HomeworkDatabase) -> Dict[str, str]:
+    """Per-table digests of every table except :data:`DIGEST_EXCLUDED_TABLES`."""
     return {
         name: table_digest(db.table(name))
         for name in db.tables()
-        if name not in excluded
+        if name not in DIGEST_EXCLUDED_TABLES
     }
 
 
-def _no_op(result) -> None:
-    """Default restored-subscription sink: deliveries are counted, dropped."""
-
-
-__all__ = [
-    "FORMAT",
-    "database_digests",
-    "restore_database",
-    "restore_table",
-    "snapshot_database",
-    "snapshot_subscription",
-    "snapshot_table",
-    "table_digest",
-]
+__all__ = ["DIGEST_EXCLUDED_TABLES", "database_digests", "table_digest"]

@@ -54,8 +54,8 @@ class PolicyEngine:
         self._managed: Set[MACAddress] = set()
         registry = registry if registry is not None else MetricsRegistry()
         self._m_enforcements = registry.counter("policy.enforcement_total")
-        # Live scheduler handle; re-armed via start(), never serialized.
-        self._timer = None  # repro: ignore[deep-snapshot]
+        # Live scheduler handle, armed by start().
+        self._timer = None
 
     # ------------------------------------------------------------------
     # Periodic re-enforcement
@@ -142,27 +142,6 @@ class PolicyEngine:
     @property
     def inserted_keys(self) -> Set[str]:
         return set(self._inserted_keys)
-
-    def to_snapshot(self) -> Dict[str, object]:
-        """Serialize the policy store as a JSON-able dict.
-
-        The checkpoint surface ``repro.fleet`` persists and verifies on
-        restore.  Policy ids come from a process-global counter, so the
-        snapshot orders by (name, id) and restore-verification compares
-        documents with ids stripped.
-        """
-        return {
-            "policies": [
-                policy.to_dict()
-                for policy in sorted(
-                    self._policies.values(), key=lambda p: (p.name, p.id)
-                )
-            ],
-            "inserted_keys": sorted(self._inserted_keys),
-            "managed": sorted(str(mac) for mac in self._managed),
-            "policy_denied": sorted(str(mac) for mac in self._policy_denied),
-            "enforcements": self._m_enforcements.value,
-        }
 
     # ------------------------------------------------------------------
     # Compilation

@@ -70,8 +70,8 @@ class LeaseDatabase:
 
     def __init__(self) -> None:
         self._by_mac: Dict[MACAddress, Lease] = {}
-        # Reverse index derived from _by_mac; restore rebuilds it.
-        self._by_ip: Dict[IPv4Address, Lease] = {}  # repro: ignore[deep-snapshot]
+        # Reverse index derived from _by_mac.
+        self._by_ip: Dict[IPv4Address, Lease] = {}
 
     def offer(
         self,
@@ -128,27 +128,6 @@ class LeaseDatabase:
 
     def active(self, now: float) -> List[Lease]:
         return [lease for lease in self._by_mac.values() if lease.active(now)]
-
-    def to_snapshot(self) -> List[Dict[str, object]]:
-        """Serialize every lease as a JSON-able dict, ordered by MAC.
-
-        This is the checkpoint surface ``repro.fleet`` persists and
-        verifies on restore; ordering is by MAC string so two identical
-        databases always serialize identically.
-        """
-        return [
-            {
-                "mac": str(lease.mac),
-                "ip": str(lease.ip),
-                "gateway": str(lease.gateway),
-                "hostname": lease.hostname,
-                "state": lease.state,
-                "granted_at": lease.granted_at,
-                "expires_at": lease.expires_at,
-                "renew_count": lease.renew_count,
-            }
-            for lease in sorted(self._by_mac.values(), key=lambda l: str(l.mac))
-        ]
 
     def __len__(self) -> int:
         return len(self._by_mac)

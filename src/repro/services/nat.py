@@ -89,8 +89,8 @@ class NatTable:
             raise ServiceError(f"NAT idle_timeout must be positive: {idle_timeout}")
         self.idle_timeout = float(idle_timeout)
         self._by_private: Dict[PrivateKey, NatBinding] = {}
-        # Reverse index derived from _by_private; restore rebuilds it.
-        self._by_external: Dict[Tuple[int, int], NatBinding] = {}  # repro: ignore[deep-snapshot]
+        # Reverse index derived from _by_private.
+        self._by_external: Dict[Tuple[int, int], NatBinding] = {}
         self._next_port: Dict[int, int] = {}
         self.allocations = 0
         self.expirations = 0
@@ -156,38 +156,6 @@ class NatTable:
             self._by_private.pop(
                 (binding.proto, binding.device_ip, binding.device_port), None
             )
-
-    def to_snapshot(self) -> Dict[str, object]:
-        """Serialize the translation state as a JSON-able dict.
-
-        The checkpoint surface ``repro.fleet`` persists and verifies on
-        restore.  Bindings are ordered by (proto, external_port) and the
-        round-robin allocator pointers are included, so two identical
-        tables always serialize identically and a replayed run that
-        diverged in port allocation is caught.
-        """
-        return {
-            "external_ip": str(self.external_ip),
-            "port_range": [self.port_lo, self.port_hi],
-            "idle_timeout": self.idle_timeout,
-            "allocations": self.allocations,
-            "expirations": self.expirations,
-            "next_port": {str(proto): port for proto, port in sorted(self._next_port.items())},
-            "bindings": [
-                {
-                    "proto": binding.proto,
-                    "device_ip": str(binding.device_ip),
-                    "device_port": binding.device_port,
-                    "external_port": binding.external_port,
-                    "created_at": binding.created_at,
-                    "last_used": binding.last_used,
-                }
-                for binding in sorted(
-                    self._by_private.values(),
-                    key=lambda b: (b.proto, b.external_port),
-                )
-            ],
-        }
 
     def release_device(self, device_ip) -> int:
         """Drop every binding of a device (lease revoked); returns count."""

@@ -80,6 +80,25 @@ SEGMENT_CACHE_SIZE = 8
 REWRITE_MIN_DEAD = 512
 
 
+def read_manifest(root: Union[str, Path]) -> Dict[str, Any]:
+    """The manifest of the store at ``root``, or an empty one if it has none.
+
+    Raises :class:`StoreError` when the file is not JSON or carries a
+    format other than :data:`FORMAT`.
+    """
+    path = Path(root) / MANIFEST_NAME
+    if not path.exists():
+        return {"format": FORMAT, "tables": {}}
+    try:
+        data = json.loads(path.read_text(encoding="utf-8"))
+    except (OSError, ValueError) as exc:
+        raise StoreError(f"unreadable manifest {path}: {exc}") from exc
+    found = data.get("format") if isinstance(data, dict) else None
+    if found != FORMAT:
+        raise StoreError(f"unsupported store format {found!r} (expected {FORMAT!r})")
+    return data
+
+
 class ArchiveScanInfo:
     """What one archive scan touched — EXPLAIN's segment-pruning proof."""
 
@@ -440,20 +459,10 @@ class DurableStore:
         return self.root / MANIFEST_NAME
 
     def _load_manifest(self) -> None:
-        path = self.manifest_path
-        if not path.exists():
-            return
-        try:
-            data = json.loads(path.read_text(encoding="utf-8"))
-        except (OSError, ValueError) as exc:
-            raise StoreError(f"unreadable manifest {path}: {exc}") from exc
-        if data.get("format") != FORMAT:
-            raise StoreError(
-                f"unsupported store format {data.get('format')!r} (expected {FORMAT!r})"
-            )
+        data = read_manifest(self.root)
         # A re-opened store keeps the exclusions it was created with.
         self.excluded = {
-            str(name).lower() for name in data.get("exclude_tables", DEFAULT_EXCLUDE)
+            str(name).lower() for name in data.get("exclude_tables", self.excluded)
         }
         self._persisted = {
             str(name): dict(entry) for name, entry in data.get("tables", {}).items()
@@ -473,35 +482,6 @@ class DurableStore:
         tmp = self.manifest_path.with_name(MANIFEST_NAME + ".tmp")
         tmp.write_text(json.dumps(payload, indent=1, sort_keys=True) + "\n", encoding="utf-8")
         os.replace(tmp, self.manifest_path)
-
-    def manifest_summary(self) -> Dict[str, Any]:
-        """Path-free, deterministic view for fleet checkpoints.
-
-        Checkpoints carry segment *ids and digests*, never row payloads:
-        a replayed household re-creates the identical archive, and the
-        digests prove it without reading a single segment back.
-        """
-        tables: Dict[str, Any] = {}
-        for name in sorted(self._tiers):
-            tier = self._tiers[name]
-            tables[name] = {
-                "sealed_through": tier.sealed_through,
-                "cleared_through": tier.cleared_through,
-                "discarded": tier.discarded,
-                "expired_rows": tier.expired_rows,
-                "pending_rows": len(tier.pending),
-                "segments": [
-                    {
-                        "id": segment.segment_id,
-                        "rows": segment.rows,
-                        "min_seq": segment.min_seq,
-                        "max_seq": segment.max_seq,
-                        "digest": segment.digest,
-                    }
-                    for segment in tier.segments
-                ],
-            }
-        return {"format": FORMAT, "tables": tables}
 
     def stats(self) -> Dict[str, Any]:
         return {
@@ -533,4 +513,11 @@ class DurableStore:
         return f"DurableStore({self.root}, tables={sorted(self._tiers)})"
 
 
-__all__ = ["ArchiveScanInfo", "DEFAULT_EXCLUDE", "DurableStore", "FORMAT", "TableTier"]
+__all__ = [
+    "ArchiveScanInfo",
+    "DEFAULT_EXCLUDE",
+    "DurableStore",
+    "FORMAT",
+    "TableTier",
+    "read_manifest",
+]

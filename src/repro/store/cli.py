@@ -16,7 +16,6 @@ applies the retention policy and rewrites the manifest.
 from __future__ import annotations
 
 import argparse
-import json
 import logging
 from pathlib import Path
 from typing import List, Optional
@@ -25,7 +24,7 @@ from ..core.clock import WallClock
 from ..core.errors import ReproError
 from ..core.logging_setup import configure_logging
 from ..hwdb.database import HomeworkDatabase
-from .archive import MANIFEST_NAME, SEGMENT_DIR, WAL_NAME, FORMAT
+from .archive import SEGMENT_DIR, WAL_NAME, read_manifest
 from .compact import RetentionPolicy, compact_store
 from .recover import recover_store
 from .segment import SegmentInfo, read_segment
@@ -61,17 +60,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_manifest(root: Path) -> dict:
-    path = root / MANIFEST_NAME
-    if not path.exists():
-        return {"format": FORMAT, "tables": {}}
-    return json.loads(path.read_text(encoding="utf-8"))
-
-
 def _cmd_stat(root: Path) -> int:
-    manifest = _load_manifest(root)
+    manifest = read_manifest(root)
     contents = read_wal(root / WAL_NAME)
-    logger.info("store %s (%s)", root, manifest.get("format", "?"))
+    logger.info("store %s (%s)", root, manifest["format"])
     for name in sorted(manifest.get("tables", {})):
         entry = manifest["tables"][name]
         segments = entry.get("segments", [])
@@ -97,7 +89,7 @@ def _cmd_stat(root: Path) -> int:
 
 
 def _cmd_verify(root: Path) -> int:
-    manifest = _load_manifest(root)
+    manifest = read_manifest(root)
     failures = 0
     segments_checked = 0
     for name in sorted(manifest.get("tables", {})):

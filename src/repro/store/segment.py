@@ -5,8 +5,8 @@ into one segment file — same framing as the WAL (:data:`SEG_MAGIC`, one
 length+CRC framed JSON record) — and records a :class:`SegmentInfo` in
 the manifest: min/max timestamp and sequence number, row count and a
 SHA-256 content digest.  Queries prune on the timestamp bounds without
-opening the file; fleet checkpoints compare digests without re-reading
-row payloads.
+opening the file; reads (and ``repro store verify``) check the file
+against the digest.
 
 Segment file names are deterministic (``<table>-<id:08d>.seg``) so a
 replayed household produces a byte-identical archive layout.

@@ -4,14 +4,24 @@ call-graph duck-attach resolution and the CLI surface around --deep."""
 import json
 from pathlib import Path
 
-from repro.analysis import SourceFile, run_rules
+from repro.analysis import SourceFile, discover_files, run_rules
 from repro.analysis.core import Violation, load_baseline, write_baseline
 from repro.analysis.cli import main as lint_main
 from repro.analysis.deep import DeepContext, build_callgraph
-from repro.analysis.deep.dispatch import DispatchRule, FamilySpec, FlowSpec
-from repro.analysis.deep.exceptions import ExceptionContract, ExceptionFlowRule
+from repro.analysis.deep.dispatch import (
+    DEFAULT_FAMILIES,
+    DEFAULT_FLOWS,
+    DispatchRule,
+    FamilySpec,
+    FlowSpec,
+)
+from repro.analysis.deep.exceptions import (
+    DEFAULT_CONTRACTS,
+    ExceptionContract,
+    ExceptionFlowRule,
+)
 from repro.analysis.deep.snapshots import SnapshotParityRule
-from repro.analysis.deep.taint import DeepTaintRule
+from repro.analysis.deep.taint import DEFAULT_SINK_FUNCTIONS, DeepTaintRule
 
 FIXTURES = Path(__file__).parent / "analysis_fixtures" / "deep"
 SRC_PACKAGE = Path(__file__).parent.parent / "src" / "repro"
@@ -162,6 +172,31 @@ class TestSourceTreeIsClean:
         # (pragmas in it must each carry a justification comment).
         exit_code = lint_main([str(SRC_PACKAGE), "--deep", "--no-baseline"])
         assert exit_code == 0
+
+    def test_default_tables_name_code_that_exists(self):
+        # The rules skip a table entry whose function or module is absent
+        # (so fixtures can bring their own), which would let a rename in
+        # src/ drop a sink or a contract without a word.
+        graph = build_callgraph(discover_files(SRC_PACKAGE))
+        functions = set(DEFAULT_SINK_FUNCTIONS)
+        functions.update(contract.function for contract in DEFAULT_CONTRACTS)
+        modules = set()
+        classes = set()
+        for family in DEFAULT_FAMILIES:
+            functions.update(family.surfaces)
+            modules.update(family.producers)
+            modules.add(family.member_module)
+            classes.update(family.members)
+            if family.base is not None:
+                classes.add(family.base)
+        for flow in DEFAULT_FLOWS:
+            functions.update(flow.senders)
+            functions.update(flow.surfaces)
+            modules.add(flow.member_module)
+            classes.add(flow.base)
+        assert sorted(functions - set(graph.functions)) == []
+        assert sorted(modules - set(graph.modules)) == []
+        assert sorted(classes - set(graph.classes)) == []
 
 
 class TestCli:

@@ -3,7 +3,11 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.core.clock import SimulatedClock
 from repro.core.errors import HwdbError
+from repro.hwdb.database import HomeworkDatabase
+from repro.hwdb.schema import STANDARD_TABLES, install_standard_schema
+from repro.hwdb.snapshot import database_digests, table_digest
 from repro.hwdb.table import Column, StreamTable
 from repro.hwdb.types import INTEGER, MACADDR, REAL, VARCHAR, type_by_name
 
@@ -239,3 +243,39 @@ class TestSpillHooks:
         for i in range(5):
             table.insert(float(i), [f"d{i}", i])
         assert table.overwritten == 3  # plain ring behaviour untouched
+
+
+def filled_table(rows, capacity=8):
+    table = make_table(capacity)
+    for timestamp, value in rows:
+        table.insert(timestamp, ["tv", value])
+    return table
+
+
+class TestDigests:
+    def test_standard_schema_digests_every_table_but_metrics(self):
+        db = HomeworkDatabase(SimulatedClock())
+        install_standard_schema(db)
+        assert set(database_digests(db)) == set(STANDARD_TABLES) - {"metrics"}
+
+    def test_equal_tables_digest_equal(self):
+        rows = [(1.0, 1), (2.0, 2)]
+        assert table_digest(filled_table(rows)) == table_digest(filled_table(rows))
+
+    def test_one_value_changes_the_digest(self):
+        base = table_digest(filled_table([(1.0, 1), (2.0, 2)]))
+        assert table_digest(filled_table([(1.0, 1), (2.0, 3)])) != base
+
+    def test_one_timestamp_changes_the_digest(self):
+        base = table_digest(filled_table([(1.0, 1), (2.0, 2)]))
+        assert table_digest(filled_table([(1.0, 1), (2.5, 2)])) != base
+
+    def test_total_inserted_changes_the_digest(self):
+        # Same retained rows; one ring has also overwritten an older row.
+        wrapped = filled_table([(1.0, 1), (2.0, 2), (3.0, 3)], capacity=2)
+        fresh = filled_table([(2.0, 2), (3.0, 3)], capacity=2)
+        assert [(r.timestamp, r.values) for r in wrapped.rows()] == [
+            (r.timestamp, r.values) for r in fresh.rows()
+        ]
+        assert wrapped.total_inserted != fresh.total_inserted
+        assert table_digest(wrapped) != table_digest(fresh)

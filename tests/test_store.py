@@ -2,7 +2,7 @@
 
 Crash-recovery determinism has its own file (test_store_recovery.py);
 this one covers the write path, the archive read facade, the query
-integration and the operational surface (CLI, bench gate, snapshots).
+integration and the operational surface (CLI, bench gate).
 """
 
 import json
@@ -13,7 +13,6 @@ from repro.bench.gate import check_gate, make_report
 from repro.core.clock import SimulatedClock
 from repro.core.errors import StoreError
 from repro.hwdb.database import HomeworkDatabase
-from repro.hwdb.snapshot import snapshot_database
 from repro.query.engine import MODE_PLAN
 from repro.store import (
     DurableStore,
@@ -283,17 +282,6 @@ class TestDurableStore:
         assert flows["sealed_rows"] + flows["pending_rows"] == 4
         assert stats["wal"]["rows"] >= 0
 
-    def test_snapshot_carries_manifest_summary(self, tmp_path):
-        clock, db, store = make_store(tmp_path, capacity=2, segment_rows=2)
-        insert_n(clock, db, 6)
-        store.flush()
-        snap = snapshot_database(db, store=store)
-        summary = snap["store"]["tables"]["flows"]
-        assert summary["segments"]
-        assert all("digest" in s and "file" not in s for s in summary["segments"])
-        # Deterministic: same state, same summary.
-        assert snap["store"] == store.manifest_summary()
-
 
 class TestCompaction:
     def make_aged_store(self, tmp_path):
@@ -462,6 +450,19 @@ class TestStoreCli:
 
     def test_not_a_store_dir_errors(self, tmp_path):
         assert store_main(["recover", str(tmp_path)]) == 2
+
+    @pytest.mark.parametrize("command", ["stat", "verify", "recover"])
+    def test_truncated_manifest_errors(self, tmp_path, command):
+        root = self.populated(tmp_path)
+        manifest = root / MANIFEST_NAME
+        manifest.write_text(manifest.read_text()[:20])
+        assert store_main([command, str(root)]) == 2
+
+    @pytest.mark.parametrize("command", ["stat", "verify", "recover"])
+    def test_foreign_manifest_format_errors(self, tmp_path, command):
+        root = self.populated(tmp_path)
+        (root / MANIFEST_NAME).write_text('{"format": "bogus/9", "tables": {}}')
+        assert store_main([command, str(root)]) == 2
 
 
 class TestStoreBenchGate:

@@ -19,6 +19,7 @@ import shutil
 import pytest
 
 from repro.check import ScenarioRunner, generate_scenario
+from repro.check import runner as runner_module
 from repro.check.faults import TORN_MODES, inject_torn_tail
 from repro.core.clock import SimulatedClock
 from repro.hwdb.database import HomeworkDatabase
@@ -210,6 +211,29 @@ class TestFuzzerIntegration:
         assert any(op.kind == "hwdb_crash" for op in scenario.ops)
         result = ScenarioRunner(scenario).run()
         assert result.violation is None, result.violation
+
+    def test_diverging_recovery_is_pinned_to_the_crash_op(self, monkeypatch):
+        scenario = generate_scenario(seed=1, max_ops=25, durable_store=True)
+        crash = next(
+            i for i, op in enumerate(scenario.ops) if op.kind == "hwdb_crash"
+        )
+        real_recover = runner_module.recover_store
+
+        def inventing_recover(root, db):
+            recovered = real_recover(root, db)
+            for name in db.tables():
+                db.table(name).total_inserted += 10**6
+            return recovered
+
+        monkeypatch.setattr(runner_module, "recover_store", inventing_recover)
+        result = ScenarioRunner(scenario).run()
+        assert result.violation.invariant == "store-recover-digest"
+        assert result.violation.op_index == crash
+        # The scenario line, ops 0..crash, then the seal; no tail.
+        assert len(result.trace) == crash + 3
+        assert result.trace[crash + 1].startswith(f"{crash} t=")
+        assert " hwdb_crash violation " in result.trace[crash + 1]
+        assert result.trace[-1].startswith("end t=")
 
     def test_durable_flag_leaves_base_scenario_untouched(self):
         base = generate_scenario(seed=3, max_ops=20).to_json()

@@ -16,6 +16,7 @@ in :mod:`repro.hwdb.rpc`, persistence in :mod:`repro.hwdb.persist`.
 from __future__ import annotations
 
 import logging
+import math
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from ..core.clock import Clock
@@ -23,7 +24,6 @@ from ..core.errors import HwdbError, QueryError
 from ..core.metrics import MetricsRegistry
 from .cql.ast_nodes import CreateTable, Explain, Insert, Select
 from .cql.executor import ResultSet
-from .cql.parser import parse
 from .table import Column, StreamTable
 from .types import type_by_name
 
@@ -46,6 +46,7 @@ class Subscription:
         self,
         db: "HomeworkDatabase",
         select: Select,
+        key: str,
         interval: float,
         callback: SubscriptionCallback,
         deliver_empty: bool = False,
@@ -54,6 +55,7 @@ class Subscription:
         Subscription._next_id += 1
         self.db = db
         self.select = select
+        self.key = key  # the query engine's plan-cache key for ``select``
         self.interval = interval
         self.callback = callback
         self.deliver_empty = deliver_empty
@@ -74,7 +76,7 @@ class Subscription:
         timer = self.db.registry.clock
         started = timer()
         try:
-            result = self.db.execute_parsed(self.select)
+            result = self.db.execute_parsed(self.select, self.key)
         except HwdbError:
             logger.warning(
                 "subscription %d query no longer executable; cancelling", self.id
@@ -236,20 +238,28 @@ class HomeworkDatabase:
     # ------------------------------------------------------------------
 
     def query(self, text: str) -> ResultSet:
-        """Parse and execute one statement (SELECT/INSERT/CREATE)."""
-        statement = parse(text)
-        return self.execute_parsed(statement)
+        """Parse and execute one statement (SELECT/EXPLAIN/INSERT/CREATE).
 
-    def execute_parsed(self, statement) -> ResultSet:
+        The engine parses a SELECT or EXPLAIN text only the first time
+        it sees it (:meth:`~repro.query.engine.QueryEngine.parse`).
+        """
+        statement, key = self._engine.parse(text)
+        return self.execute_parsed(statement, key)
+
+    def execute_parsed(self, statement, key: Optional[str] = None) -> ResultSet:
+        """Execute a parsed statement; ``key`` is the plan-cache key the
+        engine's statement map returned with it, if the caller has it."""
         self._m_queries.inc()
         if isinstance(statement, Select):
             timer = self.registry.clock
             t0 = timer()
-            result = self._engine.execute_select(statement, self._tables, self.now)
+            result = self._engine.execute_select(
+                statement, self._tables, self.now, key
+            )
             self._m_query_lat.observe(timer() - t0)
             return result
         if isinstance(statement, Explain):
-            return self._engine.explain(statement, self._tables, self.now)
+            return self._engine.explain(statement, self._tables, self.now, key)
         if isinstance(statement, Insert):
             table = self.table(statement.table)
             if statement.columns is not None:
@@ -278,13 +288,24 @@ class HomeworkDatabase:
         deliver_empty: bool = False,
         start: bool = True,
     ) -> Subscription:
-        """Register a continuous query pushing results every ``interval`` s."""
-        if interval <= 0:
-            raise HwdbError(f"subscription interval must be positive: {interval}")
-        statement = parse(text)
+        """Register a continuous query pushing results every ``interval`` s.
+
+        The interval must be finite and large enough to move the clock
+        on from now: a NaN, or one too small to add to the clock, would
+        fire forever at the same instant.
+        """
+        now = self.now
+        if not (math.isfinite(interval) and now + interval > now):
+            raise HwdbError(
+                f"subscription interval must be finite and advance the clock: "
+                f"{interval!r}"
+            )
+        statement, key = self._engine.parse(text)
         if not isinstance(statement, Select):
             raise QueryError("only SELECT statements can be subscribed")
-        subscription = Subscription(self, statement, interval, callback, deliver_empty)
+        subscription = Subscription(
+            self, statement, key, interval, callback, deliver_empty
+        )
         self._subscriptions[subscription.id] = subscription
         self._m_subs_active.set(float(len(self._subscriptions)))
         # Pin the compiled plan: subscriptions outlive ad-hoc cache

@@ -38,7 +38,7 @@ from __future__ import annotations
 import logging
 from typing import Callable, Dict, List, Optional, Tuple
 
-from ..core.errors import QueryError, RpcError
+from ..core.errors import HwdbError, RpcError
 from .cql.executor import ResultSet
 from .database import HomeworkDatabase, Subscription
 
@@ -51,12 +51,21 @@ _UNESCAPES = {"\\\\": "\\", "\\t": "\t", "\\n": "\n", "\\r": "\r"}
 
 
 def _escape(text: str) -> str:
+    if (
+        "\\" not in text
+        and "\t" not in text
+        and "\n" not in text
+        and "\r" not in text
+    ):
+        return text
     for raw, escaped in _ESCAPES.items():
         text = text.replace(raw, escaped)
     return text
 
 
 def _unescape(text: str) -> str:
+    if "\\" not in text:
+        return text
     out = []
     i = 0
     while i < len(text):
@@ -72,6 +81,15 @@ def _unescape(text: str) -> str:
 
 
 def _encode_value(value) -> str:
+    # Exact types first: nearly every value is one of these.  bool is
+    # not exactly int, so it still reaches its own "b:" branch.
+    kind = type(value)
+    if kind is str:
+        return "s:" + _escape(value)
+    if kind is int:
+        return f"i:{value}"
+    if kind is float:
+        return f"f:{value!r}"
     if value is None:
         return "\\N"
     if isinstance(value, bool):
@@ -84,20 +102,20 @@ def _encode_value(value) -> str:
 
 
 def _decode_value(token: str):
+    tag = token[:2]
+    if tag == "s:":
+        return _unescape(token[2:])
+    if tag == "i:":
+        return int(token[2:])
+    if tag == "f:":
+        return float(token[2:])
+    if tag == "b:":
+        return token[2:] == "1"
     if token == "\\N":
         return None
     if len(token) < 2 or token[1] != ":":
         raise RpcError(f"malformed value token {token!r}")
-    tag, body = token[0], token[2:]
-    if tag == "i":
-        return int(body)
-    if tag == "f":
-        return float(body)
-    if tag == "b":
-        return body == "1"
-    if tag == "s":
-        return _unescape(body)
-    raise RpcError(f"unknown value tag {tag!r}")
+    raise RpcError(f"unknown value tag {token[0]!r}")
 
 
 def pack_resultset(result: ResultSet) -> str:
@@ -111,7 +129,7 @@ def pack_resultset(result: ResultSet) -> str:
     lines = [f"@{result.executed_at!r}"]
     lines.append("\t".join(_escape(c) for c in result.columns))
     for row in result.rows:
-        lines.append("\t".join(_encode_value(v) for v in row))
+        lines.append("\t".join(map(_encode_value, row)))
     return "\n".join(lines)
 
 
@@ -137,7 +155,7 @@ def unpack_resultset(text: str) -> ResultSet:
     for line in lines[1:]:
         if not line:
             continue
-        rows.append(tuple(_decode_value(tok) for tok in line.split("\t")))
+        rows.append(tuple(map(_decode_value, line.split("\t"))))
     return ResultSet(columns, rows, executed_at=executed_at)
 
 
@@ -163,7 +181,7 @@ class RpcServer:
             return
         try:
             response = self._dispatch(text.strip(), reply)
-        except (QueryError, RpcError) as exc:
+        except HwdbError as exc:  # the request's fault, not the server's
             response = f"ERROR {exc}"
         except Exception as exc:  # noqa: BLE001 - never kill the server
             logger.exception("rpc request failed")

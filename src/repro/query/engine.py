@@ -22,6 +22,16 @@ scheduler.
 
 Subscriptions pin their cache entries (``attach_subscription``) so LRU
 eviction only ever discards ad-hoc queries; DDL invalidates everything.
+
+In front of the plan cache sits the statement map (:meth:`QueryEngine.parse`):
+raw SELECT or EXPLAIN text to its parsed statement and plan-cache key,
+so a text hwdb has seen before is neither lexed, parsed nor unparsed
+again.  It holds at most :data:`PLAN_CACHE_SIZE` texts, least recently
+used out first, because clients build texts from parameters (the
+control API's ``window``).  Cached statements are shared by every later
+call with the same text, so nothing downstream may mutate an AST: the
+optimizer clones, and plans, incremental states, EXPLAIN and
+subscriptions only read.
 """
 
 from __future__ import annotations
@@ -33,12 +43,14 @@ from ..core.errors import QueryError
 from ..core.metrics import MetricsRegistry
 from ..hwdb.cql.ast_nodes import Explain, Select
 from ..hwdb.cql.executor import ResultSet
+from ..hwdb.cql.parser import Statement, parse
 from ..hwdb.cql.unparse import unparse
 from .explain import render_plan
 from .incremental import IncrementalState, NotIncremental, build_incremental
 from .plan import Plan, compile_select
 
-#: Unpinned plan-cache entries beyond this are evicted, oldest first.
+#: Unpinned plan-cache entries beyond this are evicted, oldest first;
+#: the statement map keeps at most this many texts.
 PLAN_CACHE_SIZE = 256
 
 MODE_INCREMENTAL = "incremental"
@@ -72,6 +84,33 @@ class QueryEngine:
         self._m_full = registry.counter("query.full_tick_total")
         self._cache: "OrderedDict[str, _CacheEntry]" = OrderedDict()
         self._pins: Dict[str, int] = {}
+        self._statements: "OrderedDict[str, Tuple[Statement, str]]" = OrderedDict()
+
+    # -- statement map -------------------------------------------------
+
+    def parse(self, text: str) -> Tuple[Statement, Optional[str]]:
+        """Parse ``text``; returns the statement and its plan-cache key.
+
+        SELECT and EXPLAIN are parsed once per text and remembered; the
+        key is ``None`` for the statements that are not (INSERT, CREATE),
+        which parse on every call.  A text that fails to parse raises
+        :class:`QueryError` and is not remembered.
+        """
+        cached = self._statements.get(text)
+        if cached is not None:
+            self._statements.move_to_end(text)
+            return cached
+        statement = parse(text)
+        if isinstance(statement, Select):
+            key = unparse(statement)
+        elif isinstance(statement, Explain):
+            key = unparse(statement.select)
+        else:
+            return statement, None
+        self._statements[text] = (statement, key)
+        if len(self._statements) > PLAN_CACHE_SIZE:
+            self._statements.popitem(last=False)
+        return statement, key
 
     # -- plan cache ----------------------------------------------------
 
@@ -151,9 +190,15 @@ class QueryEngine:
 
     # -- execution -----------------------------------------------------
 
-    def execute_select(self, select: Select, tables, now: float) -> ResultSet:
-        """Run ``select`` at ``now``; raises only :class:`HwdbError`."""
-        text = unparse(select)
+    def execute_select(
+        self, select: Select, tables, now: float, key: Optional[str] = None
+    ) -> ResultSet:
+        """Run ``select`` at ``now``; raises only :class:`HwdbError`.
+
+        ``key`` is the plan-cache key :meth:`parse` returned with
+        ``select``; without it the statement is unparsed to find it.
+        """
+        text = unparse(select) if key is None else key
         entry = self._entry_for(select, tables, text)
         try:
             # Tick latency lands in the span's histogram.
@@ -173,12 +218,14 @@ class QueryEngine:
 
     # -- EXPLAIN -------------------------------------------------------
 
-    def explain(self, statement: Explain, tables, now: float) -> ResultSet:
+    def explain(
+        self, statement: Explain, tables, now: float, key: Optional[str] = None
+    ) -> ResultSet:
         select = statement.select
-        text = unparse(select)
+        text = unparse(select) if key is None else key
         entry = self._entry_for(select, tables, text)
         if statement.analyze:
-            self.execute_select(select, tables, now)
+            self.execute_select(select, tables, now, text)
         lines = render_plan(
             text,
             entry.mode,

@@ -6,7 +6,9 @@ sort -> limit) with the optimizer's rewrites baked in.  The operators
 run on the shared row model (:class:`Binding`), grouping, ordering and
 expression evaluation of :mod:`repro.hwdb.cql.executor`, so a plan's
 answer is the reference executor's answer
-(:mod:`repro.check.cql_reference`), row for row.
+(:mod:`repro.check.cql_reference`), row for row.  The one exception is
+a projection of bare columns, which compilation binds to row positions
+(:func:`bind_columns`) and which then runs without the evaluator.
 
 Compilation is also where a query's errors come from.  Every column
 reference must resolve against the schema, every function must be
@@ -21,6 +23,7 @@ errors left for run time are values an expression cannot combine
 from __future__ import annotations
 
 import itertools
+import operator
 from typing import Callable, Dict, List, Optional, Tuple
 
 from ..core.errors import QueryError
@@ -56,7 +59,7 @@ from ..hwdb.cql.executor import (
     truthy,
 )
 from ..hwdb.cql.parser import AGGREGATE_FUNCTIONS, SCALAR_FUNCTIONS
-from ..hwdb.cql.unparse import unparse, unparse_expr
+from ..hwdb.cql.unparse import unparse_expr
 from ..hwdb.table import StreamTable, TS_COLUMN
 from .optimize import and_chain, needed_columns, rewrite_where
 from .stats import OperatorStats
@@ -264,24 +267,48 @@ class AggregateOp(PlanNode):
 class ProjectOp(PlanNode):
     """Row-wise projection for non-aggregated queries.  HAVING, if
     present, is dropped at compile time: it only filters groups, and a
-    non-aggregated query has none."""
+    non-aggregated query has none.
+
+    When every projection is a bare column, compilation has already
+    bound each one to a row position (:func:`bind_columns`): the node
+    lays a binding's rows side by side, ``(timestamp, *values)`` per
+    source, and one tuple getter picks the output row from that, with
+    no evaluator and no name lookup."""
 
     kind = "project"
 
-    def __init__(self, child: PlanNode, projections: List[Projection]):
+    def __init__(
+        self,
+        child: PlanNode,
+        projections: List[Projection],
+        bound: Optional["BoundColumns"] = None,
+    ):
         super().__init__((child,))
         self.projections = projections
+        self.bound = bound
 
     def describe(self) -> str:
         exprs = ", ".join(unparse_expr(p.expr) for p in self.projections)
         return f"Project [{exprs}]"
 
     def run(self, ctx: ExecContext) -> List[Tuple]:
-        evaluator = ctx.evaluator
-        return [
-            tuple(evaluator.scalar(p.expr, binding) for p in self.projections)
-            for binding in self.children[0].execute(ctx)
-        ]
+        bindings = self.children[0].execute(ctx)
+        if self.bound is None:
+            evaluator = ctx.evaluator
+            return [
+                tuple(evaluator.scalar(p.expr, binding) for p in self.projections)
+                for binding in bindings
+            ]
+        aliases, getter = self.bound
+        out = []
+        for binding in bindings:
+            sources = binding.sources
+            wide: Tuple = ()
+            for alias in aliases:
+                row = sources[alias][1]
+                wide += (row.timestamp,) + row.values
+            out.append(getter(wide))
+        return out
 
 
 class DistinctOp(PlanNode):
@@ -364,7 +391,6 @@ class Plan:
         notes: List[str],
     ):
         self.select = select
-        self.text = unparse(select)
         self.root = root
         self.projections = projections
         self.columns = columns
@@ -460,6 +486,45 @@ def _check_expr(
     raise QueryError(f"cannot evaluate expression {expr!r}")
 
 
+#: Source aliases in row-layout order, and the getter that picks the
+#: output tuple out of their laid-out rows (see :class:`ProjectOp`).
+BoundColumns = Tuple[Tuple[str, ...], Callable[[Tuple], Tuple]]
+
+
+def bind_columns(
+    projections: List[Projection],
+    aliases: Dict[str, StreamTable],
+    resolve: Callable[[ColumnRef], str],
+) -> Optional[BoundColumns]:
+    """Bind each projection to its position in the laid-out row, when
+    every projection is a bare column reference; ``None`` otherwise.
+
+    ``resolve`` picks the alias exactly as ``Binding.resolve`` would
+    (the first source, for an unqualified ``timestamp``), and sources
+    are laid out in ``aliases`` order, which is the order of their
+    rows in every binding.
+    """
+    offsets: Dict[str, int] = {}
+    width = 0
+    for alias, table in aliases.items():
+        offsets[alias] = width
+        width += 1 + len(table.columns)
+    indices = []
+    for projection in projections:
+        ref = projection.expr
+        if not isinstance(ref, ColumnRef):
+            return None
+        alias = resolve(ref)
+        index = offsets[alias]
+        if ref.name != TS_COLUMN:
+            index += 1 + aliases[alias].column_position(ref.name)
+        indices.append(index)
+    if len(indices) == 1:
+        only = indices[0]
+        return tuple(aliases), lambda wide: (wide[only],)
+    return tuple(aliases), operator.itemgetter(*indices)
+
+
 def _check_order_by(order_by: List[OrderItem], columns: List[str]) -> None:
     for item in order_by:
         expr = item.expr
@@ -543,7 +608,7 @@ def compile_select(select: Select, tables: Dict[str, StreamTable]) -> Plan:
     if aggregated:
         node = AggregateOp(node, select.group_by, projections, select.having)
     else:
-        node = ProjectOp(node, projections)
+        node = ProjectOp(node, projections, bind_columns(projections, aliases, resolve))
     if select.distinct:
         node = DistinctOp(node)
     if select.order_by:

@@ -33,6 +33,7 @@ Requests carry the shared token in ``X-Auth-Token``.
 from __future__ import annotations
 
 import logging
+import math
 from typing import Optional, TYPE_CHECKING
 
 from ...core.config import RouterConfig
@@ -50,6 +51,23 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..routing import RouterCore
 
 logger = logging.getLogger(__name__)
+
+
+def _window_seconds(request: HttpRequest) -> float:
+    """The ``window`` query parameter (default 10 s) as a CQL RANGE.
+
+    A value that is not a number, not finite, or negative is the
+    client's fault: 400, not a query that fails to parse.
+    """
+    raw = request.query.get("window", "10")
+    try:
+        window = float(raw)
+    except ValueError:
+        raise HttpError(400, f"bad window {raw!r}: not a number") from None
+    if not math.isfinite(window) or window < 0:
+        raise HttpError(400, f"bad window {raw!r}: need a finite number >= 0")
+    # + 0.0 turns -0.0 into 0.0: the CQL text cannot carry a sign.
+    return window + 0.0
 
 
 class ControlApi(Component):
@@ -231,7 +249,7 @@ class ControlApi(Component):
     def _flows(self, request: HttpRequest) -> HttpResponse:
         if self.hwdb is None:
             raise HttpError(404, "hwdb not attached")
-        window = float(request.query.get("window", "10"))
+        window = _window_seconds(request)
         result = self.hwdb.query(
             f"SELECT src_ip, dst_ip, proto, src_port, dst_port, bytes "
             f"FROM flows [RANGE {window} SECONDS]"
@@ -241,7 +259,7 @@ class ControlApi(Component):
     def _bandwidth(self, request: HttpRequest) -> HttpResponse:
         if self.hwdb is None:
             raise HttpError(404, "hwdb not attached")
-        window = float(request.query.get("window", "10"))
+        window = _window_seconds(request)
         result = self.hwdb.query(
             f"SELECT src_mac, sum(bytes) AS bytes, sum(packets) AS packets "
             f"FROM flows [RANGE {window} SECONDS] GROUP BY src_mac "

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import math
 import random
 from typing import Any, Callable, List, Optional
 
@@ -105,10 +106,13 @@ class Simulator:
         """Run ``action`` every ``interval`` seconds until cancelled.
 
         Returns the handle for the *series*; cancelling it stops future
-        firings.
+        firings.  ``interval`` must be finite and advance the clock from
+        now, or the series would never let time pass.
         """
-        if interval <= 0:
-            raise SimulationError(f"periodic interval must be positive: {interval}")
+        if not (math.isfinite(interval) and self.now + interval > self.now):
+            raise SimulationError(
+                f"periodic interval must be finite and advance the clock: {interval!r}"
+            )
         delay = interval if first_delay is None else first_delay
         event = ScheduledEvent(
             self.now + delay,

@@ -279,6 +279,23 @@ class TestControlApiEndpoints:
         bandwidth = router.control_api.request("GET", "/bandwidth?window=30").json()
         assert bandwidth and bandwidth[0]["bytes"] > 0
 
+    @pytest.mark.parametrize("path", ["/flows", "/bandwidth"])
+    @pytest.mark.parametrize("window", ["abc", "nan", "inf", "-5"])
+    def test_bad_window_is_a_client_error(self, api_env, path, window):
+        _sim, router, _host = api_env
+        before = router.metrics.value("http.handler_error_total")
+        response = router.control_api.request("GET", f"{path}?window={window}")
+        assert response.status == 400
+        assert "bad window" in response.json()["error"]
+        assert router.metrics.value("http.handler_error_total") == before
+        assert router.control_api.request("GET", f"{path}?window=30").status == 200
+
+    @pytest.mark.parametrize("window", ["0", "-0", "1e3"])
+    def test_zero_and_exponent_windows_are_served(self, api_env, window):
+        _sim, router, _host = api_env
+        for path in ("/flows", "/bandwidth"):
+            assert router.control_api.request("GET", f"{path}?window={window}").status == 200
+
     def test_dns_rules_endpoint(self, api_env):
         _sim, router, host = api_env
         router.dns_proxy.filter.allow_only(host.mac, ["facebook.com"])

@@ -13,7 +13,9 @@ import pytest
 from repro.check.cql_reference import execute_select
 from repro.core.clock import SimulatedClock
 from repro.core.errors import QueryError
+from repro.hwdb.cql.ast_nodes import Select
 from repro.hwdb.cql.parser import parse
+from repro.hwdb.cql.unparse import unparse
 from repro.hwdb.database import HomeworkDatabase
 from repro.hwdb.rpc import RpcServer
 from repro.core.metrics import MetricsRegistry
@@ -176,6 +178,46 @@ class TestErrorContract:
         assert replies[0].startswith(b"ERROR cannot evaluate")
         assert registry.counter("rpc.internal_error_total").value == 0
 
+    @pytest.mark.parametrize(
+        "request_text",
+        [
+            "SUBSCRIBE 0 SELECT device FROM flows",
+            "QUERY INSERT INTO nosuch VALUES (1)",
+            "QUERY CREATE TABLE flows (x int)",
+        ],
+        ids=["zero-interval", "insert-unknown-table", "create-existing-table"],
+    )
+    def test_client_faults_are_not_internal_errors(self, request_text):
+        """An hwdb error the request caused is a plain ``ERROR`` reply:
+        no traceback, no internal-error count."""
+        registry = MetricsRegistry()
+        db = HomeworkDatabase(SimulatedClock(), registry=registry)
+        db.create_table("flows", SCHEMA, 64)
+        replies = []
+        RpcServer(db).handle_datagram(request_text.encode(), replies.append)
+        assert replies[0].startswith(b"ERROR ")
+        assert b"internal" not in replies[0]
+        assert registry.counter("rpc.internal_error_total").value == 0
+
+    @pytest.mark.parametrize("interval", ["nan", "1e-300"])
+    def test_subscribe_interval_that_cannot_advance_time_is_refused(self, interval):
+        """A NaN interval, or one too small to add to the clock, would
+        fire forever at one instant; the reply is an error before the
+        simulator ever runs."""
+        sim = Simulator()
+        sim.run_for(1.0)  # 1.0 + 1e-300 == 1.0
+        db = HomeworkDatabase(sim.clock)
+        db.create_table("t", [("x", "integer")], 8)
+        db.attach_scheduler(sim)
+        replies = []
+        RpcServer(db).handle_datagram(
+            f"SUBSCRIBE {interval} SELECT x FROM t".encode(), replies.append
+        )
+        assert replies[0].startswith(b"ERROR subscription interval")
+        assert db.subscriptions() == []
+        sim.run_for(1.0)
+        assert sim.now == 2.0
+
     def test_evaluation_error_evicts_incremental_state(self, engine, db):
         text = "SELECT sum(device) AS s FROM flows [RANGE 60 SECONDS]"
         assert mode_of(engine, db, text) == MODE_INCREMENTAL
@@ -244,6 +286,201 @@ class TestPlanCache:
         assert any("GROUP BY device" in text for text in texts)
         engine.detach_subscription(pinned)
         assert engine.pinned_count == 0
+
+
+def dump(node):
+    """Every attribute of an AST, recursively: a structural fingerprint
+    (``repr`` alone is shallow for most nodes)."""
+    if isinstance(node, (list, tuple)):
+        return tuple(dump(item) for item in node)
+    if type(node).__module__ != "repro.hwdb.cql.ast_nodes":
+        return repr(node)
+    names = list(getattr(type(node), "__slots__", ())) + sorted(
+        getattr(node, "__dict__", {})
+    )
+    return (type(node).__name__, repr(node)) + tuple(
+        (name, dump(getattr(node, name))) for name in names
+    )
+
+
+MUTATION_CASES = [
+    ("plan-tier", "SELECT device, bytes FROM flows [ROWS 5]"),
+    (
+        "incremental-tier",
+        "SELECT device, sum(bytes) AS b FROM flows [RANGE 10 SECONDS] "
+        "GROUP BY device HAVING count(*) > 0",
+    ),
+    (
+        "join",
+        "SELECT f.device, h.owner, timestamp FROM flows f, hosts h "
+        "WHERE f.device = h.device AND f.bytes > 100 AND timestamp >= 2",
+    ),
+    ("star", "SELECT * FROM flows WHERE timestamp > 3 AND 1 + 1 = 2"),
+    ("star-join", "SELECT * FROM flows f, hosts h WHERE f.device = h.device"),
+    (
+        "order-limit",
+        "SELECT device, bytes FROM flows ORDER BY bytes DESC LIMIT 3",
+    ),
+    (
+        "explain",
+        "EXPLAIN SELECT device, sum(bytes) AS b FROM flows [RANGE 10 SECONDS] "
+        "GROUP BY device",
+    ),
+    (
+        "explain-analyze",
+        "EXPLAIN ANALYZE SELECT device, bytes FROM flows "
+        "WHERE bytes > 500 ORDER BY 2 LIMIT 4",
+    ),
+]
+
+
+class TestStatementMap:
+    """The engine parses a SELECT or EXPLAIN text once and hands every
+    later call the same AST, so nothing may mutate it."""
+
+    @pytest.fixture
+    def joined(self, db):
+        db.create_table("hosts", [("device", "varchar"), ("owner", "varchar")], 8)
+        for device, owner in (("dev0", "kim"), ("dev1", "lee")):
+            db._clock.advance(0.5)
+            db.insert("hosts", {"device": device, "owner": owner})
+        fill(db)
+        return db
+
+    @pytest.mark.parametrize(
+        "text",
+        [case[1] for case in MUTATION_CASES],
+        ids=[case[0] for case in MUTATION_CASES],
+    )
+    def test_cached_statement_is_never_mutated(self, joined, text):
+        """Dump the statement as parsed, before anything runs it; then
+        query, fire and recompile it (invalidation) a few times."""
+        db = joined
+        statement, key = db._engine.parse(text)
+        before = (unparse(statement), dump(statement))
+        subscription = None
+        if isinstance(statement, Select):
+            subscription = db.subscribe(text, 1.0, lambda result: None, start=False)
+            assert subscription.select is statement
+        for _ in range(3):
+            fill(db, 5)
+            db.query(text)
+            if subscription is not None:
+                assert subscription.fire() is not None
+            db._engine.invalidate()
+        assert db._engine._statements[text] == (statement, key)
+        assert (unparse(statement), dump(statement)) == before
+
+    def test_repeated_text_lexes_once_and_unparses_once(self, db, monkeypatch):
+        import repro.hwdb.cql.parser as parser_module
+        import repro.query.engine as engine_module
+
+        lexed, unparsed = [], []
+        real_tokenize, real_unparse = parser_module.tokenize, engine_module.unparse
+
+        def counting_tokenize(text):
+            lexed.append(text)
+            return real_tokenize(text)
+
+        def counting_unparse(statement):
+            unparsed.append(statement)
+            return real_unparse(statement)
+
+        monkeypatch.setattr(parser_module, "tokenize", counting_tokenize)
+        monkeypatch.setattr(engine_module, "unparse", counting_unparse)
+        fill(db)
+        text = "SELECT device, bytes FROM flows [RANGE 10 SECONDS]"
+        first = db.query(text).rows
+        assert lexed == [text] and len(unparsed) == 1
+        for _ in range(9):
+            assert db.query(text).rows == first
+        assert lexed == [text] and len(unparsed) == 1
+
+    def test_map_holds_at_most_plan_cache_size_texts(self, db):
+        texts = [
+            f"SELECT device FROM flows [RANGE {i + 1} SECONDS]"
+            for i in range(PLAN_CACHE_SIZE + 20)
+        ]
+        for text in texts:
+            db.query(text)
+        held = list(db._engine._statements)
+        assert held == texts[-PLAN_CACHE_SIZE:]
+
+    def test_least_recently_used_text_leaves_first(self, db):
+        texts = [f"SELECT device FROM flows LIMIT {i + 1}" for i in range(PLAN_CACHE_SIZE)]
+        for text in texts:
+            db.query(text)
+        db.query(texts[0])
+        db.query("SELECT bytes FROM flows")
+        assert texts[0] in db._engine._statements
+        assert texts[1] not in db._engine._statements
+
+    def test_unparseable_text_raises_every_time(self, db):
+        for _ in range(3):
+            with pytest.raises(QueryError, match="expected"):
+                db.query("SELECT FROM flows")
+        assert not db._engine._statements
+
+    def test_insert_and_create_are_never_stored(self, db):
+        for _ in range(2):
+            db.query("INSERT INTO flows VALUES ('tv', 6, 1)")
+        db.query("CREATE TABLE other (x int)")
+        assert not db._engine._statements
+        assert len(db.table("flows")) == 2
+
+
+class TestBoundProjections:
+    """A projection of bare columns is bound to row positions at compile
+    time; the reference executor still resolves every name per row."""
+
+    def assert_same_as_reference(self, db, text):
+        result = db.query(text)
+        reference = execute_select(parse(text), db._tables, db.now)
+        assert result.columns == reference.columns
+        assert [[(type(v), v) for v in row] for row in result.rows] == [
+            [(type(v), v) for v in row] for row in reference.rows
+        ]
+        return result
+
+    def test_join_projects_first_source_timestamp_and_qualified_column(self, db):
+        db.create_table("hosts", [("device", "varchar"), ("owner", "varchar")], 8)
+        fill(db)
+        for device, owner in (("dev0", "kim"), ("dev2", "lee")):
+            db._clock.advance(0.5)
+            db.insert("hosts", {"device": device, "owner": owner})
+        text = (
+            "SELECT timestamp, h.owner, f.bytes, h.timestamp FROM flows f, hosts h "
+            "WHERE f.device = h.device"
+        )
+        project = compile_select(parse(text), db._tables).root
+        assert project.kind == "project" and project.bound is not None
+        result = self.assert_same_as_reference(db, text)
+        assert len(result.rows) == 13
+        assert all(row[0] < row[3] for row in result.rows)
+
+    def test_expression_projection_keeps_the_evaluator(self, db):
+        project = compile_select(
+            parse("SELECT device, bytes + 1 AS b FROM flows"), db._tables
+        ).root
+        assert project.kind == "project" and project.bound is None
+
+    def test_star_over_a_table_with_a_store(self, db, tmp_path):
+        from repro.store import DurableStore
+
+        store = DurableStore(
+            str(tmp_path / "store"),
+            db._clock,
+            flush_interval=0.5,
+            group_records=4,
+            segment_rows=4,
+        )
+        db.drop_table("flows")
+        db.create_table("flows", SCHEMA, 8)
+        store.attach(db)
+        fill(db, 40)
+        result = self.assert_same_as_reference(db, "SELECT * FROM flows")
+        assert len(result.rows) == 40  # the 8-row ring plus the archive
+        store.close()
 
 
 class TestExplain:

@@ -8,7 +8,11 @@ string (which must not collapse into null), and the same payloads
 surviving the PUSH path through the UDP gateway.
 """
 
+import enum
+from typing import List, Tuple
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro import HomeworkRouter, RouterConfig, Simulator
 from repro.core.clock import SimulatedClock
@@ -19,6 +23,8 @@ from repro.hwdb.rpc import (
     HwdbClient,
     LocalTransport,
     RpcServer,
+    _decode_value,
+    _encode_value,
     _escape,
     _unescape,
     pack_resultset,
@@ -95,6 +101,171 @@ class TestResultSetRoundTrip:
     def test_unknown_tag_rejected(self):
         with pytest.raises(RpcError):
             unpack_resultset("v\nz:wat")
+
+
+# -- The codec as it was before its fast paths: the reference ----------
+
+_REF_ESCAPES = {"\\": "\\\\", "\t": "\\t", "\n": "\\n", "\r": "\\r"}
+_REF_UNESCAPES = {"\\\\": "\\", "\\t": "\t", "\\n": "\n", "\\r": "\r"}
+
+
+def ref_escape(text: str) -> str:
+    for raw, escaped in _REF_ESCAPES.items():
+        text = text.replace(raw, escaped)
+    return text
+
+
+def ref_unescape(text: str) -> str:
+    out = []
+    i = 0
+    while i < len(text):
+        if text[i] == "\\" and i + 1 < len(text):
+            pair = text[i : i + 2]
+            if pair in _REF_UNESCAPES:
+                out.append(_REF_UNESCAPES[pair])
+                i += 2
+                continue
+        out.append(text[i])
+        i += 1
+    return "".join(out)
+
+
+def ref_encode_value(value) -> str:
+    if value is None:
+        return "\\N"
+    if isinstance(value, bool):
+        return "b:1" if value else "b:0"
+    if isinstance(value, int):
+        return f"i:{value}"
+    if isinstance(value, float):
+        return f"f:{value!r}"
+    return "s:" + ref_escape(str(value))
+
+
+def ref_decode_value(token: str):
+    if token == "\\N":
+        return None
+    if len(token) < 2 or token[1] != ":":
+        raise RpcError(f"malformed value token {token!r}")
+    tag, body = token[0], token[2:]
+    if tag == "i":
+        return int(body)
+    if tag == "f":
+        return float(body)
+    if tag == "b":
+        return body == "1"
+    if tag == "s":
+        return ref_unescape(body)
+    raise RpcError(f"unknown value tag {tag!r}")
+
+
+def ref_pack_resultset(result: ResultSet) -> str:
+    lines = [f"@{result.executed_at!r}"]
+    lines.append("\t".join(ref_escape(c) for c in result.columns))
+    for row in result.rows:
+        lines.append("\t".join(ref_encode_value(v) for v in row))
+    return "\n".join(lines)
+
+
+def ref_unpack_resultset(text: str) -> ResultSet:
+    lines = text.split("\n")
+    executed_at = 0.0
+    if lines and lines[0].startswith("@"):
+        stamp = lines.pop(0)[1:]
+        try:
+            executed_at = float(stamp)
+        except ValueError:
+            raise RpcError(f"malformed execution timestamp {stamp!r}") from None
+    if not lines or not lines[0]:
+        return ResultSet([], [], executed_at=executed_at)
+    columns = [ref_unescape(c) for c in lines[0].split("\t")]
+    rows: List[Tuple] = []
+    for line in lines[1:]:
+        if not line:
+            continue
+        rows.append(tuple(ref_decode_value(tok) for tok in line.split("\t")))
+    return ResultSet(columns, rows, executed_at=executed_at)
+
+
+class _Level(enum.IntEnum):
+    HIGH = 2
+
+
+class _Label(str):
+    pass
+
+
+#: The four escaped characters, the N of the null token, and a tag.
+_WIRE_ALPHABET = "\\\t\n\rNs:x"
+_wire_text = st.text(alphabet=_WIRE_ALPHABET, max_size=10)
+_values = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.floats(),
+    st.sampled_from(
+        [-0.0, float("nan"), float("inf"), float("-inf"), 1e-300, _Level.HIGH]
+    ),
+    _wire_text,
+    _wire_text.map(_Label),
+)
+
+
+@st.composite
+def _resultsets(draw):
+    width = draw(st.integers(min_value=0, max_value=4))
+    columns = draw(st.lists(_wire_text, min_size=width, max_size=width))
+    rows = draw(
+        st.lists(st.tuples(*[_values] * width), max_size=5) if width else st.just([])
+    )
+    return ResultSet(columns, rows, executed_at=draw(st.floats()))
+
+
+def _canonical(result: ResultSet):
+    """Exact, NaN-safe form: types plus reprs (so -0.0 != 0.0, 1 != True)."""
+    return (
+        result.columns,
+        [[(type(v), repr(v)) for v in row] for row in result.rows],
+        repr(result.executed_at),
+    )
+
+
+def _outcome(fn, *args):
+    try:
+        value = fn(*args)
+    except Exception as exc:  # noqa: BLE001 - compared, not swallowed
+        return ("raise", type(exc), str(exc))
+    return ("value", type(value), repr(value))
+
+
+class TestCodecMatchesReference:
+    """The codec's fast paths leave the wire bytes, and what they decode
+    to, exactly as they were."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_resultsets())
+    def test_pack_and_unpack_match_reference(self, result):
+        wire = pack_resultset(result)
+        assert wire == ref_pack_resultset(result)
+        assert _canonical(unpack_resultset(wire)) == _canonical(
+            ref_unpack_resultset(wire)
+        )
+
+    @settings(max_examples=300, deadline=None)
+    @given(_values)
+    def test_encode_value_matches_reference(self, value):
+        assert _encode_value(value) == ref_encode_value(value)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.text(alphabet=_WIRE_ALPHABET + "ifb01.e-", max_size=8))
+    def test_any_token_decodes_or_raises_like_reference(self, token):
+        assert _outcome(_decode_value, token) == _outcome(ref_decode_value, token)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.text(alphabet=_WIRE_ALPHABET, max_size=12))
+    def test_escape_and_unescape_match_reference(self, text):
+        assert _escape(text) == ref_escape(text)
+        assert _unescape(text) == ref_unescape(text)
 
 
 def _notes_db():

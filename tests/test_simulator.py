@@ -116,6 +116,15 @@ def test_periodic_bad_interval():
         sim.schedule_periodic(0.0, lambda: None)
 
 
+@pytest.mark.parametrize("interval", [float("nan"), float("inf"), 1e-300, -1.0])
+def test_periodic_interval_must_advance_the_clock(interval):
+    """NaN slips past ``<= 0``, and 1e-300 added to 1.0 is 1.0: either
+    series would fire forever at one instant."""
+    sim = Simulator(start_time=1.0)
+    with pytest.raises(SimulationError, match="advance the clock"):
+        sim.schedule_periodic(interval, lambda: None)
+
+
 def test_events_can_schedule_events():
     sim = Simulator()
     seen = []

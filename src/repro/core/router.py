@@ -72,8 +72,10 @@ class HomeworkRouter:
         # the only store of every router count (see stats()).
         self.metrics = MetricsRegistry()
         # The packet-lineage flight recorder (DESIGN.md §16).  Hosts mint
-        # contexts from it at frame TX; everything downstream reads the
-        # context off the frame itself, so only the edges need wiring.
+        # contexts from it at frame TX for sampled frames only; the
+        # datapath and the links mint late, at a slow path or a drop,
+        # for a frame that arrives untraced.  Everything else reads the
+        # context off the frame itself, so only those edges need wiring.
         self.tracer = Tracer(
             clock=sim.clock.now,
             sample=self.config.trace_sample,
@@ -84,6 +86,7 @@ class HomeworkRouter:
 
         # --- datapath + secure channel + NOX --------------------------------
         self.datapath = Datapath(sim, datapath_id=1, name="dp0", registry=self.metrics)
+        self.datapath.tracer = self.tracer
         self.channel = SecureChannel(sim, latency=channel_latency, registry=self.metrics)
         self.controller = Controller(sim, registry=self.metrics)
         self.channel.connect(self.datapath, self.controller.receive)
@@ -98,6 +101,7 @@ class HomeworkRouter:
         self.upstream_link = Link(
             sim, upstream, self.cloud.port, latency=0.005, bandwidth_bps=100e6
         )
+        self.upstream_link.tracer = self.tracer
         # The cloud routes everything back through the router.
         router_upstream_ip = IPv4Address(self.config.upstream_ip) + 1
         self.cloud.netmask = IPv4Address("255.255.255.252")
@@ -234,6 +238,7 @@ class HomeworkRouter:
                 self.sim, host.port, port, bandwidth_bps=bandwidth_bps or 1e9
             )
         host.tracer = self.tracer
+        link.tracer = self.tracer
         self._devices[name] = host
         self._device_links[name] = link
         self.link_collector.register(host.mac, link)
@@ -339,7 +344,10 @@ class HomeworkRouter:
 
         mgmt = Host(self.sim, "hwdbd", "02:00:00:00:00:02", device_class="infrastructure")
         port = self.datapath.add_port("mgmt")
-        Link(self.sim, mgmt.port, port, latency=0.0001, bandwidth_bps=1e9)
+        # The station's link can mint a lineage at a drop; the station
+        # itself samples nothing, so the sampled set ignores it.
+        mgmt_link = Link(self.sim, mgmt.port, port, latency=0.0001, bandwidth_bps=1e9)
+        mgmt_link.tracer = self.tracer
         allocation = self.dhcp.pool.allocate(mgmt.mac)
         self.dhcp.policy.permit(mgmt.mac, self.sim.now)
         self.dhcp.leases.offer(

@@ -1,4 +1,4 @@
-"""Set-field edits on raw Ethernet frames, at fixed offsets.
+"""Set-field edits and the flow key, on raw Ethernet frames, at fixed offsets.
 
 The datapath rewrites a forwarded frame the way Open vSwitch's set-field
 actions do (DESIGN.md §14, "Rewrite in place"): it never parses the
@@ -18,15 +18,23 @@ frame changes.  On a frame the codecs build, the result is therefore
 byte-identical to unpacking the frame, assigning the field and packing
 it again.  Any other frame is edited, not normalised: Ethernet padding,
 IPv4 options and wrong checksums pass through as they came.
+
+:func:`flow_key` reads the datapath's match key the same way (DESIGN.md
+§14, "Key from bytes"), as Open vSwitch's flow extractor does before its
+microflow hash lookup.  It applies the same acceptance tests, plus those
+of ``ICMP.unpack`` and ``ARP.unpack``: a header the codecs would reject
+leaves its fields ``None``, so the key equals the one read off the
+unpacked layer objects, for every frame.
 """
 
 from __future__ import annotations
 
-from typing import Tuple
+import struct
+from typing import Optional, Tuple
 
 from .checksum import checksum_update
-from .ethernet import ETH_TYPE_IPV4
-from .ipv4 import PROTO_TCP, PROTO_UDP
+from .ethernet import ETH_TYPE_ARP, ETH_TYPE_IPV4
+from .ipv4 import PROTO_ICMP, PROTO_TCP, PROTO_UDP
 
 #: Offsets into the frame.
 _DL_DST = 0
@@ -42,10 +50,35 @@ _NW_DST = _L3 + 16
 _IP_MIN_HEADER = 20
 _TCP_MIN_HEADER = 20
 _UDP_HEADER = 8
+_ICMP_HEADER = 8
 #: Checksum offsets within the transport header.
 _L4_CSUM = {PROTO_TCP: 16, PROTO_UDP: 6}
 
 _IPV4_TAG = ETH_TYPE_IPV4.to_bytes(2, "big")
+
+#: An ARP packet ``ARP.unpack`` accepts: 28 bytes starting with hardware
+#: type Ethernet, protocol type IPv4 and address lengths 6 and 4, and
+#: opcode request or reply.
+_ARP_LEN = 28
+_ARP_ETH_IPV4 = bytes([0, 1, 8, 0, 6, 4])
+_ARP_OPCODES = (1, 2)
+_ARP_OPCODE = _L3 + 6
+_ARP_SENDER_IP = _L3 + 14
+_ARP_TARGET_IP = _L3 + 24
+
+#: Ethernet header: dl_dst and dl_src as (high 16, low 32) bit halves.
+_ETH_FIELDS = struct.Struct("!HIHIH")
+_ADDR = struct.Struct("!I")
+_ADDR_PAIR = struct.Struct("!II")
+_PORT_PAIR = struct.Struct("!HH")
+
+#: A flow key in ``repro.openflow.match.MATCH_FIELDS`` order: in_port,
+#: dl_src, dl_dst, dl_type, nw_src, nw_dst, nw_proto, tp_src, tp_dst,
+#: with addresses as ints and absent fields as None.
+FlowKeyTuple = Tuple[
+    int, int, int, int,
+    Optional[int], Optional[int], Optional[int], Optional[int], Optional[int],
+]
 
 
 def set_dl_dst(buf: bytearray, mac: bytes) -> None:
@@ -80,7 +113,51 @@ def set_tp_dst(buf: bytearray, port: int) -> None:
     _set_tp(buf, 2, port)
 
 
-def _ipv4_header_len(buf: bytearray) -> int:
+def flow_key(frame: bytes, in_port: int) -> Optional[FlowKeyTuple]:
+    """The flow key of ``frame`` received on ``in_port``, or None when
+    the frame is shorter than an Ethernet header.
+
+    IPv4 yields the addresses and protocol, plus the ports of a TCP or
+    UDP header and the type and code of an ICMP header.  ARP yields the
+    sender and target addresses and the opcode.  Any other ethertype,
+    and any header the codecs would reject, leaves its fields None.
+    """
+    if len(frame) < _L3:
+        return None
+    dst_hi, dst_lo, src_hi, src_lo, dl_type = _ETH_FIELDS.unpack_from(frame)
+    dl_src = src_hi << 32 | src_lo
+    dl_dst = dst_hi << 32 | dst_lo
+    if dl_type == ETH_TYPE_IPV4:
+        ihl = _ipv4_header_len(frame)
+        if ihl:
+            nw_src, nw_dst = _ADDR_PAIR.unpack_from(frame, _NW_SRC)
+            nw_proto = frame[_IP_PROTO]
+            if nw_proto == PROTO_ICMP:
+                if _segment_len(frame, ihl) >= _ICMP_HEADER:
+                    start = _L3 + ihl
+                    return (
+                        in_port, dl_src, dl_dst, dl_type, nw_src, nw_dst, nw_proto,
+                        frame[start], frame[start + 1],
+                    )
+            else:
+                start, _proto = _transport(frame, ihl)
+                if start:
+                    tp_src, tp_dst = _PORT_PAIR.unpack_from(frame, start)
+                    return (
+                        in_port, dl_src, dl_dst, dl_type, nw_src, nw_dst, nw_proto,
+                        tp_src, tp_dst,
+                    )
+            return (in_port, dl_src, dl_dst, dl_type, nw_src, nw_dst, nw_proto, None, None)
+    elif dl_type == ETH_TYPE_ARP:
+        opcode = _arp_opcode(frame)
+        if opcode:
+            (sender,) = _ADDR.unpack_from(frame, _ARP_SENDER_IP)
+            (target,) = _ADDR.unpack_from(frame, _ARP_TARGET_IP)
+            return (in_port, dl_src, dl_dst, dl_type, sender, target, opcode, None, None)
+    return (in_port, dl_src, dl_dst, dl_type, None, None, None, None, None)
+
+
+def _ipv4_header_len(buf: bytes) -> int:
     """The IPv4 header length ``IPv4.unpack`` would accept, else 0."""
     if len(buf) < _L3 + _IP_MIN_HEADER or buf[_ETHERTYPE:_L3] != _IPV4_TAG:
         return 0
@@ -88,28 +165,45 @@ def _ipv4_header_len(buf: bytearray) -> int:
     ihl = (ver_ihl & 0x0F) * 4
     if ver_ihl >> 4 != 4 or ihl < _IP_MIN_HEADER or len(buf) < _L3 + ihl:
         return 0
-    if int.from_bytes(buf[_IP_TOTAL_LEN : _IP_TOTAL_LEN + 2], "big") < ihl:
+    if (buf[_IP_TOTAL_LEN] << 8 | buf[_IP_TOTAL_LEN + 1]) < ihl:
         return 0
     return ihl
 
 
-def _transport(buf: bytearray, ihl: int) -> Tuple[int, int]:
-    """``(offset, proto)`` of the TCP/UDP header the codecs would parse
-    behind an IPv4 header of ``ihl`` bytes, else ``(0, 0)``."""
-    start = _L3 + ihl
+def _segment_len(buf: bytes, ihl: int) -> int:
+    """Bytes behind an IPv4 header of ``ihl`` bytes that the codecs hand
+    to the layer above."""
     # The segment ends at total_len or the frame's end, whichever is first.
     l3_len = len(buf) - _L3
-    total_len = int.from_bytes(buf[_IP_TOTAL_LEN : _IP_TOTAL_LEN + 2], "big")
-    size = min(total_len, l3_len) - ihl
+    total_len = buf[_IP_TOTAL_LEN] << 8 | buf[_IP_TOTAL_LEN + 1]
+    return (total_len if total_len < l3_len else l3_len) - ihl
+
+
+def _transport(buf: bytes, ihl: int) -> Tuple[int, int]:
+    """``(offset, proto)`` of the TCP/UDP header the codecs would parse
+    behind an IPv4 header of ``ihl`` bytes, else ``(0, 0)``.  ICMP is
+    not a transport here: it has no ports to edit."""
+    start = _L3 + ihl
+    if len(buf) < start + _UDP_HEADER:
+        return 0, 0  # no room for the smaller of the two headers
+    size = _segment_len(buf, ihl)
     proto = buf[_IP_PROTO]
     if proto == PROTO_TCP and size >= _TCP_MIN_HEADER:
         offset = (buf[start + 12] >> 4) * 4
         if _TCP_MIN_HEADER <= offset <= size:
             return start, proto
     elif proto == PROTO_UDP and size >= _UDP_HEADER:
-        if int.from_bytes(buf[start + 4 : start + 6], "big") >= _UDP_HEADER:
+        if (buf[start + 4] << 8 | buf[start + 5]) >= _UDP_HEADER:
             return start, proto
     return 0, 0
+
+
+def _arp_opcode(buf: bytes) -> int:
+    """The opcode of the ARP packet ``ARP.unpack`` would accept, else 0."""
+    if len(buf) < _L3 + _ARP_LEN or buf[_L3 : _L3 + 6] != _ARP_ETH_IPV4:
+        return 0
+    opcode = buf[_ARP_OPCODE] << 8 | buf[_ARP_OPCODE + 1]
+    return opcode if opcode in _ARP_OPCODES else 0
 
 
 def _set_nw(buf: bytearray, at: int, ip: bytes) -> None:

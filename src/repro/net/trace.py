@@ -17,6 +17,11 @@ fields and the link's scheduled deliveries — all of those move the
 *object*, never a copy.  Any code that re-serialises a frame
 (``frame.pack()`` after a NAT rewrite, a DNS reply built from a query)
 must re-attach the context with :func:`with_trace`.
+
+Only a sampled frame carries a context from the moment it is sent.  The
+others travel as plain ``bytes`` until a slow path or a drop meets them;
+that site mints the lineage (``Tracer.late``) and, if the frame goes on,
+sends the tagged copy.
 """
 
 from __future__ import annotations
@@ -92,13 +97,14 @@ class TraceHop:
 class TraceContext:
     """The lineage of one packet, appended to as it traverses the stack.
 
-    ``sampled`` is decided at mint time by the tracer's deterministic
-    counter (no RNG draws — golden-trace digests must not move).
-    ``active`` starts equal to ``sampled`` and flips to True when a
-    terminal drop/deny decision forces publication; hot-path call sites
-    gate per-hop work on it, slow paths (already paying a controller
-    round trip) record unconditionally so a late drop still has its
-    prefix.
+    ``sampled`` is True for a context minted at transmit, which the
+    tracer's deterministic counter chose (no RNG draws — golden-trace
+    digests must not move), and False for one minted late, where a slow
+    path or a drop first met the frame.  ``active`` starts equal to
+    ``sampled`` and flips to True when a terminal drop/deny decision
+    forces publication; hot-path call sites gate per-hop work on it,
+    slow paths (already paying a controller round trip) record
+    unconditionally so a later drop still has its prefix.
     """
 
     __slots__ = ("mint", "sampled", "active", "forced", "ended", "_hops", "clock", "tracer", "ordinal")
@@ -119,8 +125,10 @@ class TraceContext:
     @property
     def trace_id(self) -> str:
         """The packet's id, formatted lazily — minting is hot-path work
-        (one context per packet while tracing), rendering is not."""
-        return f"{self.mint:08x}"
+        (one context per sampled packet), rendering is not.  Sampled and
+        late mints count separately; the ``L`` prefix keeps the two id
+        spaces apart."""
+        return f"{self.mint:08x}" if self.sampled else f"L{self.mint:07x}"
 
     @property
     def hops(self) -> List[TraceHop]:
@@ -204,7 +212,8 @@ class TracedBytes(bytes):
     ``isinstance(frame, bytes)`` stays true and every parser/len/struct
     path is untouched; only attribute storage is added.  ``bytes``
     subclasses cannot use ``__slots__``, so instances carry a dict —
-    acceptable because TracedBytes exists only while tracing is enabled.
+    acceptable because only sampled frames and frames whose lineage was
+    minted late (at a slow path or a drop) are ever wrapped.
     """
 
     trace: Optional[TraceContext]

@@ -16,18 +16,24 @@ live in :mod:`repro.net.trace`.  Three consumers share its output:
 
 Sampling is a deterministic modulo counter, *not* an RNG draw: enabling
 tracing must never advance ``sim.random``, or the 50-seed golden-trace
-digests of PR 8 would move.  Dropped/denied packets bypass sampling
-entirely — their contexts are force-published from the decision point
+digests would move.  Only sampled transmissions get a context when they
+are sent; every other frame travels as plain bytes, and the first
+slow-path or drop site that meets it mints its lineage there
+(:meth:`Tracer.late`).  Dropped/denied packets bypass sampling entirely
+— their contexts are force-published from the decision point
 (DESIGN.md §16, "always trace the bad news").
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Callable, Iterable, List, Optional
+from typing import TYPE_CHECKING, Callable, Iterable, List, Optional
 
 from ..core.metrics import MetricsRegistry
 from ..net.trace import TraceContext
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from ..net.port import Port
 
 #: hwdb stream table receiving one row per hop (see hwdb.schema).
 TRACES_TABLE = "traces"
@@ -51,11 +57,15 @@ class Tracer:
         self._period = 0
         self.set_sample(sample)
         self.finished: deque = deque(maxlen=buffer)
+        # The sampling counter (every begin() call while enabled) and the
+        # late mints' own id counter; the two never meet.
         self._seq = 0
-        self._started_synced = 0
+        self._late_seq = 0
         self._finish_ordinal = 0
         self._export_cursor = 0
         registry = registry if registry is not None else MetricsRegistry()
+        #: Contexts actually minted: sampled transmissions (begin) plus
+        #: late mints (late).  Unsampled begin() calls mint nothing.
         self._m_started = registry.counter("trace.contexts_started_total")
         self._m_published = registry.counter("trace.lineages_published_total")
         self._m_evicted = registry.counter("trace.lineages_evicted_total")
@@ -65,11 +75,12 @@ class Tracer:
     # ------------------------------------------------------------------
 
     def set_sample(self, sample: float) -> None:
-        """Sampling rate in [0, 1]; 1/N packets get a full lineage."""
+        """Sampling rate in [0, 1]: every ``round(1 / sample)``-th
+        transmission gets a full lineage (none at 0)."""
         if not 0.0 <= sample <= 1.0:
             raise ValueError(f"trace_sample must be within [0, 1]: {sample}")
         self.sample = sample
-        # Deterministic counter sampling: every Nth mint is sampled.
+        # Deterministic counter sampling: every Nth begin() is sampled.
         self._period = 0 if sample <= 0.0 else max(1, round(1.0 / sample))
 
     def enable(self, sample: Optional[float] = None, publish: bool = True) -> None:
@@ -84,26 +95,53 @@ class Tracer:
     # ------------------------------------------------------------------
 
     def begin(self) -> Optional[TraceContext]:
-        """A fresh context for a packet entering the network, or None.
+        """A context for a frame a host transmits, or None.
 
-        This is hot-path work (one mint per packet while tracing), so it
-        does the minimum: bump the mint counter, decide sampling, build
-        the context.  The id string is formatted lazily and the started
-        metric is synced in batches by :meth:`_sync_metrics`.
+        Only sampled transmissions get one: every call while tracing is
+        on advances the sampling counter, and every ``period``-th call is
+        sampled.  An unsampled frame travels as plain bytes and records
+        no ``host tx`` hop; if it later meets a slow path or a drop, that
+        site mints its lineage (:meth:`late`).  This is hot-path work,
+        one call per transmitted frame, so an unsampled call does nothing
+        else.  The id string is formatted lazily.
         """
         if not self.enabled:
             return None
         self._seq += 1
-        sampled = self._period > 0 and self._seq % self._period == 0
-        return TraceContext(
-            mint=self._seq, sampled=sampled, clock=self.clock, tracer=self
-        )
+        if not self._period or self._seq % self._period:
+            return None
+        self._m_started.inc()
+        return TraceContext(mint=self._seq, sampled=True, clock=self.clock, tracer=self)
 
-    def _sync_metrics(self) -> None:
-        """Fold mints since the last sync into the started counter."""
-        if self._seq != self._started_synced:
-            self._m_started.inc(self._seq - self._started_synced)
-            self._started_synced = self._seq
+    def late(self, frame: bytes, sender: Optional["Port"]) -> Optional[TraceContext]:
+        """A lineage for an untraced ``frame``, minted where a slow path
+        or a drop meets it; None while tracing is off.
+
+        The root hop is back-filled from what the minting site knows: the
+        port that sent the frame and its ethertype, at the mint time.  Its
+        component is ``host`` only when a host's port (number 0) sent the
+        frame; a frame the datapath forwarded, or one with no known
+        sender, is rooted at ``datapath``.  A late context is unsampled
+        (it publishes only when a drop forces it), takes its id from its
+        own counter and leaves the sampling counter alone, so it never
+        collides with a sampled id nor shifts which transmissions are
+        sampled.
+        """
+        if not self.enabled:
+            return None
+        self._late_seq += 1
+        self._m_started.inc()
+        ctx = TraceContext(mint=self._late_seq, sampled=False, clock=self.clock, tracer=self)
+        port = sender.name if sender is not None else "none"
+        if len(frame) >= 14:
+            cause = f"port={port} ethertype={int.from_bytes(frame[12:14], 'big'):#06x}"
+        else:
+            cause = f"port={port} len={len(frame)}"
+        if sender is not None and sender.number == 0:
+            ctx.hop("host", "tx", cause=cause)
+        else:
+            ctx.hop("datapath", "tx", cause=cause)
+        return ctx
 
     def publish(self, ctx: TraceContext) -> None:
         """Called by ``TraceContext.finish`` for sampled/forced lineages."""
@@ -120,7 +158,6 @@ class Tracer:
 
     def recent(self, limit: int = 10) -> List[TraceContext]:
         """Most recently finished lineages, newest last."""
-        self._sync_metrics()
         items = list(self.finished)
         return items[-limit:]
 
@@ -136,7 +173,6 @@ class Tracer:
         even though the retention deque also serves the CLI; lineages
         evicted before a flush are simply lost, like any bounded stream.
         """
-        self._sync_metrics()
         rows: List[dict] = []
         for ctx in self.finished:
             if ctx.ordinal < self._export_cursor:

@@ -20,7 +20,8 @@ from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
 from ..core.errors import DatapathError
 from ..core.metrics import MetricsRegistry
 from ..net.port import Port
-from ..net.trace import trace_of, with_trace
+from ..net.rewrite import flow_key
+from ..net.trace import TraceContext, trace_of, with_trace
 from .actions import (
     ActionList,
     Output,
@@ -34,7 +35,6 @@ from .actions import (
     PORT_TABLE,
 )
 from .flow_table import FlowEntry, FlowTable, matching_keys
-from .match import extract_key
 from .messages import (
     BarrierReply,
     BarrierRequest,
@@ -125,6 +125,11 @@ class Datapath:
         # Taps observe every frame entering the datapath (port mirroring
         # for the measurement plane, e.g. pcap capture).
         self.taps: List[Callable[[bytes, int], None]] = []
+
+        # Packet-lineage flight recorder; the router injects its Tracer
+        # (None = tracing off).  Slow-path and drop sites mint a lineage
+        # from it for a frame that arrives without one.
+        self.tracer = None
 
         # Statistics.  The lookup split (cache hit / table hit / miss)
         # is the two-tier design's headline ratio.
@@ -285,6 +290,14 @@ class Datapath:
 
     def _handle_flow_mod(self, mod: FlowMod) -> None:
         self._m_flow_mods.inc()
+        if mod.command in (FC_ADD, FC_MODIFY, FC_MODIFY_STRICT) and any(
+            isinstance(a, Output) and a.port == PORT_TABLE for a in mod.actions
+        ):
+            # OpenFlow 1.0 allows OFPP_TABLE only as a packet-out
+            # destination: a flow outputting to the table would feed
+            # every frame it matches back into itself.
+            self._reply(ErrorMessage("bad_action", "output to PORT_TABLE", xid=mod.xid))
+            return
         if mod.command == FC_ADD:
             entry = FlowEntry(
                 match=mod.match,
@@ -391,25 +404,30 @@ class Datapath:
         self.process_frame(raw, port.number)
 
     def process_frame(self, raw: bytes, in_port: int) -> None:
-        """The datapath receive path: cache → table → controller."""
+        """The datapath receive path: cache → table → controller.
+
+        Both tiers are probed with the key tuple read off the frame's
+        bytes; no layer or address object is built.
+        """
         # Inlined counter.inc() on the per-packet path: the attribute add
         # is measurably cheaper than a method call.
         self._m_packets.value += 1
         for tap in self.taps:
             tap(raw, in_port)
-        key = extract_key(raw, in_port)
-        ctx = trace_of(raw)
+        key = flow_key(raw, in_port)
         if key is None:
+            _raw, ctx = self._lineage(raw, in_port)
             if ctx is not None:
                 ctx.finish("datapath", "drop", decision="drop", cause="unparseable")
             return  # unparseable, drop
 
         if self.enable_cache:
-            cached = self._cache.get(key.as_tuple())
+            cached = self._cache.get(key)
             if cached is not None:
                 self._m_cache_hits.value += 1
                 cached.entry.touch(self.sim.now, len(raw))
                 # Fast path: per-hop work only for sampled/forced traces.
+                ctx = trace_of(raw)
                 if ctx is not None and ctx.active:
                     ctx.hop(
                         "datapath",
@@ -420,10 +438,11 @@ class Datapath:
                 self._execute(raw, cached.actions, in_port)
                 return
 
-        entry = self.table.lookup(key)
+        entry = self.table.lookup_tuple(key)
         if entry is not None:
             self._m_table_hits.value += 1
             entry.touch(self.sim.now, len(raw))
+            ctx = trace_of(raw)
             if ctx is not None and ctx.active:
                 ctx.hop(
                     "datapath",
@@ -434,16 +453,33 @@ class Datapath:
             if self.enable_cache and self._cacheable(entry.actions):
                 if len(self._cache) >= self.cache_size:
                     self._cache.clear()  # OVS-style wholesale flush
-                self._cache[key.as_tuple()] = _CacheEntry(entry)
+                self._cache[key] = _CacheEntry(entry)
             self._execute(raw, entry.actions, in_port)
             return
 
         self._m_misses.inc()
+        raw, ctx = self._lineage(raw, in_port)
         if ctx is not None:
             # Slow path already pays a controller round trip: record
             # unconditionally so a later drop/deny keeps its prefix.
             ctx.hop("datapath", "lookup", decision="miss")
         self._punt(raw, in_port, REASON_NO_MATCH)
+
+    def _lineage(self, raw: bytes, in_port: int) -> Tuple[bytes, Optional[TraceContext]]:
+        """``raw`` and the lineage it carries, minting one late for an
+        untraced frame (DESIGN.md §16); only slow-path and drop sites ask.
+
+        The late root names the port that sent the frame: the link peer
+        of ``in_port``.
+        """
+        ctx = trace_of(raw)
+        if ctx is not None or self.tracer is None:
+            return raw, ctx
+        port = self._ports.get(in_port)
+        link = port.link if port is not None else None
+        sender = link.peer(port) if link is not None else None
+        ctx = self.tracer.late(raw, sender)
+        return with_trace(raw, ctx), ctx
 
     @staticmethod
     def _cacheable(actions: ActionList) -> bool:
@@ -453,7 +489,9 @@ class Datapath:
         )
 
     def _punt(self, raw: bytes, in_port: int, reason: int) -> None:
-        ctx = trace_of(raw)
+        # The tagged frame is what the buffer holds and the PacketIn
+        # carries, so every handler above reads the lineage off msg.data.
+        raw, ctx = self._lineage(raw, in_port)
         if self.channel is None:
             if ctx is not None:
                 ctx.finish("datapath", "drop", decision="drop", cause="no_channel")
@@ -505,7 +543,7 @@ class Datapath:
 
     def _execute(self, raw: bytes, actions: ActionList, in_port: int) -> None:
         if not actions:
-            ctx = trace_of(raw)
+            _raw, ctx = self._lineage(raw, in_port)
             if ctx is not None:
                 # Matching a drop flow is a terminal decision: always
                 # traced, regardless of sampling.

@@ -402,8 +402,13 @@ class FlowTable:
 
     def lookup(self, key: FlowKey) -> Optional[FlowEntry]:
         """Highest-priority entry matching ``key``, or None (table miss)."""
+        return self.lookup_tuple(key.as_tuple())
+
+    def lookup_tuple(self, key_tuple: Tuple) -> Optional[FlowEntry]:
+        """:meth:`lookup` for a key tuple, as the datapath reads it off
+        the frame (:func:`repro.net.rewrite.flow_key`)."""
         self.lookup_count += 1
-        best = self.resolve(key.as_tuple())
+        best = self.resolve(key_tuple)
         if best is not None:
             self.matched_count += 1
         return best

@@ -3,7 +3,10 @@
 A :class:`FlowKey` is the exact header tuple the datapath extracts from a
 packet (what Open vSwitch's kernel flow extractor produces); a
 :class:`Match` is a possibly-wildcarded pattern over those fields (what
-flow-mod rules carry).
+flow-mod rules carry).  The extraction itself reads the frame's bytes
+(:func:`repro.net.rewrite.flow_key`); the datapath probes its cache and
+table with that tuple, and a :class:`FlowKey` is the same tuple with
+address objects, for code that reads fields by name.
 """
 
 from __future__ import annotations
@@ -11,12 +14,8 @@ from __future__ import annotations
 from typing import Optional, Tuple, Union
 
 from ..net.addresses import IPv4Address, MACAddress
-from ..net.arp import ARP
-from ..net.ethernet import ETH_TYPE_ARP, ETH_TYPE_IPV4, Ethernet
-from ..net.ipv4 import IPv4, PROTO_ICMP, PROTO_TCP, PROTO_UDP
 from ..net.packet import PacketError
-from ..net.tcp import TCP
-from ..net.udp import UDP
+from ..net.rewrite import flow_key
 
 MATCH_FIELDS = (
     "in_port",
@@ -59,44 +58,28 @@ class FlowKey:
         self.tp_dst = tp_dst
 
     @classmethod
-    def extract(cls, frame: Union[bytes, Ethernet], in_port: int) -> "FlowKey":
+    def extract(cls, frame: bytes, in_port: int) -> "FlowKey":
         """Parse wire bytes into the canonical key (the "flow extract")."""
-        if isinstance(frame, (bytes, bytearray)):
-            frame = Ethernet.unpack(bytes(frame))
-        key = cls(
-            in_port=in_port,
-            dl_src=frame.src,
-            dl_dst=frame.dst,
-            dl_type=frame.ethertype,
+        key = flow_key(frame, in_port)
+        if key is None:
+            raise PacketError(f"Ethernet frame too short: {len(frame)} bytes")
+        return cls.from_tuple(key)
+
+    @classmethod
+    def from_tuple(cls, key: Tuple) -> "FlowKey":
+        """The key whose :meth:`as_tuple` is ``key``."""
+        in_port, dl_src, dl_dst, dl_type, nw_src, nw_dst, nw_proto, tp_src, tp_dst = key
+        return cls(
+            in_port,
+            MACAddress(dl_src),
+            MACAddress(dl_dst),
+            dl_type,
+            None if nw_src is None else IPv4Address(nw_src),
+            None if nw_dst is None else IPv4Address(nw_dst),
+            nw_proto,
+            tp_src,
+            tp_dst,
         )
-        if frame.ethertype == ETH_TYPE_IPV4:
-            ip = frame.find(IPv4)
-            if ip is not None:
-                key.nw_src = ip.src
-                key.nw_dst = ip.dst
-                key.nw_proto = ip.proto
-                if ip.proto == PROTO_TCP:
-                    tcp = ip.find(TCP)
-                    if tcp is not None:
-                        key.tp_src = tcp.sport
-                        key.tp_dst = tcp.dport
-                elif ip.proto == PROTO_UDP:
-                    udp = ip.find(UDP)
-                    if udp is not None:
-                        key.tp_src = udp.sport
-                        key.tp_dst = udp.dport
-                elif ip.proto == PROTO_ICMP:
-                    icmp = ip.payload
-                    if hasattr(icmp, "icmp_type"):
-                        key.tp_src = icmp.icmp_type
-                        key.tp_dst = icmp.code
-        elif frame.ethertype == ETH_TYPE_ARP:
-            arp = frame.find(ARP)
-            if arp is not None:
-                key.nw_src = arp.sender_ip
-                key.nw_dst = arp.target_ip
-                key.nw_proto = arp.opcode
-        return key
 
     def as_tuple(self) -> Tuple:
         """Hashable form used by the kernel-style exact-match cache."""
@@ -110,18 +93,6 @@ class FlowKey:
             self.nw_proto,
             self.tp_src,
             self.tp_dst,
-        )
-
-    def five_tuple(self) -> Optional[Tuple[str, str, int, int, int]]:
-        """(src-ip, dst-ip, proto, sport, dport) for the hwdb Flows table."""
-        if self.nw_src is None or self.nw_dst is None or self.nw_proto is None:
-            return None
-        return (
-            str(self.nw_src),
-            str(self.nw_dst),
-            self.nw_proto,
-            self.tp_src or 0,
-            self.tp_dst or 0,
         )
 
     def __eq__(self, other: object) -> bool:
@@ -289,9 +260,7 @@ class Match:
         return f"Match({', '.join(parts) if parts else '*'})"
 
 
-def extract_key(frame: Union[bytes, Ethernet], in_port: int) -> Optional[FlowKey]:
+def extract_key(frame: bytes, in_port: int) -> Optional[FlowKey]:
     """Extract a flow key, returning None for unparseable frames."""
-    try:
-        return FlowKey.extract(frame, in_port)
-    except PacketError:
-        return None
+    key = flow_key(frame, in_port)
+    return None if key is None else FlowKey.from_tuple(key)

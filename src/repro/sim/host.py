@@ -222,7 +222,8 @@ class Host:
         self.frames_sent = 0
 
         # Packet-lineage flight recorder; the router injects its Tracer
-        # when the device attaches (None = tracing off, zero cost).
+        # when the device attaches (None = tracing off, zero cost).  Only
+        # sampled transmissions get a context here (Tracer.begin).
         self.tracer = None
 
     # ------------------------------------------------------------------

@@ -8,11 +8,11 @@ visualise.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Optional
 
 from ..core.errors import SimulationError
 from ..net.port import Port, ReceiveHandler
-from ..net.trace import trace_of
+from ..net.trace import TraceContext, trace_of
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .simulator import Simulator
@@ -57,6 +57,10 @@ class Link:
         # delivery, (0.0, 0.0) duplicates, (delta,) reorders past frames
         # queued behind it.
         self.fault = None
+        # Packet-lineage flight recorder; the router injects its Tracer
+        # (None = tracing off).  A drop mints a lineage from it for a
+        # frame that arrives without one.
+        self.tracer = None
 
     def peer(self, port: Port) -> Port:
         if port is self.a:
@@ -64,6 +68,14 @@ class Link:
         if port is self.b:
             return self.a
         raise SimulationError("port not on this link")
+
+    def _lineage(self, from_port: Port, frame: bytes) -> Optional[TraceContext]:
+        """The lineage ``frame`` carries, minted late at this drop site
+        for an untraced frame; its root names ``from_port``."""
+        ctx = trace_of(frame)
+        if ctx is None and self.tracer is not None:
+            ctx = self.tracer.late(frame, from_port)
+        return ctx
 
     def _serialization_delay(self, frame: bytes) -> float:
         return len(frame) * 8.0 / self.bandwidth_bps
@@ -83,13 +95,14 @@ class Link:
         """Schedule delivery of ``frame`` at the far end."""
         destination = self.peer(from_port)
         plan = self._delivery_plan(frame)
-        ctx = trace_of(frame)
         if not plan:
             self.frames_dropped += 1
+            ctx = self._lineage(from_port, frame)
             if ctx is not None:
                 # A drop always publishes its lineage (sampling bypassed).
                 ctx.finish("link", "drop", decision="drop", cause="link_fault")
             return
+        ctx = trace_of(frame)
         if ctx is not None and ctx.active:
             ctx.hop("link", "deliver", cause=f"wired dst={destination.name}")
         start = max(self.sim.now, self._busy_until[id(from_port)])
@@ -162,9 +175,9 @@ class WirelessLink(Link):
             attempts += 1
         self.transmissions += attempts
         self.retries += attempts - 1
-        ctx = trace_of(frame)
         if attempts > self.max_retries:
             self.frames_dropped += 1
+            ctx = self._lineage(from_port, frame)
             if ctx is not None:
                 ctx.finish(
                     "link",
@@ -176,9 +189,11 @@ class WirelessLink(Link):
         plan = self._delivery_plan(frame)
         if not plan:
             self.frames_dropped += 1
+            ctx = self._lineage(from_port, frame)
             if ctx is not None:
                 ctx.finish("link", "drop", decision="drop", cause="link_fault")
             return
+        ctx = trace_of(frame)
         if ctx is not None and ctx.active:
             ctx.hop(
                 "link",

@@ -14,7 +14,7 @@ import heapq
 import itertools
 import math
 import random
-from typing import Any, Callable, List, Optional
+from typing import Any, Callable, List, Optional, Tuple
 
 from ..core.clock import SimulatedClock
 from ..core.errors import SimulationError
@@ -51,9 +51,6 @@ class ScheduledEvent:
             if self.owner is not None:
                 self.owner._note_cancelled()
 
-    def __lt__(self, other: "ScheduledEvent") -> bool:
-        return (self.when, self.seq) < (other.when, other.seq)
-
 
 class Simulator:
     """A deterministic event-driven simulator.
@@ -62,6 +59,10 @@ class Simulator:
     runs are reproducible given the same seed.  The simulator owns the
     :class:`SimulatedClock` and an :class:`EventBus` shared by all
     simulated components.
+
+    The heap holds ``(when, seq, event)`` tuples.  ``seq`` is unique, so
+    ``heapq`` orders entries by comparing two numbers in C and never
+    reaches the event itself.
     """
 
     #: Compaction threshold: rebuild the heap once more than half of it
@@ -73,7 +74,7 @@ class Simulator:
         self.clock = SimulatedClock(start_time)
         self.bus = EventBus()
         self.random = random.Random(seed)
-        self._queue: List[ScheduledEvent] = []
+        self._queue: List[Tuple[float, int, ScheduledEvent]] = []
         self._seq = itertools.count()
         self._running = False
         self.events_executed = 0
@@ -89,7 +90,7 @@ class Simulator:
         if delay < 0:
             raise SimulationError(f"cannot schedule in the past: delay={delay}")
         event = ScheduledEvent(self.now + delay, next(self._seq), action, owner=self)
-        heapq.heappush(self._queue, event)
+        heapq.heappush(self._queue, (event.when, event.seq, event))
         return event
 
     def schedule_at(self, when: float, action: Action) -> ScheduledEvent:
@@ -97,7 +98,7 @@ class Simulator:
         if when < self.now:
             raise SimulationError(f"cannot schedule in the past: {when} < {self.now}")
         event = ScheduledEvent(when, next(self._seq), action, owner=self)
-        heapq.heappush(self._queue, event)
+        heapq.heappush(self._queue, (when, event.seq, event))
         return event
 
     def schedule_periodic(
@@ -122,7 +123,7 @@ class Simulator:
             interval=interval,
             owner=self,
         )
-        heapq.heappush(self._queue, event)
+        heapq.heappush(self._queue, (event.when, event.seq, event))
         return event
 
     def _note_cancelled(self) -> None:
@@ -149,22 +150,22 @@ class Simulator:
         a cancel inside a running callback can land here, and the queue
         stays the one list object that every push and pop uses.
         """
-        self._queue[:] = [event for event in self._queue if not event.cancelled]
+        self._queue[:] = [entry for entry in self._queue if not entry[2].cancelled]
         heapq.heapify(self._queue)
         self._cancelled_in_queue = 0
         self.compactions += 1
 
     def _pop_due(self, horizon: float) -> Optional[ScheduledEvent]:
-        while self._queue:
-            head = self._queue[0]
-            if head.when > horizon:
+        queue = self._queue
+        while queue:
+            if queue[0][0] > horizon:
                 return None
-            heapq.heappop(self._queue)
-            if head.cancelled:
+            event = heapq.heappop(queue)[2]
+            if event.cancelled:
                 if self._cancelled_in_queue > 0:
                     self._cancelled_in_queue -= 1
                 continue
-            return head
+            return event
         return None
 
     def _execute(self, event: ScheduledEvent) -> None:
@@ -174,7 +175,7 @@ class Simulator:
         if event.periodic and not event.cancelled:
             event.when += event.interval
             event.seq = next(self._seq)
-            heapq.heappush(self._queue, event)
+            heapq.heappush(self._queue, (event.when, event.seq, event))
 
     def run_until(self, when: float) -> int:
         """Execute events up to and including time ``when``.
@@ -204,7 +205,8 @@ class Simulator:
         """Drain the whole queue (one-shot events), up to ``max_events``."""
         executed = 0
         while self._queue and executed < max_events:
-            event = heapq.heappop(self._queue)
+            entry = heapq.heappop(self._queue)
+            event = entry[2]
             if event.cancelled:
                 if self._cancelled_in_queue > 0:
                     self._cancelled_in_queue -= 1
@@ -212,7 +214,7 @@ class Simulator:
             if event.periodic:
                 # Draining with periodic events would never terminate;
                 # re-queue and stop at this timestamp instead.
-                heapq.heappush(self._queue, event)
+                heapq.heappush(self._queue, entry)
                 break
             self._execute(event)
             executed += 1
@@ -220,4 +222,4 @@ class Simulator:
 
     def pending(self) -> int:
         """Number of scheduled, uncancelled events."""
-        return sum(1 for e in self._queue if not e.cancelled)
+        return sum(1 for entry in self._queue if not entry[2].cancelled)

@@ -7,6 +7,7 @@ from repro.net import ETH_TYPE_IPV4, Ethernet, IPv4, PROTO_TCP, TCP
 from repro.openflow.actions import (
     PORT_CONTROLLER,
     PORT_FLOOD,
+    PORT_TABLE,
     SetDlDst,
     drop,
     output,
@@ -21,6 +22,9 @@ from repro.openflow.messages import (
     EchoReply,
     EchoRequest,
     ErrorMessage,
+    FC_ADD,
+    FC_MODIFY,
+    FC_MODIFY_STRICT,
     FeaturesReply,
     FeaturesRequest,
     FlowMod,
@@ -328,3 +332,44 @@ class TestProtocolMessages:
         assert body.active_count == 1
         assert body.lookup_count == 1
         assert body.matched_count == 1
+
+
+class TestOutputToTable:
+    """OpenFlow 1.0 allows OFPP_TABLE only as a packet-out destination.
+
+    A flow whose actions output to the table would send every frame it
+    matches back through the pipeline into itself, without end.
+    """
+
+    @pytest.mark.parametrize("command", [FC_ADD, FC_MODIFY, FC_MODIFY_STRICT])
+    def test_flow_mod_outputting_to_table_is_refused(self, dp, command):
+        dp.handle_message(FlowMod.add(Match(dl_type=ETH_TYPE_IPV4), output(2)))
+        dp.process_frame(frame_bytes(), 1)
+        dp.process_frame(frame_bytes(), 1)
+        assert dp.cache_len() == 1
+        before = [(e.match, e.actions, e.priority) for e in dp.table]
+        dp.handle_message(
+            FlowMod(command, Match(dl_type=ETH_TYPE_IPV4), output(PORT_TABLE), xid=41)
+        )
+        errors = [m for m in dp.messages if isinstance(m, ErrorMessage)]
+        assert [(e.error_type, e.xid) for e in errors] == [("bad_action", 41)]
+        assert [(e.match, e.actions, e.priority) for e in dp.table] == before
+        assert dp.cache_len() == 1
+
+    def test_next_frame_does_not_recurse(self, dp):
+        dp.handle_message(FlowMod.add(Match(dl_type=ETH_TYPE_IPV4), output(PORT_TABLE)))
+        dp.process_frame(frame_bytes(), 1)
+        assert dp.registry.value("openflow.packet_total") == 1
+        assert len(dp.table) == 0
+
+    def test_packet_out_to_table_goes_through_the_table_once(self, sim, dp):
+        received = []
+        peer = Port("host")
+        peer.on_receive(lambda data, port: received.append(data))
+        Link(sim, dp.port(2), peer)
+        dp.handle_message(FlowMod.add(Match(tp_dst=80), output(2)))
+        dp.handle_message(PacketOut(output(PORT_TABLE), data=frame_bytes(), in_port=1))
+        sim.run_for(1.0)
+        assert dp.registry.value("openflow.packet_total") == 1
+        assert dp.table.lookup_count == 1
+        assert len(received) == 1

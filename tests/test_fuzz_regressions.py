@@ -57,33 +57,39 @@ GOLDEN_SEEDS = 50
 GOLDEN_SEEDS_FAST = 6
 
 
-def _run_with_tracing(seed: int, traced: bool):
-    """One fuzzer scenario with the runner's flight recorder on or off.
+def _run_with_tracing(seed: int, sample):
+    """One fuzzer scenario with the runner's flight recorder at ``sample``,
+    or off when ``sample`` is None.
 
-    The runner enables in-memory, publish-free tracing by default;
-    forcing the tracer off replays the exact pre-recorder world.  The
-    digests must agree: sampling is a deterministic counter (no RNG
-    draws) and drop lineages never touch hwdb insert counts.
+    The runner enables in-memory, publish-free tracing at sample 0 by
+    default, where every lineage is minted late, at a slow path or a
+    drop; sample 1.0 mints one at every transmission instead.  Forcing
+    the tracer off replays the exact pre-recorder world.  The digests
+    must agree: sampling is a deterministic counter (no RNG draws) and
+    drop lineages never touch hwdb insert counts.
     """
     scenario = generate_scenario(seed)
     runner = ScenarioRunner(scenario)
-    if not traced:
+    if sample is None:
         runner.router.tracer.enabled = False
+    else:
+        runner.router.tracer.set_sample(sample)
     result = runner.run()
     return result.trace_hash, runner.sim.events_executed
 
 
 def _assert_tracing_invisible(seed: int):
-    traced_hash, traced_events = _run_with_tracing(seed, True)
-    plain_hash, plain_events = _run_with_tracing(seed, False)
-    assert traced_hash == plain_hash, (
-        f"seed {seed}: lineage tracing changed the trace hash "
-        f"({traced_hash[:12]} != {plain_hash[:12]})"
-    )
-    assert traced_events == plain_events, (
-        f"seed {seed}: events_executed diverged "
-        f"({traced_events} != {plain_events})"
-    )
+    plain_hash, plain_events = _run_with_tracing(seed, None)
+    for sample in (0.0, 1.0):
+        traced_hash, traced_events = _run_with_tracing(seed, sample)
+        assert traced_hash == plain_hash, (
+            f"seed {seed}: lineage tracing at sample {sample} changed the "
+            f"trace hash ({traced_hash[:12]} != {plain_hash[:12]})"
+        )
+        assert traced_events == plain_events, (
+            f"seed {seed}: events_executed diverged at sample {sample} "
+            f"({traced_events} != {plain_events})"
+        )
 
 
 @pytest.mark.parametrize("seed", range(GOLDEN_SEEDS_FAST))

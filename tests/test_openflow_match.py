@@ -79,14 +79,6 @@ class TestFlowKeyExtraction:
     def test_extract_key_helper_bad_bytes(self):
         assert extract_key(b"\x00" * 4, 1) is None
 
-    def test_five_tuple(self):
-        key = FlowKey.extract(tcp_frame().pack(), 1)
-        assert key.five_tuple() == ("10.2.0.6", "31.13.72.36", PROTO_TCP, 50000, 443)
-
-    def test_five_tuple_none_for_non_ip(self):
-        frame = Ethernet("02:00:00:00:00:02", "02:00:00:00:00:01", 0x9999, b"")
-        assert FlowKey.extract(frame.pack(), 1).five_tuple() is None
-
     def test_key_hash_equality(self):
         k1 = FlowKey.extract(tcp_frame().pack(), 1)
         k2 = FlowKey.extract(tcp_frame().pack(), 1)

@@ -13,9 +13,14 @@ path at all.
 import pytest
 
 from repro import HomeworkRouter, RouterConfig, Simulator
-from repro.net.trace import TracedBytes, with_trace
+from repro.check.faults import LinkFault
+from repro.net.trace import TracedBytes, trace_of, with_trace
 from repro.obs.trace import render_lineage
+from repro.openflow.actions import drop
+from repro.openflow.match import Match
+from repro.openflow.messages import FlowMod
 from repro.services.dnsproxy.filter import DeviceRule, MODE_ALLOW
+from repro.sim.traffic import WebBrowsing
 
 from tests.conftest import join_device
 
@@ -159,7 +164,8 @@ class TestSamplingRules:
 
     def test_sampling_is_a_deterministic_counter(self):
         sim, router = build_router(trace_sample=0.5)
-        sampled = [router.tracer.begin().sampled for _ in range(8)]
+        # Only sampled transmissions get a context; the others get None.
+        sampled = [router.tracer.begin() is not None for _ in range(8)]
         assert sampled == [False, True] * 4
 
     def test_disabled_tracer_leaves_frames_untouched(self):
@@ -216,3 +222,194 @@ class TestTracesTable:
         first = router.tracer.export_rows()
         assert first
         assert router.tracer.export_rows() == []
+
+
+# ----------------------------------------------------------------------
+# Mint on demand: untraced frames get a lineage where they drop
+# ----------------------------------------------------------------------
+
+TV_MAC = "02:aa:00:00:00:02"
+
+
+def late_drops(router, mark):
+    """Forced lineages finished since ``mark``; each must be a late mint
+    with its own id."""
+    drops = [ctx for ctx in finished_since(router.tracer, mark) if ctx.forced]
+    ids = [ctx.trace_id for ctx in drops]
+    assert len(set(ids)) == len(ids), ids
+    assert all(not ctx.sampled and ctx.trace_id.startswith("L") for ctx in drops)
+    return drops
+
+
+def warm_router():
+    """Sample 0, one wired device with its upstream flow in place."""
+    sim, router = build_router(trace_sample=0.0)
+    tv = join_device(router, "tv", TV_MAC)
+    sport = tv.udp_send(router.config.upstream_ip, 9, b"warm-up")
+    sim.run_for(1.0)
+    return sim, router, tv, sport
+
+
+class TestLateMint:
+    def test_link_fault_roots_at_host_tx(self):
+        sim, router, tv, sport = warm_router()
+        router.device_link("tv").fault = LinkFault(drop=1.0)
+        mark = router.tracer._finish_ordinal
+        tv.udp_send(router.config.upstream_ip, 9, b"lost", sport=sport)
+        sent_at = sim.now
+        sim.run_for(1.0)
+        (ctx,) = late_drops(router, mark)
+        assert chain(ctx) == [("host", "tx", ""), ("link", "drop", "drop")]
+        root = ctx.hops[0]
+        assert root.t == sent_at
+        assert root.cause == "port=tv.eth0 ethertype=0x0800"
+        assert ctx.hops[-1].cause == "link_fault"
+
+    def test_wireless_retries_exhausted_roots_at_host_tx(self):
+        sim, router = build_router(trace_sample=0.0)
+        cam = join_device(router, "cam", "02:aa:00:00:00:07", wireless=True)
+        sport = cam.udp_send(router.config.upstream_ip, 9, b"warm-up")
+        sim.run_for(1.0)
+        router.device_link("cam").loss_probability = lambda: 1.0
+        mark = router.tracer._finish_ordinal
+        cam.udp_send(router.config.upstream_ip, 9, b"lost", sport=sport)
+        sim.run_for(1.0)
+        (ctx,) = late_drops(router, mark)
+        assert chain(ctx) == [("host", "tx", ""), ("link", "drop", "drop")]
+        assert ctx.hops[-1].cause.startswith("retries_exceeded")
+
+    def test_link_drop_after_datapath_forward_is_not_rooted_at_a_host(self):
+        sim, router, tv, sport = warm_router()
+        misses = router.metrics.value("openflow.miss_total")
+        router.upstream_link.fault = LinkFault(drop=1.0)
+        mark = router.tracer._finish_ordinal
+        tv.udp_send(router.config.upstream_ip, 9, b"forwarded", sport=sport)
+        sim.run_for(1.0)
+        # Forwarded by the installed flow, with no slow path to mint at.
+        assert router.metrics.value("openflow.miss_total") == misses
+        (ctx,) = late_drops(router, mark)
+        assert chain(ctx) == [("datapath", "tx", ""), ("link", "drop", "drop")]
+        upstream = router.datapath.port(router.upstream_port)
+        assert ctx.hops[0].cause == f"port={upstream.name} ethertype=0x0800"
+
+    def test_drop_flow_on_table_hit_and_on_cache_hit(self):
+        sim, router, tv, sport = warm_router()
+        router.datapath.handle_message(
+            FlowMod.add(Match(dl_src=TV_MAC), drop(), priority=0xFFFF)
+        )
+        hits = router.metrics.value("openflow.cache_hit_total")
+        mark = router.tracer._finish_ordinal
+        tv.udp_send(router.config.upstream_ip, 9, b"table-hit", sport=sport)
+        sim.run_for(0.5)
+        tv.udp_send(router.config.upstream_ip, 9, b"cache-hit", sport=sport)
+        sim.run_for(0.5)
+        assert router.metrics.value("openflow.cache_hit_total") == hits + 1
+        drops = late_drops(router, mark)
+        assert [chain(ctx) for ctx in drops] == [
+            [("host", "tx", ""), ("datapath", "drop", "drop")]
+        ] * 2
+        assert [ctx.hops[-1].cause for ctx in drops] == ["drop_flow"] * 2
+
+    def test_frame_under_fourteen_bytes(self):
+        sim, router, tv, _sport = warm_router()
+        mark = router.tracer._finish_ordinal
+        tv.port.send(b"\x00" * 10)
+        sim.run_for(0.5)
+        (ctx,) = late_drops(router, mark)
+        assert chain(ctx) == [("host", "tx", ""), ("datapath", "drop", "drop")]
+        assert ctx.hops[0].cause == "port=tv.eth0 len=10"
+        assert ctx.hops[-1].cause == "unparseable"
+
+    def test_punt_with_no_channel(self):
+        sim, router, tv, _sport = warm_router()
+        router.datapath.channel = None
+        mark = router.tracer._finish_ordinal
+        tv.udp_send(router.config.upstream_ip, 9, b"new-flow")
+        sim.run_for(0.5)
+        (ctx,) = late_drops(router, mark)
+        assert chain(ctx) == [
+            ("host", "tx", ""),
+            ("datapath", "lookup", "miss"),
+            ("datapath", "drop", "drop"),
+        ]
+        assert ctx.hops[-1].cause == "no_channel"
+
+    def test_channel_disconnected_after_the_punt(self):
+        sim, router, tv, _sport = warm_router()
+        router.channel.disconnect()
+        mark = router.tracer._finish_ordinal
+        tv.udp_send(router.config.upstream_ip, 9, b"new-flow")
+        sim.run_for(0.5)
+        (ctx,) = late_drops(router, mark)
+        assert chain(ctx) == [
+            ("host", "tx", ""),
+            ("datapath", "lookup", "miss"),
+            ("datapath", "punt", "to_controller"),
+            ("channel", "drop", "drop"),
+        ]
+
+    def test_policy_deny(self):
+        sim, router, tv, _sport = warm_router()
+        router.dhcp.policy.set_state(tv.mac, "denied")
+        mark = router.tracer._finish_ordinal
+        tv.udp_send(router.config.upstream_ip, 9, b"denied-datagram")
+        sim.run_for(2.0)
+        (ctx,) = late_drops(router, mark)
+        assert chain(ctx) == [
+            ("host", "tx", ""),
+            ("datapath", "lookup", "miss"),
+            ("datapath", "punt", "to_controller"),
+            ("channel", "deliver", ""),
+            ("controller", "packet_in", ""),
+            ("policy", "verdict", "deny"),
+            ("router", "drop", "drop"),
+        ]
+
+    def test_late_mints_leave_the_sampled_set_alone(self):
+        sim, router = build_router(trace_sample=0.5)
+        tracer = router.tracer
+        started = router.metrics.value("trace.contexts_started_total")
+        got, late = [], []
+        for _ in range(8):
+            late.append(tracer.late(b"\x00" * 14, None))
+            got.append(tracer.begin())
+        assert [ctx is not None for ctx in got] == [False, True] * 4
+        assert [ctx.trace_id for ctx in got if ctx] == [
+            "00000002", "00000004", "00000006", "00000008"
+        ]
+        assert [ctx.trace_id for ctx in late] == [f"L{n:07x}" for n in range(1, 9)]
+        assert [chain(ctx) for ctx in late] == [[("datapath", "tx", "")]] * 8
+        # Minted contexts only: four sampled, eight late.
+        assert router.metrics.value("trace.contexts_started_total") == started + 12
+
+
+class TestUnsampledFramesStayPlain:
+    def test_only_sampled_or_late_minted_frames_are_tagged(self):
+        sim, router = build_router(trace_sample=0.01)
+        seen = []
+        for name, mac in (("laptop", "02:aa:00:00:00:01"), ("tv", TV_MAC)):
+            host = join_device(router, name, mac)
+            link = router.device_link(name)
+            original = link.transmit
+
+            def tap(from_port, frame, original=original):
+                seen.append((from_port.number, frame))
+                original(from_port, frame)
+
+            link.transmit = tap
+            WebBrowsing(host).start(0.2)
+        sim.run_for(20.0)
+        sent = [frame for number, frame in seen if number == 0]
+        received = [frame for number, frame in seen if number != 0]
+        assert len(sent) > 300 and received
+        for frame in sent:
+            ctx = trace_of(frame)
+            # A host tags a frame only when the counter sampled it.
+            assert ctx is None or (ctx.sampled and chain(ctx)[0] == ("host", "tx", ""))
+        for frame in received:
+            ctx = trace_of(frame)
+            # Towards a host: sampled at its sender, or minted at the
+            # table miss that sent it to the controller.
+            assert ctx is None or ctx.sampled or ("datapath", "lookup", "miss") in chain(ctx)
+        tagged = sum(isinstance(frame, TracedBytes) for frame in sent)
+        assert 0 < tagged < len(sent) // 20

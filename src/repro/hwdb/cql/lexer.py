@@ -8,7 +8,7 @@ joins, aggregation, plus INSERT/CREATE for completeness.
 
 from __future__ import annotations
 
-from typing import Iterator, List, NamedTuple, Optional
+from typing import List, NamedTuple, Optional
 
 from ...core.errors import QueryError
 

@@ -20,14 +20,13 @@ from .ast_nodes import (
     Select,
     TableRef,
     Unary,
-    W_ALL,
     W_NOW,
     W_RANGE,
     W_ROWS,
     W_SINCE,
     Window,
 )
-from .lexer import Token, TokenStream, tokenize
+from .lexer import TokenStream, tokenize
 
 Statement = Union[Select, Insert, CreateTable, Explain]
 

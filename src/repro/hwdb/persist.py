@@ -17,7 +17,6 @@ single delivery is never split across files.
 from __future__ import annotations
 
 import csv
-import io
 import json
 import os
 from pathlib import Path

@@ -13,7 +13,7 @@ from __future__ import annotations
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from ..core.errors import HwdbError
-from .types import Column, ColumnType, TIMESTAMP
+from .types import Column
 
 #: Name of the implicit timestamp column present on every table.
 TS_COLUMN = "timestamp"

@@ -21,7 +21,7 @@ back as a one-column result set of plan lines.
 from __future__ import annotations
 
 import logging
-from typing import TYPE_CHECKING, Callable, Dict, Optional, Tuple, Union
+from typing import TYPE_CHECKING, Callable, Dict, Optional, Union
 
 from ..core.errors import RpcError
 from ..net.addresses import IPv4Address

@@ -18,7 +18,7 @@ from typing import Dict, Optional, Tuple, TYPE_CHECKING, Union
 
 from ..core.events import Event, EventBus
 from ..hwdb.database import HomeworkDatabase
-from ..net.addresses import MACAddress
+from ..net.addresses import IPv4Address, MACAddress
 from ..net.ethernet import ETH_TYPE_IPV4
 from ..openflow.messages import STATS_FLOW, StatsReply
 
@@ -29,7 +29,9 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 logger = logging.getLogger(__name__)
 
-FlowStatsKey = Tuple[str, str, int, int, int, int]  # five-tuple + src mac
+#: Five-tuple + src mac, all as ints: every entry of every poll is keyed,
+#: and only the rows written format their addresses.
+FlowStatsKey = Tuple[int, int, int, int, int, int]
 
 
 class FlowCollector:
@@ -103,8 +105,8 @@ class FlowCollector:
         ):
             return None
         return (
-            str(match.nw_src),
-            str(match.nw_dst),
+            int(match.nw_src),
+            int(match.nw_dst),
             match.nw_proto,
             match.tp_src or 0,
             match.tp_dst or 0,
@@ -116,8 +118,8 @@ class FlowCollector:
         self.db.insert(
             "flows",
             {
-                "src_ip": src_ip,
-                "dst_ip": dst_ip,
+                "src_ip": str(IPv4Address(src_ip)),
+                "dst_ip": str(IPv4Address(dst_ip)),
                 "proto": proto,
                 "src_port": sport,
                 "dst_port": dport,

@@ -7,7 +7,7 @@ emits.  BOOTP fixed fields plus the option TLVs the home deployment uses.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Union
+from typing import Dict, Optional, Union
 
 from .addresses import IPv4Address, MACAddress
 from .packet import Packet, PacketError

@@ -38,7 +38,7 @@ from ..openflow.messages import (
     StatsReply,
     StatsRequest,
 )
-from .component import CONTINUE, Component, STOP
+from .component import Component, STOP
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..sim.simulator import Simulator

@@ -13,7 +13,7 @@ from typing import Dict
 
 from ..net.addresses import MACAddress
 from ..openflow.actions import flood, output
-from ..openflow.match import FlowKey, Match, extract_key
+from ..openflow.match import Match, extract_key
 from ..openflow.messages import NO_BUFFER, PacketIn
 from .component import CONTINUE, Component, STOP
 from .controller import EV_PACKET_IN

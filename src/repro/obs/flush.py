@@ -17,7 +17,7 @@ router runs; old snapshots fall off the end.
 from __future__ import annotations
 
 import logging
-from typing import Callable, List, Optional, TYPE_CHECKING
+from typing import Callable, List, TYPE_CHECKING
 
 from ..core.metrics import MetricsRegistry
 

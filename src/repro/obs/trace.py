@@ -16,12 +16,14 @@ live in :mod:`repro.net.trace`.  Three consumers share its output:
 
 Sampling is a deterministic modulo counter, *not* an RNG draw: enabling
 tracing must never advance ``sim.random``, or the 50-seed golden-trace
-digests would move.  Only sampled transmissions get a context when they
-are sent; every other frame travels as plain bytes, and the first
-slow-path or drop site that meets it mints its lineage there
-(:meth:`Tracer.late`).  Dropped/denied packets bypass sampling entirely
-— their contexts are force-published from the decision point
-(DESIGN.md §16, "always trace the bad news").
+digests would move.  The counter is kept as a countdown to the next
+sampled transmission, which a transmitting host decrements inline
+(:attr:`Tracer.countdown`); only the transmission that takes it to zero
+calls the tracer, and only a sampled one gets a context.  Every other
+frame travels as plain bytes, and the first slow-path or drop site that
+meets it mints its lineage there (:meth:`Tracer.late`).  Dropped/denied
+packets bypass sampling entirely — their contexts are force-published
+from the decision point (DESIGN.md §16, "always trace the bad news").
 """
 
 from __future__ import annotations
@@ -38,6 +40,11 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 #: hwdb stream table receiving one row per hop (see hwdb.schema).
 TRACES_TABLE = "traces"
 
+#: The countdown while no transmission can be sampled (tracing off, or
+#: sample 0): more transmissions than any run makes.  Reaching zero
+#: anyway just re-arms it.
+_IDLE_COUNTDOWN = 1 << 62
+
 
 class Tracer:
     """Mints trace ids, samples deterministically, retains lineages."""
@@ -51,21 +58,30 @@ class Tracer:
         registry: Optional[MetricsRegistry] = None,
     ):
         self.clock = clock
-        self.enabled = enabled
         self.publish_enabled = True
-        self.sample = 0.0
+        # The sampling counter counts transmissions while tracing is on.
+        # It is kept as ``_armed_at`` (its value when last armed) plus
+        # how far ``countdown`` has fallen since, so hosts can advance
+        # it without a call.  The late mints have their own id counter;
+        # the two never meet.
+        self._enabled = False
         self._period = 0
+        self._armed_at = 0
+        self._armed_gap = _IDLE_COUNTDOWN
+        #: Transmissions left until the next sampled one.  A host
+        #: decrements it once per frame and calls :meth:`sampled` only
+        #: when it reaches zero.
+        self.countdown = _IDLE_COUNTDOWN
+        self.sample = 0.0
         self.set_sample(sample)
+        self.enabled = enabled
         self.finished: deque = deque(maxlen=buffer)
-        # The sampling counter (every begin() call while enabled) and the
-        # late mints' own id counter; the two never meet.
-        self._seq = 0
         self._late_seq = 0
         self._finish_ordinal = 0
         self._export_cursor = 0
         registry = registry if registry is not None else MetricsRegistry()
-        #: Contexts actually minted: sampled transmissions (begin) plus
-        #: late mints (late).  Unsampled begin() calls mint nothing.
+        #: Contexts actually minted: sampled transmissions (sampled)
+        #: plus late mints (late).  Unsampled transmissions mint nothing.
         self._m_started = registry.counter("trace.contexts_started_total")
         self._m_published = registry.counter("trace.lineages_published_total")
         self._m_evicted = registry.counter("trace.lineages_evicted_total")
@@ -79,9 +95,37 @@ class Tracer:
         transmission gets a full lineage (none at 0)."""
         if not 0.0 <= sample <= 1.0:
             raise ValueError(f"trace_sample must be within [0, 1]: {sample}")
+        counted = self._counted()
         self.sample = sample
-        # Deterministic counter sampling: every Nth begin() is sampled.
+        # Deterministic counter sampling: every Nth transmission is sampled.
         self._period = 0 if sample <= 0.0 else max(1, round(1.0 / sample))
+        self._arm(counted)
+
+    @property
+    def enabled(self) -> bool:
+        return self._enabled
+
+    @enabled.setter
+    def enabled(self, on: bool) -> None:
+        counted = self._counted()
+        self._enabled = bool(on)
+        self._arm(counted)
+
+    def _counted(self) -> int:
+        """Transmissions counted so far (only those made while enabled)."""
+        if not self._enabled:
+            return self._armed_at
+        return self._armed_at + self._armed_gap - self.countdown
+
+    def _arm(self, counted: int) -> None:
+        """Point the countdown at the first transmission after ``counted``
+        that the modulo counter samples."""
+        self._armed_at = counted
+        if self._enabled and self._period:
+            self._armed_gap = self._period - counted % self._period
+        else:
+            self._armed_gap = _IDLE_COUNTDOWN
+        self.countdown = self._armed_gap
 
     def enable(self, sample: Optional[float] = None, publish: bool = True) -> None:
         """Turn tracing on (the fuzzer passes ``publish=False``)."""
@@ -95,23 +139,34 @@ class Tracer:
     # ------------------------------------------------------------------
 
     def begin(self) -> Optional[TraceContext]:
-        """A context for a frame a host transmits, or None.
+        """Count one transmission: its context when it is sampled, else
+        None.  :meth:`Host.send_frame <repro.sim.host.Host.send_frame>`
+        does the same inline, calling :meth:`sampled` only at zero; this
+        one-call form is kept for tests that count transmissions without
+        a host."""
+        self.countdown -= 1
+        if self.countdown:
+            return None
+        return self.sampled()
 
-        Only sampled transmissions get one: every call while tracing is
-        on advances the sampling counter, and every ``period``-th call is
+    def sampled(self) -> Optional[TraceContext]:
+        """The context for the transmission that took :attr:`countdown`
+        to zero, and the countdown re-armed for the next one.
+
+        Only sampled transmissions get one: every transmission while
+        tracing is on advances the counter, and every ``period``-th is
         sampled.  An unsampled frame travels as plain bytes and records
         no ``host tx`` hop; if it later meets a slow path or a drop, that
-        site mints its lineage (:meth:`late`).  This is hot-path work,
-        one call per transmitted frame, so an unsampled call does nothing
-        else.  The id string is formatted lazily.
+        site mints its lineage (:meth:`late`).  The id string is
+        formatted lazily.  None when the countdown ran out without a
+        sample due (tracing off, or sample 0).
         """
-        if not self.enabled:
-            return None
-        self._seq += 1
-        if not self._period or self._seq % self._period:
+        counted = self._counted()
+        self._arm(counted)
+        if not self._enabled or not self._period:
             return None
         self._m_started.inc()
-        return TraceContext(mint=self._seq, sampled=True, clock=self.clock, tracer=self)
+        return TraceContext(mint=counted, sampled=True, clock=self.clock, tracer=self)
 
     def late(self, frame: bytes, sender: Optional["Port"]) -> Optional[TraceContext]:
         """A lineage for an untraced ``frame``, minted where a slow path

@@ -11,8 +11,14 @@ into buckets by wildcard mask — every rule in a bucket specifies the
 same fields (with the same CIDR prefixes), so a single masked hash probe
 finds all candidates at once.  Buckets are visited in descending
 max-priority order with early exit, preserving the linear scan's exact
-winner (priority, then insertion order).  :class:`LinearFlowTable` keeps
-the original O(n) scan as the differential-testing reference.
+winner (priority, then insertion order).
+
+Flow-mods are indexed too: every entry also sits in a group for each
+MAC address it pins, keyed by (field, value).  A delete or modify whose
+match pins ``dl_src`` or ``dl_dst`` — as every flow-mod the router
+sends does — confirms just the smaller group instead of scanning the
+table.  :class:`LinearFlowTable` keeps the original O(n) scans as the
+differential-testing reference.
 """
 
 from __future__ import annotations
@@ -158,6 +164,32 @@ def _masked(key_tuple: Tuple, mask: Tuple) -> Optional[Tuple]:
     return tuple(parts)
 
 
+def _key_of(match: Match) -> Tuple:
+    """A match's values laid out as a packet key tuple: ints, with None
+    where the match wildcards the field."""
+    return tuple(
+        None if value is None else int(value)
+        for value in (getattr(match, field) for field in MATCH_FIELDS)
+    )
+
+
+def _group_keys(match: Match) -> List[Tuple[str, int]]:
+    """The flow-mod index groups of a match: ``(field, value)`` for each
+    MAC address it pins."""
+    keys = []
+    if match.dl_src is not None:
+        keys.append(("dl_src", int(match.dl_src)))
+    if match.dl_dst is not None:
+        keys.append(("dl_dst", int(match.dl_dst)))
+    return keys
+
+
+def _table_rank(entry: FlowEntry) -> Tuple[int, int]:
+    """An entry's place in table order: descending priority, then
+    insertion order."""
+    return (-entry.priority, entry._order)
+
+
 class _Bucket:
     """All wildcard entries sharing one mask, hashed by concrete fields.
 
@@ -259,6 +291,9 @@ class FlowTable:
         self._ordered_buckets: List[_Bucket] = []
         self._order_dirty = False
         self._next_order = 0
+        # Flow-mod index: (field, MAC) -> {_order: entry} for the
+        # dl_src and dl_dst each entry pins.
+        self._groups: Dict[Tuple[str, int], Dict[int, FlowEntry]] = {}
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -274,6 +309,13 @@ class FlowTable:
     # ------------------------------------------------------------------
 
     def _index(self, entry: FlowEntry) -> None:
+        groups = self._groups
+        for group_key in _group_keys(entry.match):
+            group = groups.get(group_key)
+            if group is None:
+                groups[group_key] = {entry._order: entry}
+            else:
+                group[entry._order] = entry
         if entry.match.is_exact:
             key = _bucket_key(entry.match, _EXACT_MASK)
             entry._index_key = (_EXACT_SENTINEL, key)
@@ -304,6 +346,12 @@ class FlowTable:
     def _unindex(self, entry: FlowEntry) -> None:
         if entry._index_key is None:
             return
+        groups = self._groups
+        for group_key in _group_keys(entry.match):
+            group = groups[group_key]
+            del group[entry._order]
+            if not group:
+                del groups[group_key]
         mask, key = entry._index_key
         entry._index_key = None
         if mask is _EXACT_SENTINEL:
@@ -325,6 +373,24 @@ class FlowTable:
         if bucket.size == 0:
             del self._buckets[mask]
         self._order_dirty = True
+
+    def _candidates(self, match: Match) -> Optional[Collection[FlowEntry]]:
+        """The entries a flow-mod on ``match`` can touch, or None when
+        ``match`` pins neither MAC address and the table must be scanned.
+
+        Every entry that ``match`` covers, or that has its exact pattern,
+        pins each MAC address ``match`` pins, to the same value.  So it
+        sits in the group of each of them, and the smaller group holds
+        all of them; a missing group means none exists.
+        """
+        smallest: Optional[Dict[int, FlowEntry]] = None
+        for group_key in _group_keys(match):
+            group = self._groups.get(group_key)
+            if group is None:
+                return ()
+            if smallest is None or len(group) < len(smallest):
+                smallest = group
+        return None if smallest is None else smallest.values()
 
     def _bucket_order(self) -> List[_Bucket]:
         if self._order_dirty:
@@ -437,8 +503,9 @@ class FlowTable:
         priority: int = DEFAULT_PRIORITY,
     ) -> int:
         """Update actions on matching entries; returns count modified."""
+        candidates = self._candidates(match)
         modified = 0
-        for entry in self._entries:
+        for entry in self._entries if candidates is None else candidates:
             if self._mod_matches(entry, match, strict, priority):
                 entry.actions = list(actions)
                 modified += 1
@@ -451,21 +518,23 @@ class FlowTable:
         priority: int = DEFAULT_PRIORITY,
         out_port: Optional[int] = None,
     ) -> List[FlowEntry]:
-        """Remove matching entries; returns them (for flow-removed events)."""
-        removed: List[FlowEntry] = []
-        kept: List[FlowEntry] = []
-        for entry in self._entries:
-            if self._mod_matches(entry, match, strict, priority) and self._out_port_matches(
-                entry, out_port
-            ):
-                removed.append(entry)
-            else:
-                kept.append(entry)
+        """Remove matching entries; returns them in table order (for
+        flow-removed events)."""
+        candidates = self._candidates(match)
+        removed = [
+            entry
+            for entry in (self._entries if candidates is None else candidates)
+            if self._mod_matches(entry, match, strict, priority)
+            and self._out_port_matches(entry, out_port)
+        ]
         if removed:
-            self._entries = kept
-            self._neg_priorities = [-entry.priority for entry in kept]
+            if candidates is not None:
+                removed.sort(key=_table_rank)
             for entry in removed:
                 self._unindex(entry)
+            # One filtering pass: what _unindex just cleared is gone.
+            self._entries = [e for e in self._entries if e._index_key is not None]
+            self._neg_priorities = [-e.priority for e in self._entries]
         return removed
 
     @staticmethod
@@ -514,6 +583,7 @@ class FlowTable:
         self._buckets = {}
         self._ordered_buckets = []
         self._order_dirty = False
+        self._groups = {}
         return count
 
     def index_stats(self) -> Dict[str, int]:
@@ -555,12 +625,13 @@ IndexedFlowTable = FlowTable
 
 
 class LinearFlowTable(FlowTable):
-    """The original O(n) priority scan, kept as the testing reference.
+    """The original O(n) scans, kept as the testing reference.
 
-    Mutation semantics are inherited (the entry list is maintained
-    identically); only ``lookup`` differs — a literal walk of the
-    priority-sorted list.  The differential property tests assert this
-    and :class:`FlowTable` always pick the identical winner.
+    Adds and expiry are inherited (the entry list is maintained
+    identically); ``lookup``, ``modify`` and ``delete`` are literal walks
+    of the priority-sorted list.  The differential property tests assert
+    that this and :class:`FlowTable` pick the identical winner, and
+    modify and remove the identical entries in the identical order.
     """
 
     def lookup(self, key: FlowKey) -> Optional[FlowEntry]:
@@ -570,6 +641,40 @@ class LinearFlowTable(FlowTable):
                 self.matched_count += 1
                 return entry
         return None
+
+    def modify(
+        self, match: Match, actions: ActionList, strict: bool = False,
+        priority: int = DEFAULT_PRIORITY,
+    ) -> int:
+        modified = 0
+        for entry in self._entries:
+            if self._mod_matches(entry, match, strict, priority):
+                entry.actions = list(actions)
+                modified += 1
+        return modified
+
+    def delete(
+        self,
+        match: Match,
+        strict: bool = False,
+        priority: int = DEFAULT_PRIORITY,
+        out_port: Optional[int] = None,
+    ) -> List[FlowEntry]:
+        removed: List[FlowEntry] = []
+        kept: List[FlowEntry] = []
+        for entry in self._entries:
+            if self._mod_matches(entry, match, strict, priority) and self._out_port_matches(
+                entry, out_port
+            ):
+                removed.append(entry)
+            else:
+                kept.append(entry)
+        if removed:
+            self._entries = kept
+            self._neg_priorities = [-entry.priority for entry in kept]
+            for entry in removed:
+                self._unindex(entry)
+        return removed
 
 
 def _overlaps(a: Match, b: Match) -> bool:
@@ -584,10 +689,9 @@ def _overlaps(a: Match, b: Match) -> bool:
         if value_a is None or value_b is None:
             continue
         if field in ("nw_src", "nw_dst"):
-            prefix = min(
-                getattr(a, field + "_prefix"), getattr(b, field + "_prefix")
+            mask = _prefix_mask(
+                min(getattr(a, field + "_prefix"), getattr(b, field + "_prefix"))
             )
-            mask = ((1 << prefix) - 1) << (32 - prefix) if prefix else 0
             if (int(value_a) & mask) != (int(value_b) & mask):
                 return False
         elif value_a != value_b:
@@ -596,20 +700,17 @@ def _overlaps(a: Match, b: Match) -> bool:
 
 
 def _covers(wide: Match, narrow: Match) -> bool:
-    """True when every packet matched by ``narrow`` is matched by ``wide``."""
-    for field in MATCH_FIELDS:
-        wide_value = getattr(wide, field)
-        if wide_value is None:
-            continue
-        narrow_value = getattr(narrow, field)
-        if field in ("nw_src", "nw_dst"):
-            wide_prefix = getattr(wide, field + "_prefix")
-            narrow_prefix = getattr(narrow, field + "_prefix")
-            if narrow_value is None or narrow_prefix < wide_prefix:
-                return False
-            mask = ((1 << wide_prefix) - 1) << (32 - wide_prefix) if wide_prefix else 0
-            if (int(wide_value) & mask) != (int(narrow_value) & mask):
-                return False
-        elif narrow_value != wide_value:
-            return False
-    return True
+    """True when every packet matched by ``narrow`` is matched by ``wide``.
+
+    ``narrow``'s values stand in for a packet key in the bucket probe's
+    masked compare against ``wide``: ``narrow`` must pin every field
+    ``wide`` pins, to the same value under ``wide``'s mask.  A key has
+    no prefix length, so one check is added: no CIDR prefix of
+    ``narrow`` may be shorter than ``wide``'s.
+    """
+    if (wide.nw_src is not None and narrow.nw_src_prefix < wide.nw_src_prefix) or (
+        wide.nw_dst is not None and narrow.nw_dst_prefix < wide.nw_dst_prefix
+    ):
+        return False
+    mask = _mask_of(wide)
+    return _masked(_key_of(narrow), mask) == _bucket_key(wide, mask)

@@ -15,7 +15,7 @@ filled-in strip compiles to a :class:`~repro.policy.model.Policy`:
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Union
+from typing import Iterable, List, Optional, Union
 
 from ..core.errors import PolicyError
 from ..net.addresses import MACAddress

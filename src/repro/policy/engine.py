@@ -15,7 +15,7 @@ stop the moment a restriction activates.
 from __future__ import annotations
 
 import logging
-from typing import Dict, Iterable, List, Optional, Set, TYPE_CHECKING, Union
+from typing import Dict, List, Optional, Set, TYPE_CHECKING, Union
 
 from ..core.errors import PolicyError
 from ..core.events import EventBus

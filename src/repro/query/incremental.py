@@ -44,7 +44,6 @@ from ..hwdb.cql.ast_nodes import (
     FunctionCall,
     InList,
     Literal,
-    Projection,
     Unary,
     W_ALL,
     W_RANGE,

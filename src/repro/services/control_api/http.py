@@ -10,7 +10,7 @@ UIs, or a TCP stream in the simulator).
 from __future__ import annotations
 
 import json
-from typing import Dict, Optional, Tuple, Union
+from typing import Dict, Optional, Union
 
 from ...core.errors import ServiceError
 

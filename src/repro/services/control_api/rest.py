@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import logging
 import re
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, List, Optional, Tuple
 
 from ...core.metrics import MetricsRegistry
 from .http import HttpError, HttpRequest, HttpResponse, error_response, text_response

@@ -13,7 +13,7 @@ subdomain, never ``notfacebook.com``.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Set, Union
+from typing import Dict, Iterable, Optional, Set, Union
 
 from ...net.addresses import MACAddress
 

@@ -483,9 +483,3 @@ class RouterCore(Component):
         mac = MACAddress(mac)
         self.controller.remove_flows(Match(dl_src=mac))
         self.controller.remove_flows(Match(dl_dst=mac))
-
-    def evict_ip(self, ip) -> None:
-        """Remove flows to/from an IP (used when a policy activates)."""
-        ip = IPv4Address(ip)
-        self.controller.remove_flows(Match(nw_src=ip, dl_type=ETH_TYPE_IPV4))
-        self.controller.remove_flows(Match(nw_dst=ip, dl_type=ETH_TYPE_IPV4))

@@ -11,7 +11,7 @@ and the key's identity is reported so USB-gated policies unlock.
 from __future__ import annotations
 
 import logging
-from typing import Dict, List, Optional, TYPE_CHECKING
+from typing import Dict, List, TYPE_CHECKING
 
 from ...core.errors import ServiceError
 from ...core.events import EventBus

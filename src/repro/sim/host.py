@@ -223,7 +223,9 @@ class Host:
 
         # Packet-lineage flight recorder; the router injects its Tracer
         # when the device attaches (None = tracing off, zero cost).  Only
-        # sampled transmissions get a context here (Tracer.begin).
+        # sampled transmissions get a context here: each frame counts
+        # down the tracer's sampling countdown, and only the one that
+        # reaches zero calls it (Tracer.sampled).
         self.tracer = None
 
     # ------------------------------------------------------------------
@@ -258,15 +260,18 @@ class Host:
     def send_frame(self, frame: Ethernet) -> None:
         self.frames_sent += 1
         raw = frame.pack()
-        if self.tracer is not None:
-            ctx = self.tracer.begin()
-            if ctx is not None:
-                raw = with_trace(raw, ctx)
-                ctx.hop(
-                    "host",
-                    "tx",
-                    cause=f"device={self.name} ethertype={frame.ethertype:#06x}",
-                )
+        tracer = self.tracer
+        if tracer is not None:
+            tracer.countdown -= 1
+            if not tracer.countdown:
+                ctx = tracer.sampled()
+                if ctx is not None:
+                    raw = with_trace(raw, ctx)
+                    ctx.hop(
+                        "host",
+                        "tx",
+                        cause=f"device={self.name} ethertype={frame.ethertype:#06x}",
+                    )
         self.port.send(raw)
 
     def _on_frame(self, raw: bytes, _port: Port) -> None:

@@ -11,7 +11,7 @@ port signature the measurement plane's protocol mapping recognises.
 from __future__ import annotations
 
 import logging
-from typing import TYPE_CHECKING, Optional
+from typing import Optional
 
 from ..net.addresses import IPv4Address
 from ..net.tcp import (
@@ -21,9 +21,6 @@ from ..net.tcp import (
     PORT_SSH,
 )
 from .host import Host, TCPConnection
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from .simulator import Simulator
 
 logger = logging.getLogger(__name__)
 

@@ -2,8 +2,6 @@
 
 from pathlib import Path
 
-import pytest
-
 from repro.analysis import SourceFile, default_rules, discover_files, run_rules
 from repro.analysis.core import Violation, diff_baseline, load_baseline, write_baseline
 from repro.analysis.cli import main as lint_main

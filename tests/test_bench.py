@@ -6,11 +6,15 @@ on machine speed, and the CLI exit-code tests monkeypatch the bench
 runner with canned results.
 """
 
+import itertools
 import json
+import time
+from types import SimpleNamespace
 
 import pytest
 
 import repro.bench.cli as bench_cli
+from repro import Simulator
 from repro.bench.gate import (
     DEFAULT_FLOORS,
     SCHEMA,
@@ -19,20 +23,35 @@ from repro.bench.gate import (
     make_report,
 )
 import repro.bench.hotpath as hotpath
-from repro.bench.hotpath import run_hotpath
-from repro.core.clock import Clock
+from repro.bench.hotpath import run_hotpath, traced_sends
+from repro.core.clock import Clock, WallClock
+from repro.net import ETH_TYPE_IPV4, PROTO_UDP
+from repro.net.ethernet import Ethernet
+from repro.net.ipv4 import IPv4
+from repro.net.trace import trace_of
+from repro.net.udp import UDP
+from repro.obs.trace import Tracer
+from repro.sim.host import Host
 
 pytestmark = pytest.mark.tier1
+
+
+#: Tier-1 budget for the trace-overhead kernel.  Its floor applies to
+#: the median of seven repeats, so each repeat must last long enough
+#: that one scheduler or garbage-collection pause cannot decide it:
+#: 2,000 frames take 5-8 ms a side, this budget ~60 ms.
+TIER1_TRACE_ITERATIONS = 20_000
 
 
 @pytest.fixture(scope="module", autouse=True)
 def tiny_iteration_budget():
     """Keep the tier-1 smoke fast: the schema/floor assertions hold at
-    tiny iteration counts (the speedup margin is ~6x the floor)."""
+    tiny iteration counts (the speedup margin is ~6x the floor).  The
+    trace kernel keeps a budget long enough to measure."""
+    budget = {k: 2_000 for k in hotpath.QUICK_ITERATIONS}
+    budget["trace"] = TIER1_TRACE_ITERATIONS
     patcher = pytest.MonkeyPatch()
-    patcher.setattr(
-        hotpath, "QUICK_ITERATIONS", {k: 2_000 for k in hotpath.QUICK_ITERATIONS}
-    )
+    patcher.setattr(hotpath, "QUICK_ITERATIONS", budget)
     yield
     patcher.undo()
 
@@ -111,6 +130,70 @@ def test_gate_trips_on_synthetic_slowdown(quick_results):
     assert "flow_lookup_speedup_512" in text
     assert "below floor" in text
     assert "below 20% of baseline" in text
+
+
+def test_trace_kernel_runs_what_host_send_frame_runs():
+    """The trace kernel prices the hosts' own tracing work: through the
+    same tracer settings, its traced loop and Host.send_frame hand on
+    the same frames, with the same lineages."""
+    frame = Ethernet(
+        dst="02:bb:00:00:00:aa",
+        src="02:bb:00:00:00:01",
+        ethertype=ETH_TYPE_IPV4,
+        payload=IPv4(
+            src="10.2.0.5",
+            dst="10.2.0.6",
+            proto=PROTO_UDP,
+            payload=UDP(sport=40_000, dport=9, payload=b"x" * 32),
+        ),
+    )
+    # (sample, enabled, sends): mid-run sample changes, sample 0, off.
+    schedule = ((0.01, True, 450), (0.5, True, 7), (0.0, True, 5),
+                (1.0, False, 4), (1.0, True, 3), (0.25, True, 11))
+
+    def drive(send):
+        tracer = Tracer(clock=lambda: 0.0, sample=0.01, enabled=True)
+        sent = []
+        for sample, enabled, count in schedule:
+            tracer.set_sample(sample)
+            tracer.enabled = enabled
+            send(tracer, sent.append, count)
+        return [
+            (bytes(raw), ctx and ctx.trace_id,
+             ctx and [hop.to_dict() for hop in ctx.hops])
+            for raw, ctx in ((raw, trace_of(raw)) for raw in sent)
+        ]
+
+    def through_host(tracer, deliver, count):
+        host = Host(Simulator(seed=1), "bench", "02:bb:00:00:00:01")
+        host.tracer = tracer
+        host.port = SimpleNamespace(send=deliver)
+        for _ in range(count):
+            host.send_frame(frame)
+
+    def through_kernel(tracer, deliver, count):
+        traced_sends(tracer, lambda raw, _port: deliver(raw), frame.pack())(count)
+
+    expected = drive(through_host)
+    assert sum(trace_id is not None for _raw, trace_id, _hops in expected) == 4 + 3 + 3 + 3
+    assert drive(through_kernel) == expected
+
+
+def test_trace_gate_counts_a_sparse_stall(monkeypatch):
+    """A tracer cost that lands on few frames still counts: a 10 ms
+    stall at every 25th sampled frame, one frame in 2,500, trips the
+    floor."""
+    sampled = Tracer.sampled
+    calls = itertools.count(1)
+
+    def stalling(self):
+        if next(calls) % 25 == 0:
+            time.sleep(0.01)
+        return sampled(self)
+
+    monkeypatch.setattr(Tracer, "sampled", stalling)
+    result = hotpath.bench_trace(10_000, WallClock())
+    assert result["overhead_ratio"] < DEFAULT_FLOORS["trace_overhead_ratio_sampled"]
 
 
 def test_gate_checks_floors_without_baseline():

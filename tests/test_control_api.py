@@ -1,7 +1,5 @@
 """Control API tests: HTTP layer, REST routing, endpoints, auth."""
 
-import json
-
 import pytest
 
 from repro import HomeworkRouter, RouterConfig, Simulator

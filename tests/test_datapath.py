@@ -5,7 +5,6 @@ import pytest
 from repro.core.errors import DatapathError
 from repro.net import ETH_TYPE_IPV4, Ethernet, IPv4, PROTO_TCP, TCP
 from repro.openflow.actions import (
-    PORT_CONTROLLER,
     PORT_FLOOD,
     PORT_TABLE,
     SetDlDst,

@@ -1,7 +1,5 @@
 """DHCP option-55 (parameter request list) handling."""
 
-import pytest
-
 from repro import HomeworkRouter, RouterConfig, Simulator
 from repro.net.dhcp_msg import (
     DHCPMessage,

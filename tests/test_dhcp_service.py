@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro import RouterConfig, Simulator
+from repro import RouterConfig
 from repro.core.errors import ServiceError
 from repro.net.addresses import IPv4Address, IPv4Network, MACAddress
 from repro.services.dhcp.leases import LeaseDatabase, STATE_BOUND, STATE_RELEASED

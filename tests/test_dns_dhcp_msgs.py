@@ -7,7 +7,6 @@ from repro.net import IPv4Address, MACAddress, PacketError
 from repro.net.dhcp_msg import (
     BOOTREPLY,
     BOOTREQUEST,
-    DHCPACK,
     DHCPDISCOVER,
     DHCPMessage,
     DHCPOFFER,

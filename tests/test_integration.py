@@ -6,11 +6,7 @@ admission, measurement into hwdb, subscriptions pushing to UIs, and
 policy changes biting live traffic.
 """
 
-import pytest
-
-from repro import RouterConfig
 from repro.hwdb.persist import MemorySink
-from repro.policy.cartoon import CartoonStrip
 from repro.services.udev.usbkey import UsbKey
 from repro.sim.traffic import VideoStreaming, WebBrowsing
 from repro.ui.artifact import MODE_EVENTS, NetworkArtifact

@@ -5,7 +5,7 @@ import pytest
 from repro.core.errors import SimulationError
 from repro.sim.link import Link, Port, WirelessLink
 from repro.sim.simulator import Simulator
-from repro.sim.wireless import PathLossModel, RadioEnvironment, Wall
+from repro.sim.wireless import PathLossModel, RadioEnvironment
 
 
 @pytest.fixture

@@ -3,7 +3,6 @@
 import pytest
 
 from repro import HomeworkRouter, RouterConfig, Simulator
-from repro.measurement.aggregator import BandwidthAggregator
 from repro.measurement.protocols import application_label, classify, protocol_label
 from repro.net.ipv4 import PROTO_ICMP, PROTO_TCP, PROTO_UDP
 from repro.sim.traffic import VideoStreaming, WebBrowsing

@@ -9,7 +9,6 @@ RPC, and bounded by the ring buffer like any other measurement data.
 import pytest
 
 from repro import HomeworkRouter, MetricsRegistry, RouterConfig, Simulator
-from repro.core.clock import SimulatedClock
 from repro.hwdb.database import HomeworkDatabase
 from repro.hwdb.rpc import HwdbClient, LocalTransport, RpcServer
 from repro.hwdb.schema import METRICS_SCHEMA

@@ -1,6 +1,5 @@
 """FlowKey extraction and Match semantics."""
 
-import pytest
 from hypothesis import given, strategies as st
 
 from repro.net import (

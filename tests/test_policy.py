@@ -13,7 +13,6 @@ from repro.policy.cartoon import (
     WHAT_NO_NETWORK,
     WHAT_ONLY_SITES,
     WHEN_WEEKDAYS,
-    WHEN_WEEKEND,
 )
 from repro.policy.engine import PolicyEngine
 from repro.policy.model import (
@@ -22,7 +21,6 @@ from repro.policy.model import (
     NET_ALLOW,
     NET_DENY,
     Policy,
-    Restrictions,
 )
 from repro.policy.schedule import (
     Schedule,

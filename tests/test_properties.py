@@ -22,7 +22,7 @@ from repro.openflow.actions import output
 from repro.openflow.flow_table import FlowEntry, FlowTable, _covers, matching_keys
 from repro.openflow.match import FlowKey, Match
 from repro.policy.engine import PolicyEngine
-from repro.policy.model import DNS_BLOCK, DNS_ONLY, NET_ALLOW, NET_DENY, Policy
+from repro.policy.model import DNS_BLOCK, DNS_ONLY, NET_DENY, Policy
 from repro.core.events import EventBus
 from repro.services.nat import NatTable
 from repro.sim.simulator import Simulator

@@ -1,12 +1,10 @@
 """Household topology builder + SELECT DISTINCT."""
 
-import pytest
-
 from repro.core.clock import SimulatedClock
 from repro.hwdb.cql import parse, unparse
 from repro.hwdb.database import HomeworkDatabase
 from repro.household import build_household
-from repro.sim.topology import DeviceSpec, STANDARD_HOUSEHOLD
+from repro.sim.topology import DeviceSpec
 
 
 class TestHouseholdBuilder:

@@ -11,11 +11,13 @@ path at all.
 """
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import HomeworkRouter, RouterConfig, Simulator
 from repro.check.faults import LinkFault
 from repro.net.trace import TracedBytes, trace_of, with_trace
-from repro.obs.trace import render_lineage
+from repro.obs.trace import Tracer, render_lineage
 from repro.openflow.actions import drop
 from repro.openflow.match import Match
 from repro.openflow.messages import FlowMod
@@ -147,6 +149,31 @@ class TestExactChains:
         assert answers, "the redirect answer never reached the device"
 
 
+SAMPLES = (0.0, 0.01, 0.1, 0.25, 0.3, 0.4, 0.5, 1.0)
+
+
+class ModuloCounter:
+    """The sampling rule as a plain counter: while enabled, every send
+    counts, and every ``round(1 / sample)``-th send is sampled under
+    its count."""
+
+    def __init__(self, sample, enabled):
+        self.enabled = enabled
+        self.seq = 0
+        self.set_sample(sample)
+
+    def set_sample(self, sample):
+        self.period = 0 if sample <= 0.0 else max(1, round(1.0 / sample))
+
+    def send(self):
+        if not self.enabled:
+            return None
+        self.seq += 1
+        if not self.period or self.seq % self.period:
+            return None
+        return self.seq
+
+
 class TestSamplingRules:
     def test_drops_traced_at_sample_zero(self):
         sim, router = build_router(trace_sample=0.0)
@@ -167,6 +194,52 @@ class TestSamplingRules:
         # Only sampled transmissions get a context; the others get None.
         sampled = [router.tracer.begin() is not None for _ in range(8)]
         assert sampled == [False, True] * 4
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.sampled_from(SAMPLES),
+        st.booleans(),
+        st.lists(
+            st.one_of(
+                st.tuples(st.sampled_from(("send", "begin", "late", "on", "off"))),
+                st.tuples(st.just("sample"), st.sampled_from(SAMPLES)),
+                st.tuples(st.just("burst"), st.integers(1, 40)),
+            ),
+            max_size=60,
+        ),
+    )
+    def test_countdown_samples_as_a_modulo_counter(self, sample, enabled, ops):
+        """Whatever the sequence of enable, set_sample, late mints and
+        sends, the countdown samples exactly the sends a plain modulo
+        counter samples, under the same ids."""
+        tracer = Tracer(clock=lambda: 0.0, sample=sample, enabled=enabled)
+        model = ModuloCounter(sample, enabled)
+
+        def send_inline():
+            # What Host.send_frame does.
+            tracer.countdown -= 1
+            return None if tracer.countdown else tracer.sampled()
+
+        got, expected = [], []
+        for op, *arg in ops:
+            if op in ("send", "burst"):
+                for _ in range(arg[0] if arg else 1):
+                    got.append(send_inline())
+                    expected.append(model.send())
+            elif op == "begin":
+                got.append(tracer.begin())
+                expected.append(model.send())
+            elif op == "late":
+                tracer.late(b"\x00" * 14, None)
+            elif op == "sample":
+                tracer.set_sample(arg[0])
+                model.set_sample(arg[0])
+            else:
+                tracer.enabled = model.enabled = op == "on"
+        assert [ctx and ctx.trace_id for ctx in got] == [
+            seq and f"{seq:08x}" for seq in expected
+        ]
+        assert all(ctx.sampled for ctx in got if ctx is not None)
 
     def test_disabled_tracer_leaves_frames_untouched(self):
         sim, router = build_router(trace_enabled=False)

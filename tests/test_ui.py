@@ -22,7 +22,6 @@ from repro.ui.bandwidth_view import BandwidthView
 from repro.ui.control_ui import ControlInterface
 from repro.ui.policy_ui import PolicyInterface
 from repro.policy.cartoon import (
-    CartoonStrip,
     UNLESS_USB_KEY,
     WHAT_ONLY_SITES,
     WHEN_ALWAYS,

@@ -6,7 +6,8 @@ Exit status: 0 when there are no findings beyond the committed baseline,
 
 ``--deep`` adds the interprocedural pass (:mod:`repro.analysis.deep`):
 whole-program call graph + dataflow behind the deep-* rule families.
-Selecting any ``deep-*`` id via ``--select`` enables it implicitly.
+Selecting any ``deep-*`` id via ``--select`` enables it implicitly; an
+id that no rule has is a usage error, since it would select nothing.
 
 Output is one ``path:line:col: rule message`` line per finding (or a JSON
 document with ``--json`` for tooling).  The tool writes to stdout via
@@ -25,6 +26,7 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 from .core import (
+    Rule,
     default_rules,
     diff_baseline,
     discover_files,
@@ -91,21 +93,32 @@ def _emit(text: str) -> None:
     sys.stdout.write(text + "\n")
 
 
+def _list_rules(shallow: Sequence[Rule], deep: Sequence[Rule]) -> None:
+    for rule in shallow:
+        _emit(f"{', '.join(rule.ids):<28} {rule.description}")
+    for rule in deep:
+        _emit(f"{', '.join(rule.ids):<28} [deep] {rule.description}")
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
 
     from .deep import DeepContext, deep_rules
 
+    shallow, deep = default_rules(), deep_rules()
     if args.list_rules:
-        for rule in default_rules():
-            _emit(f"{', '.join(rule.ids):<28} {rule.description}")
-        for rule in deep_rules():
-            _emit(f"{', '.join(rule.ids):<28} [deep] {rule.description}")
+        _list_rules(shallow, deep)
         return 0
 
     select = None
     if args.select:
         select = {part.strip() for part in args.select.split(",") if part.strip()}
+        unknown = sorted(select - {i for rule in shallow + deep for i in rule.ids})
+        if unknown:
+            _emit(f"error: unknown rule id(s) in --select: {', '.join(unknown)}")
+            _emit("known rules:")
+            _list_rules(shallow, deep)
+            return 2
     want_json = args.json or args.deep_json
     want_deep = (
         args.deep
@@ -125,7 +138,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         for root in roots:
             files.extend(discover_files(root))
 
-        rules = list(default_rules())
+        rules = list(shallow)
         context = None
         if want_deep:
             context = DeepContext()

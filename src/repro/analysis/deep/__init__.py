@@ -4,7 +4,7 @@ Where the shallow rules (:mod:`repro.analysis`) judge one line at a
 time, the deep pass builds a whole-program model first — a call graph
 name-resolved across modules (methods resolved through class bases and
 through duck-typed attach points like ``db.set_store``) plus a
-def-use taint dataflow — and then runs four rule families over it:
+def-use taint dataflow — and then runs three rule families over it:
 
 * **deep-taint** (D1) — nondeterminism sources (wall clock, module-level
   ``random``, ``id()``, set iteration order, environment reads) must not
@@ -16,12 +16,9 @@ def-use taint dataflow — and then runs four rule families over it:
 * **deep-dispatch** / **deep-dispatch-orphan** (D3) — every member of a
   closed class family (CQL AST nodes, OpenFlow messages) is handled by
   every dispatch surface, and no surface handles a member that is never
-  produced;
-* **deep-snapshot** (D4) — fields written in ``__init__`` but absent
-  from ``to_snapshot``, and snapshot payload keys that do not round-trip
-  through the paired ``restore_*``/``from_snapshot``.
+  produced.
 
-All four reuse the shallow framework's finding/pragma/baseline
+All three reuse the shallow framework's finding/pragma/baseline
 machinery, so ``# repro: ignore[deep-*]`` pragmas and the committed
 baseline work unchanged.
 """
@@ -34,7 +31,6 @@ from ..core import Rule, SourceFile
 from .callgraph import CallGraph, build_callgraph
 from .dispatch import DispatchRule
 from .exceptions import ExceptionFlowRule
-from .snapshots import SnapshotParityRule
 from .taint import DeepTaintRule
 
 __all__ = [
@@ -43,14 +39,13 @@ __all__ = [
     "DeepTaintRule",
     "DispatchRule",
     "ExceptionFlowRule",
-    "SnapshotParityRule",
     "build_callgraph",
     "deep_rules",
 ]
 
 
 class DeepContext:
-    """Shared, lazily-built call graph so the four rules model once."""
+    """Shared, lazily-built call graph so the three rules model once."""
 
     def __init__(self) -> None:
         self._graph: Optional[CallGraph] = None
@@ -65,11 +60,10 @@ class DeepContext:
 
 
 def deep_rules(context: Optional[DeepContext] = None) -> List[Rule]:
-    """The four deep rule families, sharing one project model."""
+    """The three deep rule families, sharing one project model."""
     ctx = context if context is not None else DeepContext()
     return [
         DeepTaintRule(ctx),
         ExceptionFlowRule(ctx),
         DispatchRule(ctx),
-        SnapshotParityRule(ctx),
     ]

@@ -108,8 +108,7 @@ def check_microflow_cache_coherent(
 
     A cache entry that outlives the invalidation meant for it keeps
     forwarding by a rule that was deleted, expired or shadowed, which
-    for a policy deny is a bypass.  ``resolve`` leaves the table's
-    lookup statistics untouched.
+    for a policy deny is a bypass.
     """
     datapath = router.datapath
     for key_tuple, cached in datapath._cache.items():

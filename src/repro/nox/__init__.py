@@ -3,13 +3,8 @@
 from .component import CONTINUE, Component, STOP
 from .controller import (
     Controller,
-    EV_DATAPATH_JOIN,
-    EV_DATAPATH_LEAVE,
-    EV_ERROR,
     EV_FLOW_REMOVED,
     EV_PACKET_IN,
-    EV_PORT_STATUS,
-    EV_STATS_REPLY,
 )
 from .l2_learning import L2LearningSwitch
 
@@ -18,12 +13,7 @@ __all__ = [
     "STOP",
     "Component",
     "Controller",
-    "EV_DATAPATH_JOIN",
-    "EV_DATAPATH_LEAVE",
     "EV_PACKET_IN",
     "EV_FLOW_REMOVED",
-    "EV_PORT_STATUS",
-    "EV_STATS_REPLY",
-    "EV_ERROR",
     "L2LearningSwitch",
 ]

@@ -1,9 +1,9 @@
 """NOX component model.
 
 NOX structures controller logic as *components* that register handlers
-for controller events (packet-in, flow-removed, datapath-join...).  The
-paper's DHCP server, DNS proxy and control API are all NOX components;
-they subclass :class:`Component` here.
+for controller events (packet-in, flow-removed).  The paper's DHCP
+server, DNS proxy and control API are all NOX components; they
+subclass :class:`Component` here.
 
 Handlers return :data:`CONTINUE` to pass the event to lower-priority
 handlers or :data:`STOP` to consume it — NOX's event chain semantics,

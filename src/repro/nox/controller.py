@@ -1,10 +1,11 @@
 """The NOX controller core.
 
-Receives OpenFlow messages from the secure channel, converts them into
-controller events (``packet_in``, ``flow_removed``, ``datapath_join``,
-``stats_reply``...), and dispatches them through a priority-ordered
+Receives OpenFlow messages from the secure channel, converts packet-ins
+and flow-removed notifications into controller events (``packet_in``,
+``flow_removed``), and dispatches them through a priority-ordered
 handler chain to the installed components.  Also provides the send-side
-API components use: flow-mod installation, packet-out, stats requests.
+API components use: flow-mod installation, packet-out, flow-stats
+requests.
 """
 
 from __future__ import annotations
@@ -20,10 +21,6 @@ from ..openflow.channel import SecureChannel
 from ..openflow.flow_table import DEFAULT_PRIORITY
 from ..openflow.match import Match
 from ..openflow.messages import (
-    BarrierReply,
-    BarrierRequest,
-    EchoReply,
-    EchoRequest,
     ErrorMessage,
     FeaturesReply,
     FeaturesRequest,
@@ -34,7 +31,6 @@ from ..openflow.messages import (
     OpenFlowMessage,
     PacketIn,
     PacketOut,
-    PortStatus,
     StatsReply,
     StatsRequest,
 )
@@ -46,13 +42,8 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 logger = logging.getLogger(__name__)
 
 # Event names components can register for.
-EV_DATAPATH_JOIN = "datapath_join"
-EV_DATAPATH_LEAVE = "datapath_leave"
 EV_PACKET_IN = "packet_in"
 EV_FLOW_REMOVED = "flow_removed"
-EV_PORT_STATUS = "port_status"
-EV_STATS_REPLY = "stats_reply"
-EV_ERROR = "error"
 
 
 class _Registration:
@@ -88,8 +79,6 @@ class Controller:
         self._components: Dict[str, Component] = {}
         self._seq = 0
         self._pending_stats: Dict[int, Callable[[StatsReply], None]] = {}
-        self._pending_echoes: Dict[int, bytes] = {}
-        self._pending_barriers: Dict[int, Callable[[], None]] = {}
 
         # Components report into the same registry (``controller.registry``).
         self.registry = registry if registry is not None else MetricsRegistry()
@@ -171,24 +160,13 @@ class Controller:
         self.channel = channel
         self.send(FeaturesRequest())
 
-    # SimulationError out of the reply sends is unreachable: the channel
-    # latency it would come from is validated in SecureChannel.__init__.
-    def receive(self, msg: OpenFlowMessage) -> None:  # repro: ignore[deep-except-escape]
+    def receive(self, msg: OpenFlowMessage) -> None:
         """Entry point for switch→controller messages."""
         if isinstance(msg, Hello):
             return
-        if isinstance(msg, EchoRequest):
-            self.send(EchoReply(msg.data, xid=msg.xid))
-        elif isinstance(msg, EchoReply):
-            self._pending_echoes.pop(msg.xid, None)
-        elif isinstance(msg, BarrierReply):
-            callback = self._pending_barriers.pop(msg.xid, None)
-            if callback is not None:
-                callback()
-        elif isinstance(msg, FeaturesReply):
+        if isinstance(msg, FeaturesReply):
             self.datapath_id = msg.datapath_id
             self.ports = {p.number: p.name for p in msg.ports}
-            self.dispatch(EV_DATAPATH_JOIN, msg)
         elif isinstance(msg, PacketIn):
             ctx = trace_of(msg.data)
             if ctx is not None:
@@ -203,17 +181,12 @@ class Controller:
                 self.dispatch(EV_PACKET_IN, msg)
         elif isinstance(msg, FlowRemoved):
             self.dispatch(EV_FLOW_REMOVED, msg)
-        elif isinstance(msg, PortStatus):
-            self.dispatch(EV_PORT_STATUS, msg)
         elif isinstance(msg, StatsReply):
             callback = self._pending_stats.pop(msg.xid, None)
             if callback is not None:
                 callback(msg)
-            else:
-                self.dispatch(EV_STATS_REPLY, msg)
         elif isinstance(msg, ErrorMessage):
             logger.warning("switch error: %s %s", msg.error_type, msg.detail)
-            self.dispatch(EV_ERROR, msg)
 
     def send(self, msg: OpenFlowMessage) -> None:
         if self.channel is None:
@@ -269,33 +242,11 @@ class Controller:
         kind: int,
         callback: Callable[[StatsReply], None],
         match: Optional[Match] = None,
-        port_no: Optional[int] = None,
     ) -> None:
         """Issue a stats request; ``callback`` fires with the reply."""
-        request = StatsRequest(kind, match=match, port_no=port_no)
+        request = StatsRequest(kind, match=match)
         self._pending_stats[request.xid] = callback
         self.send(request)
-
-    def barrier(self, callback: Optional[Callable[[], None]] = None) -> int:
-        """Fence: ``callback`` fires once the switch has processed every
-        message sent before the barrier.  Returns the request xid."""
-        request = BarrierRequest()
-        if callback is not None:
-            self._pending_barriers[request.xid] = callback
-        self.send(request)
-        return request.xid
-
-    def echo(self, data: bytes = b"") -> int:
-        """Send a liveness probe; the matching reply clears it from the
-        pending set, so a stuck channel leaves the xid behind."""
-        request = EchoRequest(data)
-        self._pending_echoes[request.xid] = data
-        self.send(request)
-        return request.xid
-
-    def pending_echoes(self) -> List[int]:
-        """Probe xids still awaiting a reply (unanswered = channel stuck)."""
-        return sorted(self._pending_echoes)
 
     def __repr__(self) -> str:
         return (

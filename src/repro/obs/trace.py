@@ -138,17 +138,6 @@ class Tracer:
     # Mint / collect
     # ------------------------------------------------------------------
 
-    def begin(self) -> Optional[TraceContext]:
-        """Count one transmission: its context when it is sampled, else
-        None.  :meth:`Host.send_frame <repro.sim.host.Host.send_frame>`
-        does the same inline, calling :meth:`sampled` only at zero; this
-        one-call form is kept for tests that count transmissions without
-        a host."""
-        self.countdown -= 1
-        if self.countdown:
-            return None
-        return self.sampled()
-
     def sampled(self) -> Optional[TraceContext]:
         """The context for the transmission that took :attr:`countdown`
         to zero, and the countdown re-armed for the next one.

@@ -34,12 +34,8 @@ from .actions import (
     PORT_NORMAL,
     PORT_TABLE,
 )
-from .flow_table import FlowEntry, FlowTable, matching_keys
+from .flow_table import FlowEntry, FlowTable, _covers, matching_keys
 from .messages import (
-    BarrierReply,
-    BarrierRequest,
-    EchoReply,
-    EchoRequest,
     ErrorMessage,
     FC_ADD,
     FC_DELETE,
@@ -57,9 +53,6 @@ from .messages import (
     PacketIn,
     PacketOut,
     PortDescription,
-    PortStats,
-    PortStatus,
-    PS_MODIFY,
     REASON_ACTION,
     REASON_NO_MATCH,
     RR_DELETE,
@@ -68,9 +61,6 @@ from .messages import (
     StatsReply,
     StatsRequest,
     STATS_FLOW,
-    STATS_PORT,
-    STATS_TABLE,
-    TableStats,
 )
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -145,7 +135,6 @@ class Datapath:
         # that answers it yields the packet_in→flow_mod round trip in
         # simulated seconds (secure-channel latency both ways + NOX).
         self._punt_times: Dict[int, float] = {}
-        self._pending_echoes: Dict[int, bytes] = {}
         self._m_flow_setup = self.registry.histogram("openflow.flow_setup_sim_seconds")
 
         self._expiry_timer = None
@@ -206,39 +195,6 @@ class Datapath:
     def attach_channel(self, channel: "SecureChannel") -> None:
         self.channel = channel
 
-    def probe_controller(self, data: bytes = b"") -> Optional[int]:
-        """Send a liveness echo to the controller; the matching reply
-        clears it, so a lingering xid means the control path is stuck."""
-        if self.channel is None:
-            return None
-        request = EchoRequest(data)
-        self._pending_echoes[request.xid] = data
-        self.channel.to_controller(request)
-        return request.xid
-
-    def pending_echoes(self) -> List[int]:
-        """Probe xids still awaiting a controller reply."""
-        return sorted(self._pending_echoes)
-
-    def set_port_state(self, number: int, up: bool) -> None:
-        """Administratively flip a port and notify the controller.
-
-        Models ``ifconfig ethX up/down`` on the router: the datapath
-        keeps forwarding on its other ports and NOX learns about the
-        change through a PORT_STATUS message.
-        """
-        try:
-            port = self._ports[number]
-        except KeyError:
-            raise DatapathError(f"no port {number} on {self.name}") from None
-        if port.up == up:
-            return
-        port.up = up
-        if self.channel is not None:
-            self.channel.to_controller(
-                PortStatus(PS_MODIFY, PortDescription(number, port.name, up=up))
-            )
-
     def start_expiry(self, interval: float = 1.0) -> None:
         """Begin periodic idle/hard timeout sweeps."""
         if self._expiry_timer is not None:
@@ -261,11 +217,7 @@ class Datapath:
         """Process one controller→switch protocol message."""
         if isinstance(msg, Hello):
             return
-        if isinstance(msg, EchoRequest):
-            self._reply(EchoReply(msg.data, xid=msg.xid))
-        elif isinstance(msg, EchoReply):
-            self._pending_echoes.pop(msg.xid, None)
-        elif isinstance(msg, FeaturesRequest):
+        if isinstance(msg, FeaturesRequest):
             self._reply(
                 FeaturesReply(
                     self.datapath_id, self.port_descriptions(), xid=msg.xid
@@ -277,8 +229,6 @@ class Datapath:
             self._handle_packet_out(msg)
         elif isinstance(msg, StatsRequest):
             self._handle_stats_request(msg)
-        elif isinstance(msg, BarrierRequest):
-            self._reply(BarrierReply(xid=msg.xid))
         else:
             self._reply(
                 ErrorMessage("bad_request", type(msg).__name__, xid=msg.xid)
@@ -358,42 +308,15 @@ class Datapath:
         self.apply_actions(data, msg.actions, in_port=msg.in_port)
 
     def _handle_stats_request(self, msg: StatsRequest) -> None:
-        now = self.sim.now
-        if msg.kind == STATS_FLOW:
-            body = [
-                FlowStats(entry, now)
-                for entry in self.table
-                if msg.match is None or _loose_match(msg.match, entry)
-            ]
-        elif msg.kind == STATS_PORT:
-            numbers = (
-                [msg.port_no]
-                if msg.port_no is not None
-                else sorted(self._ports)
-            )
-            body = [
-                PortStats(
-                    n,
-                    self._ports[n].rx_packets,
-                    self._ports[n].tx_packets,
-                    self._ports[n].rx_bytes,
-                    self._ports[n].tx_bytes,
-                )
-                for n in numbers
-                if n in self._ports
-            ]
-        elif msg.kind == STATS_TABLE:
-            body = [
-                TableStats(
-                    len(self.table),
-                    self.table.lookup_count,
-                    self.table.matched_count,
-                    self.table.max_entries,
-                )
-            ]
-        else:
+        if msg.kind != STATS_FLOW:
             self._reply(ErrorMessage("bad_stats", f"kind={msg.kind}", xid=msg.xid))
             return
+        now = self.sim.now
+        body = [
+            FlowStats(entry, now)
+            for entry in self.table
+            if msg.match is None or _covers(msg.match, entry.match)
+        ]
         self._reply(StatsReply(msg.kind, body, xid=msg.xid))
 
     # ------------------------------------------------------------------
@@ -438,7 +361,7 @@ class Datapath:
                 self._execute(raw, cached.actions, in_port)
                 return
 
-        entry = self.table.lookup_tuple(key)
+        entry = self.table.resolve(key)
         if entry is not None:
             self._m_table_hits.value += 1
             entry.touch(self.sim.now, len(raw))
@@ -620,9 +543,3 @@ class Datapath:
             f"Datapath(id={self.datapath_id}, ports={len(self._ports)}, "
             f"flows={len(self.table)}, cache={len(self._cache)})"
         )
-
-
-def _loose_match(pattern, entry: FlowEntry) -> bool:
-    from .flow_table import _covers
-
-    return _covers(pattern, entry.match)

@@ -281,8 +281,6 @@ class FlowTable:
         #: insertion points without a Python-level walk.
         self._neg_priorities: List[int] = []
         self.max_entries = max_entries
-        self.lookup_count = 0
-        self.matched_count = 0
         # The index: exact-match rules in one dict keyed by the full key
         # tuple; wildcard rules in per-mask buckets.
         self._exact: Dict[Tuple, List[FlowEntry]] = {}
@@ -468,20 +466,11 @@ class FlowTable:
 
     def lookup(self, key: FlowKey) -> Optional[FlowEntry]:
         """Highest-priority entry matching ``key``, or None (table miss)."""
-        return self.lookup_tuple(key.as_tuple())
-
-    def lookup_tuple(self, key_tuple: Tuple) -> Optional[FlowEntry]:
-        """:meth:`lookup` for a key tuple, as the datapath reads it off
-        the frame (:func:`repro.net.rewrite.flow_key`)."""
-        self.lookup_count += 1
-        best = self.resolve(key_tuple)
-        if best is not None:
-            self.matched_count += 1
-        return best
+        return self.resolve(key.as_tuple())
 
     def resolve(self, key_tuple: Tuple) -> Optional[FlowEntry]:
-        """The entry :meth:`lookup` picks for a key tuple, without
-        counting the lookup in the table statistics."""
+        """:meth:`lookup` for a key tuple, as the datapath reads it off
+        the frame (:func:`repro.net.rewrite.flow_key`)."""
         best: Optional[FlowEntry] = None
         slot = self._exact.get(key_tuple)
         if slot:
@@ -619,11 +608,6 @@ def matching_keys(match: Match, key_tuples: Collection[Tuple]) -> List[Tuple]:
     return [key for key in key_tuples if _masked(key, mask) == want]
 
 
-#: The indexed table is the default; the explicit name documents intent
-#: where the index itself is under test.
-IndexedFlowTable = FlowTable
-
-
 class LinearFlowTable(FlowTable):
     """The original O(n) scans, kept as the testing reference.
 
@@ -635,10 +619,8 @@ class LinearFlowTable(FlowTable):
     """
 
     def lookup(self, key: FlowKey) -> Optional[FlowEntry]:
-        self.lookup_count += 1
         for entry in self._entries:
             if entry.match.matches(key):
-                self.matched_count += 1
                 return entry
         return None
 

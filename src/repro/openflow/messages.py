@@ -3,7 +3,8 @@
 "An OpenFlow switch has three parts: a datapath, a secure channel
 connecting to a controller, and the OpenFlow protocol used by the
 controller to talk to the switch."  These are the protocol messages that
-cross the secure channel, mirroring OpenFlow 1.0 message types.
+cross the secure channel: the OpenFlow 1.0 message types the router's
+controller and datapath exchange.
 """
 
 from __future__ import annotations
@@ -33,26 +34,12 @@ class Hello(OpenFlowMessage):
     """Version negotiation greeting."""
 
 
-class EchoRequest(OpenFlowMessage):
-    """Liveness probe over the secure channel."""
-
-    def __init__(self, data: bytes = b"", xid: Optional[int] = None):
-        super().__init__(xid)
-        self.data = data
-
-
-class EchoReply(OpenFlowMessage):
-    def __init__(self, data: bytes = b"", xid: Optional[int] = None):
-        super().__init__(xid)
-        self.data = data
-
-
 class FeaturesRequest(OpenFlowMessage):
     """Controller asks the switch what it is."""
 
 
 class PortDescription:
-    """One physical port in a features reply / port status."""
+    """One physical port in a features reply."""
 
     __slots__ = ("number", "name", "hw_addr", "up")
 
@@ -219,24 +206,8 @@ class FlowRemoved(OpenFlowMessage):
         )
 
 
-PS_ADD = 0
-PS_DELETE = 1
-PS_MODIFY = 2
-
-
-class PortStatus(OpenFlowMessage):
-    """Port added/removed/changed on the datapath."""
-
-    def __init__(self, reason: int, port: PortDescription, xid: Optional[int] = None):
-        super().__init__(xid)
-        self.reason = reason
-        self.port = port
-
-
 # Stats request/reply kinds.
 STATS_FLOW = 1
-STATS_TABLE = 3
-STATS_PORT = 4
 
 
 class StatsRequest(OpenFlowMessage):
@@ -244,13 +215,11 @@ class StatsRequest(OpenFlowMessage):
         self,
         kind: int,
         match: Optional[Match] = None,
-        port_no: Optional[int] = None,
         xid: Optional[int] = None,
     ):
         super().__init__(xid)
         self.kind = kind
         self.match = match
-        self.port_no = port_no
 
 
 class FlowStats:
@@ -278,48 +247,11 @@ class FlowStats:
         self.hard_timeout = entry.hard_timeout
 
 
-class PortStats:
-    """Per-port counters (one element of a STATS_PORT reply)."""
-
-    __slots__ = ("port_no", "rx_packets", "tx_packets", "rx_bytes", "tx_bytes")
-
-    def __init__(
-        self, port_no: int, rx_packets: int, tx_packets: int, rx_bytes: int, tx_bytes: int
-    ):
-        self.port_no = port_no
-        self.rx_packets = rx_packets
-        self.tx_packets = tx_packets
-        self.rx_bytes = rx_bytes
-        self.tx_bytes = tx_bytes
-
-
-class TableStats:
-    """Flow-table occupancy and hit counters."""
-
-    __slots__ = ("active_count", "lookup_count", "matched_count", "max_entries")
-
-    def __init__(
-        self, active_count: int, lookup_count: int, matched_count: int, max_entries: int
-    ):
-        self.active_count = active_count
-        self.lookup_count = lookup_count
-        self.matched_count = matched_count
-        self.max_entries = max_entries
-
-
 class StatsReply(OpenFlowMessage):
     def __init__(self, kind: int, body: list, xid: Optional[int] = None):
         super().__init__(xid)
         self.kind = kind
         self.body = list(body)
-
-
-class BarrierRequest(OpenFlowMessage):
-    """Flush: the switch answers once all prior messages are processed."""
-
-
-class BarrierReply(OpenFlowMessage):
-    pass
 
 
 class ErrorMessage(OpenFlowMessage):

@@ -26,7 +26,7 @@ Action = Callable[[], Any]
 class ScheduledEvent:
     """Handle for a scheduled callback; supports cancellation."""
 
-    __slots__ = ("when", "seq", "action", "cancelled", "periodic", "interval", "owner")
+    __slots__ = ("when", "seq", "action", "cancelled", "periodic", "interval")
 
     def __init__(
         self,
@@ -35,7 +35,6 @@ class ScheduledEvent:
         action: Action,
         periodic: bool = False,
         interval: float = 0.0,
-        owner: Optional["Simulator"] = None,
     ):
         self.when = when
         self.seq = seq
@@ -43,13 +42,10 @@ class ScheduledEvent:
         self.cancelled = False
         self.periodic = periodic
         self.interval = interval
-        self.owner = owner
 
     def cancel(self) -> None:
-        if not self.cancelled:
-            self.cancelled = True
-            if self.owner is not None:
-                self.owner._note_cancelled()
+        """Cancelled events stay on the heap until a pop skips them."""
+        self.cancelled = True
 
 
 class Simulator:
@@ -65,11 +61,6 @@ class Simulator:
     reaches the event itself.
     """
 
-    #: Compaction threshold: rebuild the heap once more than half of it
-    #: is lazily-deleted (cancelled) entries.  Small heaps are left alone
-    #: — rebuilding 30 entries costs more bookkeeping than it saves.
-    COMPACT_MIN_SIZE = 64
-
     def __init__(self, seed: int = 0, start_time: float = 0.0):
         self.clock = SimulatedClock(start_time)
         self.bus = EventBus()
@@ -78,8 +69,6 @@ class Simulator:
         self._seq = itertools.count()
         self._running = False
         self.events_executed = 0
-        self._cancelled_in_queue = 0
-        self.compactions = 0
 
     @property
     def now(self) -> float:
@@ -89,7 +78,7 @@ class Simulator:
         """Run ``action`` after ``delay`` seconds of simulated time."""
         if delay < 0:
             raise SimulationError(f"cannot schedule in the past: delay={delay}")
-        event = ScheduledEvent(self.now + delay, next(self._seq), action, owner=self)
+        event = ScheduledEvent(self.now + delay, next(self._seq), action)
         heapq.heappush(self._queue, (event.when, event.seq, event))
         return event
 
@@ -97,7 +86,7 @@ class Simulator:
         """Run ``action`` at absolute simulated time ``when``."""
         if when < self.now:
             raise SimulationError(f"cannot schedule in the past: {when} < {self.now}")
-        event = ScheduledEvent(when, next(self._seq), action, owner=self)
+        event = ScheduledEvent(when, next(self._seq), action)
         heapq.heappush(self._queue, (when, event.seq, event))
         return event
 
@@ -121,39 +110,9 @@ class Simulator:
             action,
             periodic=True,
             interval=interval,
-            owner=self,
         )
         heapq.heappush(self._queue, (event.when, event.seq, event))
         return event
-
-    def _note_cancelled(self) -> None:
-        """A handle we issued was cancelled; compact once garbage dominates.
-
-        Cancelled entries stay in the heap (lazy deletion) until either a
-        pop skips them or this threshold rebuild drops them wholesale —
-        without it, long runs that cancel many timers (DHCP renewals, NAT
-        sweeps, fault windows) bloat the heap and slow every push/pop.
-        """
-        self._cancelled_in_queue += 1
-        if (
-            len(self._queue) >= self.COMPACT_MIN_SIZE
-            and self._cancelled_in_queue * 2 > len(self._queue)
-        ):
-            self._compact()
-
-    def _compact(self) -> None:
-        """Rebuild the heap without cancelled entries.
-
-        Heap order among live events is fully determined by
-        ``(when, seq)``, so dropping garbage never changes which event
-        runs next — determinism is unaffected.  The rebuild is in place:
-        a cancel inside a running callback can land here, and the queue
-        stays the one list object that every push and pop uses.
-        """
-        self._queue[:] = [entry for entry in self._queue if not entry[2].cancelled]
-        heapq.heapify(self._queue)
-        self._cancelled_in_queue = 0
-        self.compactions += 1
 
     def _pop_due(self, horizon: float) -> Optional[ScheduledEvent]:
         queue = self._queue
@@ -161,11 +120,8 @@ class Simulator:
             if queue[0][0] > horizon:
                 return None
             event = heapq.heappop(queue)[2]
-            if event.cancelled:
-                if self._cancelled_in_queue > 0:
-                    self._cancelled_in_queue -= 1
-                continue
-            return event
+            if not event.cancelled:
+                return event
         return None
 
     def _execute(self, event: ScheduledEvent) -> None:
@@ -208,8 +164,6 @@ class Simulator:
             entry = heapq.heappop(self._queue)
             event = entry[2]
             if event.cancelled:
-                if self._cancelled_in_queue > 0:
-                    self._cancelled_in_queue -= 1
                 continue
             if event.periodic:
                 # Draining with periodic events would never terminate;

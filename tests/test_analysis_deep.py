@@ -20,7 +20,6 @@ from repro.analysis.deep.exceptions import (
     ExceptionContract,
     ExceptionFlowRule,
 )
-from repro.analysis.deep.snapshots import SnapshotParityRule
 from repro.analysis.deep.taint import DEFAULT_SINK_FUNCTIONS, DeepTaintRule
 
 FIXTURES = Path(__file__).parent / "analysis_fixtures" / "deep"
@@ -151,21 +150,6 @@ class TestDispatch:
         assert findings(source, [self.rule(self.MOD_OK)]) == []
 
 
-class TestSnapshotParity:
-    def test_flags_every_break_in_the_round_trip(self):
-        source = fixture("snapshot_bad.py", "repro.deepfix.snap")
-        got = findings(source, [SnapshotParityRule(DeepContext())])
-        assert ("deep-snapshot", 7) in got  # self.errors never serialized
-        assert ("deep-snapshot", 10) in got  # 'spare' written, never read
-        assert ("deep-snapshot", 16) in got  # 'missing' read, never written
-        assert ("deep-snapshot", 21) in got  # 'stamp' never restored
-        assert len(got) == 4
-
-    def test_symmetric_round_trip_is_clean(self):
-        source = fixture("snapshot_ok.py", "repro.deepfix.snap")
-        assert findings(source, [SnapshotParityRule(DeepContext())]) == []
-
-
 class TestSourceTreeIsClean:
     def test_deep_rules_find_nothing_in_src(self):
         # The acceptance gate: the real tree carries no deep findings
@@ -200,21 +184,40 @@ class TestSourceTreeIsClean:
 
 
 class TestCli:
-    def test_select_deep_id_enables_deep_rules(self, tmp_path, capsys):
+    def _clock_digest_package(self, tmp_path):
         pkg = tmp_path / "repro"
         pkg.mkdir()
         (pkg / "__init__.py").write_text("")
-        (pkg / "snap.py").write_text(
-            "def snapshot_state(state):\n"
-            "    return {'rows': list(state), 'stamp': 7}\n"
+        (pkg / "digest.py").write_text(
+            "import hashlib\n"
+            "import time\n"
             "\n"
-            "def restore_state(snap):\n"
-            "    return list(snap['rows'])\n"
+            "def trace_digest(rows):\n"
+            "    hasher = hashlib.sha256()\n"
+            "    hasher.update(str(time.time()).encode())\n"
+            "    return hasher.hexdigest()\n"
         )
-        code = lint_main([str(pkg), "--select", "deep-snapshot", "--no-baseline"])
+        return pkg
+
+    def test_select_deep_id_enables_deep_rules(self, tmp_path, capsys):
+        pkg = self._clock_digest_package(tmp_path)
+        code = lint_main([str(pkg), "--select", "deep-taint", "--no-baseline"])
         out = capsys.readouterr().out
         assert code == 1
-        assert "deep-snapshot" in out
+        assert "deep-taint" in out
+
+    def test_select_unknown_id_is_a_usage_error(self, tmp_path, capsys):
+        # An id no rule has would run nothing and pass; it must exit 2
+        # before any rule runs, naming the id and the known ones.
+        pkg = self._clock_digest_package(tmp_path)
+        for select in ("no-such-rule", "deep-taint,no-such-rule", "deep-snapshot"):
+            code = lint_main([str(pkg), "--select", select, "--no-baseline"])
+            out = capsys.readouterr().out
+            assert code == 2, select
+            unknown = select.split(",")[-1]
+            assert f"unknown rule id(s) in --select: {unknown}" in out
+            assert "deep-taint" in out and "clock" in out
+            assert "finding(s)" not in out
 
     def test_crash_exits_2_not_1(self, tmp_path, capsys):
         pkg = tmp_path / "broken"
@@ -254,5 +257,6 @@ class TestCli:
     def test_list_rules_includes_deep_families(self, capsys):
         assert lint_main(["--list-rules"]) == 0
         out = capsys.readouterr().out
-        for rule_id in ("deep-taint", "deep-except-escape", "deep-dispatch", "deep-snapshot"):
+        for rule_id in ("deep-taint", "deep-except-escape", "deep-dispatch"):
             assert rule_id in out
+        assert "deep-snapshot" not in out

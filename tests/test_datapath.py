@@ -16,10 +16,6 @@ from repro.openflow.channel import SecureChannel
 from repro.openflow.datapath import Datapath
 from repro.openflow.match import Match
 from repro.openflow.messages import (
-    BarrierReply,
-    BarrierRequest,
-    EchoReply,
-    EchoRequest,
     ErrorMessage,
     FC_ADD,
     FC_MODIFY,
@@ -30,6 +26,7 @@ from repro.openflow.messages import (
     FlowRemoved,
     Hello,
     NO_BUFFER,
+    OpenFlowMessage,
     PacketIn,
     PacketOut,
     RR_DELETE,
@@ -37,8 +34,6 @@ from repro.openflow.messages import (
     StatsReply,
     StatsRequest,
     STATS_FLOW,
-    STATS_PORT,
-    STATS_TABLE,
 )
 from repro.sim.link import Link, Port
 from repro.sim.simulator import Simulator
@@ -258,20 +253,11 @@ class TestProtocolMessages:
     def test_hello_ignored(self, dp):
         dp.handle_message(Hello())
 
-    def test_echo(self, dp):
-        dp.handle_message(EchoRequest(b"payload", xid=77))
-        replies = [m for m in dp.messages if isinstance(m, EchoReply)]
-        assert replies and replies[0].data == b"payload" and replies[0].xid == 77
-
     def test_features(self, dp):
         dp.handle_message(FeaturesRequest(xid=5))
         replies = [m for m in dp.messages if isinstance(m, FeaturesReply)]
         assert replies[0].datapath_id == 42
         assert len(replies[0].ports) == 2
-
-    def test_barrier(self, dp):
-        dp.handle_message(BarrierRequest(xid=9))
-        assert any(isinstance(m, BarrierReply) and m.xid == 9 for m in dp.messages)
 
     def test_packet_out_data(self, sim, dp):
         received = []
@@ -311,26 +297,24 @@ class TestProtocolMessages:
         assert replies[0].kind == STATS_FLOW
         assert replies[0].body[0].packet_count == 1
 
-    def test_port_stats(self, sim, dp):
-        peer = Port("host")
-        Link(sim, dp.port(2), peer)
-        dp.handle_message(FlowMod.add(Match(tp_dst=80), output(2)))
-        dp.process_frame(frame_bytes(), 1)
-        sim.run_for(0.1)
-        dp.handle_message(StatsRequest(STATS_PORT))
-        reply = [m for m in dp.messages if isinstance(m, StatsReply)][-1]
-        stats = {s.port_no: s for s in reply.body}
-        assert stats[2].tx_packets == 1
+    # OpenFlow 1.0's OFPST_TABLE and OFPST_PORT: the datapath answers
+    # flow stats only.
+    @pytest.mark.parametrize("kind", [3, 4], ids=["table", "port"])
+    def test_non_flow_stats_request_is_refused_with_its_xid(self, dp, kind):
+        dp.handle_message(StatsRequest(kind, xid=33))
+        assert not any(isinstance(m, StatsReply) for m in dp.messages)
+        errors = [m for m in dp.messages if isinstance(m, ErrorMessage)]
+        assert [(e.error_type, e.xid) for e in errors] == [("bad_stats", 33)]
 
-    def test_table_stats(self, dp):
-        dp.handle_message(FlowMod.add(Match(tp_dst=80), output(2)))
-        dp.process_frame(frame_bytes(), 1)
-        dp.handle_message(StatsRequest(STATS_TABLE))
-        reply = [m for m in dp.messages if isinstance(m, StatsReply)][-1]
-        body = reply.body[0]
-        assert body.active_count == 1
-        assert body.lookup_count == 1
-        assert body.matched_count == 1
+    def test_unknown_message_is_refused_with_its_xid(self, dp):
+        class Unspoken(OpenFlowMessage):
+            pass
+
+        dp.handle_message(Unspoken(xid=34))
+        errors = [m for m in dp.messages if isinstance(m, ErrorMessage)]
+        assert [(e.error_type, e.detail, e.xid) for e in errors] == [
+            ("bad_request", "Unspoken", 34)
+        ]
 
 
 class TestOutputToTable:
@@ -370,5 +354,5 @@ class TestOutputToTable:
         dp.handle_message(PacketOut(output(PORT_TABLE), data=frame_bytes(), in_port=1))
         sim.run_for(1.0)
         assert dp.registry.value("openflow.packet_total") == 1
-        assert dp.table.lookup_count == 1
+        assert dp.registry.value("openflow.table_hit_total") == 1
         assert len(received) == 1

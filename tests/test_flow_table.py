@@ -131,13 +131,10 @@ class TestFlowTable:
         table.add(FlowEntry(Match.any(), output(2), priority=1))
         web = key(dport=80)
         assert table.resolve(web.as_tuple()) is table.lookup(web)
-        assert (table.lookup_count, table.matched_count) == (1, 1)
 
     def test_lookup_miss(self):
         table = FlowTable()
         assert table.lookup(key()) is None
-        assert table.lookup_count == 1
-        assert table.matched_count == 0
 
     def test_priority_order(self):
         table = FlowTable()
@@ -305,11 +302,7 @@ class TestMutationEdges:
         [(evicted, reason)] = table.expire(100.0)
         assert reason == "hard"
         # The evicted entry carries its final counters (flow-removed
-        # messages report them) and the table's own stats are untouched
-        # by the eviction.
+        # messages report them).
         assert evicted.packet_count == 2 and evicted.byte_count == 3000
-        assert table.lookup_count == 2 and table.matched_count == 1
         assert len(table) == 0 and table.index_stats()["entries"] == 0
-        # Post-eviction lookups keep counting on the same counters.
         assert table.lookup(key(dport=80)) is None
-        assert table.lookup_count == 3 and table.matched_count == 1

@@ -24,7 +24,6 @@ from repro.openflow.actions import Output, output
 from repro.openflow.flow_table import (
     FlowEntry,
     FlowTable,
-    IndexedFlowTable,
     LinearFlowTable,
     _covers,
 )
@@ -121,7 +120,7 @@ def _outputs(table) -> list:
 
 def run_differential(seed: int, steps: int) -> None:
     rng = random.Random(seed)
-    indexed, linear = IndexedFlowTable(), LinearFlowTable()
+    indexed, linear = FlowTable(), LinearFlowTable()
     cookies = itertools.count(1)
     now = 0.0
     for _ in range(steps):
@@ -221,7 +220,6 @@ def test_differential_lookup_soak(seed):
 
 @pytest.mark.tier1
 def test_flow_table_is_indexed_by_default():
-    assert FlowTable is IndexedFlowTable
     table = FlowTable()
     table.add(FlowEntry(Match(tp_dst=80), output(1), priority=10))
     table.add(

@@ -5,11 +5,7 @@ import pytest
 from repro import HomeworkRouter, RouterConfig, Simulator
 from repro.core.errors import ConfigError, HwdbError
 from repro.hwdb.types import BOOLEAN, INTEGER, REAL, TIMESTAMP
-from repro.nox.controller import (
-    Controller,
-    EV_PORT_STATUS,
-    EV_STATS_REPLY,
-)
+from repro.nox.controller import Controller
 from repro.openflow.channel import SecureChannel
 from repro.openflow.datapath import Datapath
 from repro.openflow.flow_table import FlowEntry
@@ -18,11 +14,9 @@ from repro.openflow.actions import output
 from repro.openflow.messages import (
     FlowRemoved,
     PortDescription,
-    PortStatus,
-    PS_ADD,
     RR_IDLE_TIMEOUT,
     StatsReply,
-    STATS_PORT,
+    STATS_FLOW,
     next_xid,
 )
 from repro.ui.bandwidth_view import BandwidthView
@@ -78,30 +72,11 @@ class TestControllerDispatchPaths:
         controller.connect(channel)
         return sim, dp, controller, channel
 
-    def test_port_status_dispatch(self):
-        _sim, _dp, controller, channel = self._wired()
-        seen = []
-        controller.register_handler(EV_PORT_STATUS, lambda msg: seen.append(msg))
-        channel.to_controller(PortStatus(PS_ADD, PortDescription(3, "new-port")))
-        assert len(seen) == 1
-        assert seen[0].port.number == 3
-
-    def test_unsolicited_stats_reply_dispatched(self):
-        _sim, _dp, controller, channel = self._wired()
-        seen = []
-        controller.register_handler(EV_STATS_REPLY, lambda msg: seen.append(msg))
-        channel.to_controller(StatsReply(STATS_PORT, [], xid=999999))
-        assert len(seen) == 1
-
-    def test_barrier_roundtrip(self):
-        _sim, dp, controller, _channel = self._wired()
-        controller.barrier()  # must not raise; switch answers
-
     def test_channel_disconnect_blocks_both_ways(self):
         sim, dp, controller, channel = self._wired()
         channel.disconnect()
         before = channel.registry.value("openflow.channel_to_switch_total")
-        controller.send(StatsReply(STATS_PORT, []))  # silently dropped
+        controller.send(StatsReply(STATS_FLOW, []))  # silently dropped
         assert channel.registry.value("openflow.channel_to_switch_total") == before
 
 

@@ -10,7 +10,7 @@ from repro.nox.l2_learning import L2LearningSwitch
 from repro.openflow.channel import SecureChannel
 from repro.openflow.datapath import Datapath
 from repro.openflow.match import Match
-from repro.openflow.messages import STATS_TABLE, StatsReply
+from repro.openflow.messages import STATS_FLOW, StatsReply
 from repro.openflow.actions import output
 from repro.sim.host import Host
 from repro.sim.link import Link
@@ -144,7 +144,7 @@ class TestControllerCore:
     def test_stats_callback(self, wired):
         dp, controller = wired
         results = []
-        controller.request_stats(STATS_TABLE, results.append)
+        controller.request_stats(STATS_FLOW, results.append)
         assert len(results) == 1
         assert isinstance(results[0], StatsReply)
 

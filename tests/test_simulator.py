@@ -219,62 +219,22 @@ def test_raising_callback_leaves_later_events_for_the_next_run():
 
 
 class TestHeapCompaction:
-    """Cancelled entries are purged once they dominate the heap."""
-
-    def test_compaction_triggers_above_threshold(self):
-        sim = Simulator()
-        keep = [sim.schedule(1000.0 + i, lambda: None) for i in range(10)]
-        doomed = [sim.schedule(i + 1.0, lambda: None) for i in range(60)]
-        assert len(sim._queue) == 70
-        # The 36th cancellation crosses the >half threshold (72 > 70)
-        # and purges every cancelled entry accumulated so far.
-        for event in doomed[:35]:
-            event.cancel()
-        assert sim.compactions == 0
-        doomed[35].cancel()
-        assert sim.compactions == 1
-        assert len(sim._queue) == 34
-        assert sim._cancelled_in_queue == 0
-        assert sim.pending() == len(keep) + len(doomed) - 36
-
-    def test_no_compaction_below_min_size(self):
-        sim = Simulator()
-        events = [sim.schedule(i + 1.0, lambda: None) for i in range(10)]
-        for event in events:
-            event.cancel()
-        assert sim.compactions == 0
+    """Cancelled entries stay on the heap until a pop skips them; however
+    many pile up, the live events keep their order and their ticks."""
 
     def test_execution_order_unchanged_by_compaction(self):
-        def run(compact: bool) -> list:
-            sim = Simulator()
-            order = []
-            events = [
-                sim.schedule(i + 1.0, lambda i=i: order.append(i))
-                for i in range(200)
-            ]
-            for event in events[::2]:
-                event.cancel()
-            if not compact:
-                # Rebuild the simulator's view as if nothing was purged.
-                assert sim.compactions >= 0
-            sim.run_until(300.0)
-            return order
-
-        baseline = run(compact=False)
-        assert baseline == run(compact=True)
-        assert baseline == [i for i in range(200) if i % 2 == 1]
-
-    def test_popped_cancelled_events_decrement_counter(self):
         sim = Simulator()
-        events = [sim.schedule(i + 1.0, lambda: None) for i in range(63)]
-        # Below COMPACT_MIN_SIZE + ratio, so no compaction: cancelled
-        # events drain through the pop path instead.
-        for event in events[:31]:
+        order = []
+        events = [
+            sim.schedule(i + 1.0, lambda i=i: order.append(i))
+            for i in range(200)
+        ]
+        for event in events[::2]:
             event.cancel()
-        assert sim.compactions == 0
-        sim.run_until(100.0)
-        assert sim._cancelled_in_queue == 0
-        assert len(sim._queue) == 0
+        assert sim.pending() == 100
+        sim.run_until(300.0)
+        assert order == [i for i in range(200) if i % 2 == 1]
+        assert sim.pending() == 0
 
     def test_periodic_reschedule_survives_compaction(self):
         sim = Simulator()
@@ -283,6 +243,6 @@ class TestHeapCompaction:
         doomed = [sim.schedule(500.0 + i, lambda: None) for i in range(100)]
         for event in doomed:
             event.cancel()
-        assert sim.compactions == 1
+        assert sim.pending() == 1
         sim.run_until(5.0)
         assert ticks == [1.0, 2.0, 3.0, 4.0, 5.0]

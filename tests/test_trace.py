@@ -44,6 +44,13 @@ def build_router(trace_sample=1.0, trace_enabled=True, **config):
     return sim, router
 
 
+def count_send(tracer):
+    """Count one transmission as ``Host.send_frame`` does: its context
+    when it is sampled, else None."""
+    tracer.countdown -= 1
+    return None if tracer.countdown else tracer.sampled()
+
+
 def chain(ctx):
     """The (component, verb, decision) spine of a lineage."""
     return [(h.component, h.verb, h.decision) for h in ctx.hops]
@@ -192,7 +199,7 @@ class TestSamplingRules:
     def test_sampling_is_a_deterministic_counter(self):
         sim, router = build_router(trace_sample=0.5)
         # Only sampled transmissions get a context; the others get None.
-        sampled = [router.tracer.begin() is not None for _ in range(8)]
+        sampled = [count_send(router.tracer) is not None for _ in range(8)]
         assert sampled == [False, True] * 4
 
     @settings(max_examples=200, deadline=None)
@@ -201,7 +208,7 @@ class TestSamplingRules:
         st.booleans(),
         st.lists(
             st.one_of(
-                st.tuples(st.sampled_from(("send", "begin", "late", "on", "off"))),
+                st.tuples(st.sampled_from(("send", "late", "on", "off"))),
                 st.tuples(st.just("sample"), st.sampled_from(SAMPLES)),
                 st.tuples(st.just("burst"), st.integers(1, 40)),
             ),
@@ -215,20 +222,12 @@ class TestSamplingRules:
         tracer = Tracer(clock=lambda: 0.0, sample=sample, enabled=enabled)
         model = ModuloCounter(sample, enabled)
 
-        def send_inline():
-            # What Host.send_frame does.
-            tracer.countdown -= 1
-            return None if tracer.countdown else tracer.sampled()
-
         got, expected = [], []
         for op, *arg in ops:
             if op in ("send", "burst"):
                 for _ in range(arg[0] if arg else 1):
-                    got.append(send_inline())
+                    got.append(count_send(tracer))
                     expected.append(model.send())
-            elif op == "begin":
-                got.append(tracer.begin())
-                expected.append(model.send())
             elif op == "late":
                 tracer.late(b"\x00" * 14, None)
             elif op == "sample":
@@ -250,7 +249,7 @@ class TestSamplingRules:
         sim.run_for(2.0)
         assert seen, "no frames traversed the datapath"
         assert not any(isinstance(raw, TracedBytes) for raw in seen)
-        assert router.tracer.begin() is None
+        assert count_send(router.tracer) is None
         assert len(router.db.table("traces")) == 0
 
     def test_with_trace_none_is_identity(self):
@@ -445,7 +444,7 @@ class TestLateMint:
         got, late = [], []
         for _ in range(8):
             late.append(tracer.late(b"\x00" * 14, None))
-            got.append(tracer.begin())
+            got.append(count_send(tracer))
         assert [ctx is not None for ctx in got] == [False, True] * 4
         assert [ctx.trace_id for ctx in got if ctx] == [
             "00000002", "00000004", "00000006", "00000008"

@@ -1,18 +1,17 @@
 """Metric-name discipline: the ``repro.obs`` registry conventions.
 
-Metric and span names are string literals scattered across every
-subsystem, but they meet in one registry and one hwdb ``Metrics`` table,
-so the conventions from the telemetry PR are load-bearing:
+Metric names are string literals scattered across every subsystem, but
+they meet in one registry and one hwdb ``Metrics`` table, so the
+conventions from the telemetry PR are load-bearing:
 
 * ``metric-name`` — a literal passed to ``.counter()``/``.gauge()``/
-  ``.histogram()``/``.span()``/``.timed()`` must be dotted lowercase
-  (``<subsystem>.<metric>``): a namespace prefix plus snake_case parts.
-  A counter's name also ends in ``_total``, so a ``Metrics`` row or a
-  ``router.stats()`` key says by its name alone that it is a count.
+  ``.histogram()`` must be dotted lowercase (``<subsystem>.<metric>``):
+  a namespace prefix plus snake_case parts.  A counter's name also ends
+  in ``_total``, so a ``Metrics`` row or a ``router.stats()`` key says
+  by its name alone that it is a count.
 * ``metric-kind`` — the same name must not be registered with two
   different instrument kinds anywhere in the project (the registry would
   raise at runtime on the second call; the lint catches it statically).
-  A span named ``x`` implicitly owns the histogram ``span.x``.
 
 Dynamic names (f-strings, variables) are skipped — they cannot be
 checked statically.
@@ -33,13 +32,12 @@ KIND_METHODS = {
     "gauge": "gauge",
     "histogram": "histogram",
 }
-SPAN_METHODS = {"span", "timed"}
 
 
 class MetricNameRule(Rule):
     name = "metrics"
     ids = ("metric-name", "metric-kind")
-    description = "metric/span literals follow registry naming conventions"
+    description = "metric literals follow registry naming conventions"
 
     def check_project(self, files: Sequence[SourceFile]) -> Iterable[Violation]:
         violations: List[Violation] = []
@@ -53,7 +51,7 @@ class MetricNameRule(Rule):
                 if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)):
                     continue
                 method = node.func.attr
-                if method not in KIND_METHODS and method not in SPAN_METHODS:
+                if method not in KIND_METHODS:
                     continue
                 if not (
                     node.args
@@ -62,20 +60,15 @@ class MetricNameRule(Rule):
                 ):
                     continue
                 name = node.args[0].value
-                if method in SPAN_METHODS:
-                    if not NAME_RE.match(name):
-                        violations.append(self._name_violation(source, node, name, method))
-                    sites.append((f"span.{name}", "histogram", source, node))
-                else:
-                    if not NAME_RE.match(name):
-                        violations.append(self._name_violation(source, node, name, method))
-                    elif method == "counter" and not name.endswith("_total"):
-                        violations.append(
-                            self._name_violation(
-                                source, node, name, method, "counter names end in '_total'"
-                            )
+                if not NAME_RE.match(name):
+                    violations.append(self._name_violation(source, node, name, method))
+                elif method == "counter" and not name.endswith("_total"):
+                    violations.append(
+                        self._name_violation(
+                            source, node, name, method, "counter names end in '_total'"
                         )
-                    sites.append((name, KIND_METHODS[method], source, node))
+                    )
+                sites.append((name, KIND_METHODS[method], source, node))
         for name, kind, source, node in sites:
             first = registered.get(name)
             if first is None:

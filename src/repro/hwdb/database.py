@@ -73,8 +73,6 @@ class Subscription:
         """
         if not self.active:
             return None
-        timer = self.db.registry.clock
-        started = timer()
         try:
             result = self.db.execute_parsed(self.select, self.key)
         except HwdbError:
@@ -83,7 +81,6 @@ class Subscription:
             )
             self.cancel()
             return None
-        self.db._m_sub_fire.observe(timer() - started)
         self.executions += 1
         if result.rows or self.deliver_empty:
             self.deliveries += 1
@@ -133,7 +130,6 @@ class HomeworkDatabase:
         self._m_append = self.registry.histogram("hwdb.append_seconds")
         self._m_query_lat = self.registry.histogram("hwdb.query_seconds")
         self._m_subs_active = self.registry.gauge("hwdb.subscriptions_active")
-        self._m_sub_fire = self.registry.histogram("hwdb.subscription_fire_seconds")
         self._engine = QueryEngine(self.registry)
 
     # Read-only view of a registry counter that benchmarks/e2e/bench.py

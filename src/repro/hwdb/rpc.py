@@ -40,7 +40,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from ..core.errors import HwdbError, RpcError
 from .cql.executor import ResultSet
-from .database import HomeworkDatabase, Subscription
+from .database import HomeworkDatabase
 
 logger = logging.getLogger(__name__)
 
@@ -160,12 +160,15 @@ def unpack_resultset(text: str) -> ResultSet:
 
 
 class RpcServer:
-    """Serves the hwdb RPC protocol over any datagram transport."""
+    """Serves the hwdb RPC protocol over any datagram transport.
+
+    The server keeps no subscription state of its own: the database's
+    subscriptions are the record, so a subscription that cancels itself
+    (its query can no longer run) is gone for UNSUBSCRIBE too.
+    """
 
     def __init__(self, db: HomeworkDatabase):
         self.db = db
-        # subscription id -> (Subscription, reply function)
-        self._subscribers: Dict[int, Tuple[Subscription, ReplyFn]] = {}
         # The server counts into its database's registry.
         self._m_requests = db.registry.counter("rpc.request_total")
         self._m_pushes = db.registry.counter("rpc.push_total")
@@ -206,46 +209,25 @@ class RpcServer:
                 raise RpcError(f"bad interval {interval_s!r}") from None
             if not query_text:
                 raise RpcError("SUBSCRIBE needs a query")
-            subscription = self.db.subscribe(
-                query_text, interval, self._make_pusher(reply)
-            )
-            self._subscribers[subscription.id] = (subscription, reply)
-            self._patch_callback(subscription)
+
+            def push(result: ResultSet) -> None:
+                # The first fire comes an interval after subscribe()
+                # returns, so ``subscription`` is bound by then.
+                self._m_pushes.inc()
+                payload = f"PUSH {subscription.id}\n" + pack_resultset(result)
+                reply(payload.encode("utf-8"))
+
+            subscription = self.db.subscribe(query_text, interval, push)
             return f"SUBSCRIBED {subscription.id}"
         if verb == "UNSUBSCRIBE":
             try:
                 sub_id = int(rest)
             except ValueError:
                 raise RpcError(f"bad subscription id {rest!r}") from None
-            entry = self._subscribers.pop(sub_id, None)
-            if entry is None:
-                raise RpcError(f"no subscription {sub_id}")
-            entry[0].cancel()
+            # Raises "no subscription N" for an id the database no longer has.
+            self.db.subscription(sub_id).cancel()
             return f"UNSUBSCRIBED {sub_id}"
         raise RpcError(f"unknown request verb {verb!r}")
-
-    def _make_pusher(self, reply: ReplyFn) -> Callable[[ResultSet], None]:
-        # Placeholder; replaced by _patch_callback once the id is known.
-        return lambda result: None
-
-    def _patch_callback(self, subscription: Subscription) -> None:
-        sub_id = subscription.id
-
-        def push(result: ResultSet) -> None:
-            entry = self._subscribers.get(sub_id)
-            if entry is None:
-                return
-            self._m_pushes.inc()
-            payload = f"PUSH {sub_id}\n" + pack_resultset(result)
-            entry[1](payload.encode("utf-8"))
-
-        subscription.callback = push
-
-    def drop_subscriber(self, sub_id: int) -> None:
-        """Cancel a subscription whose transport went away."""
-        entry = self._subscribers.pop(sub_id, None)
-        if entry is not None:
-            entry[0].cancel()
 
 
 class LocalTransport:
@@ -308,12 +290,14 @@ class HwdbClient:
         return sub_id
 
     def unsubscribe(self, sub_id: int) -> None:
+        # Forget the callback whatever the answer: an id the server no
+        # longer has will never push again.
+        self._push_callbacks.pop(sub_id, None)
         response = self.transport.request(
             f"UNSUBSCRIBE {sub_id}".encode("utf-8")
         ).decode("utf-8")
         if not response.startswith("UNSUBSCRIBED"):
             raise RpcError(response)
-        self._push_callbacks.pop(sub_id, None)
 
     def _on_push(self, payload: bytes) -> None:
         text = payload.decode("utf-8")

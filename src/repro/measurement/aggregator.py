@@ -49,12 +49,10 @@ class DeviceUsage:
 class BandwidthAggregator:
     """Computes the per-device / per-protocol views from hwdb.
 
-    The UIs poll these views every refresh tick, usually faster than new
-    rows arrive.  Both the lease→device map and the full ``per_device``
-    result are therefore memoized against table *generations* (each
-    ``StreamTable.total_inserted`` counts every row ever written, so it
-    is a perfect change detector): identical requests against an
-    unchanged database are served from cache without re-running CQL.
+    The UIs poll these views every refresh tick, while leases change
+    seconds to hours apart.  The lease→device map is therefore memoized
+    against the leases table's *generation* (``StreamTable.total_inserted``
+    counts every row ever written, so it is a perfect change detector).
     """
 
     #: Classification memo cap; a household sees far fewer distinct
@@ -65,9 +63,6 @@ class BandwidthAggregator:
     def __init__(self, db: HomeworkDatabase):
         self.db = db
         self._device_map_cache: Optional[Tuple[int, Dict[str, Tuple[str, str]]]] = None
-        self._per_device_cache: Dict[
-            float, Tuple[Tuple[int, int, float], List[DeviceUsage]]
-        ] = {}
         # (proto, sport, dport) → protocol label.  classify() walks its
         # port tables per call; aggregation loops hit the same few
         # triples thousands of times per tick, so a flat dict probe
@@ -114,16 +109,7 @@ class BandwidthAggregator:
         The left-hand side of Figure 1: bandwidth consumption per
         machine, heaviest first.  Flows touching no leased device (e.g.
         router-to-upstream control traffic) are ignored.
-
-        Results are cached per window: a repeat call with no new flow or
-        lease rows and an unchanged clock returns the same list again
-        (a fresh list, but the same DeviceUsage objects) without
-        touching hwdb.
         """
-        key = (self._generation("flows"), self._generation("leases"), self.db.now)
-        cached = self._per_device_cache.get(window)
-        if cached is not None and cached[0] == key:
-            return list(cached[1])
         device_map = self._device_map()
         result = self.db.query(
             f"SELECT src_ip, dst_ip, proto, src_port, dst_port, bytes, packets "
@@ -154,9 +140,7 @@ class BandwidthAggregator:
                 down.bytes_down += nbytes
                 down.packets += packets
                 down.by_protocol[protocol] = down.by_protocol.get(protocol, 0) + nbytes
-        ranked = sorted(devices.values(), key=lambda u: u.bytes, reverse=True)
-        self._per_device_cache[window] = (key, ranked)
-        return list(ranked)
+        return sorted(devices.values(), key=lambda u: u.bytes, reverse=True)
 
     def per_protocol(
         self, device: Union[str, MACAddress], window: float

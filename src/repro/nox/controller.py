@@ -83,6 +83,7 @@ class Controller:
         # Components report into the same registry (``controller.registry``).
         self.registry = registry if registry is not None else MetricsRegistry()
         self._m_packet_ins = self.registry.counter("openflow.packet_in_total")
+        self._m_packet_in_lat = self.registry.histogram("openflow.packet_in_seconds")
         self._m_flow_mods = self.registry.counter("openflow.flow_mod_total")
         self._m_packet_outs = self.registry.counter("openflow.packet_out_total")
         self._m_handler_errors = self.registry.counter("openflow.handler_error_total")
@@ -176,9 +177,10 @@ class Controller:
                     cause=f"in_port={msg.in_port} reason={msg.reason}",
                 )
             self._m_packet_ins.inc()
-            # Handling latency lands in the span's histogram.
-            with self.registry.span("openflow.packet_in"):
-                self.dispatch(EV_PACKET_IN, msg)
+            clock = self.registry.clock
+            t0 = clock()
+            self.dispatch(EV_PACKET_IN, msg)
+            self._m_packet_in_lat.observe(clock() - t0)
         elif isinstance(msg, FlowRemoved):
             self.dispatch(EV_FLOW_REMOVED, msg)
         elif isinstance(msg, StatsReply):

@@ -2,9 +2,9 @@
 
 Counters, gauges and fixed-bucket latency histograms in a
 :class:`MetricsRegistry` (defined in the kernel, :mod:`repro.core.metrics`,
-so every layer can build one); tracing spans with parent/child nesting;
-and a :class:`MetricsFlusher` that dogfoods export by publishing
-snapshots into the hwdb ``Metrics`` stream table.  See DESIGN.md §8.
+so every layer can build one), one histogram per timed path; and a
+:class:`MetricsFlusher` that dogfoods export by publishing snapshots
+into the hwdb ``Metrics`` stream table.  See DESIGN.md §8.
 """
 
 from ..core.metrics import (
@@ -13,7 +13,6 @@ from ..core.metrics import (
     Gauge,
     Histogram,
     MetricsRegistry,
-    Span,
 )
 from .flush import METRICS_TABLE, MetricsFlusher
 from .trace import TRACES_TABLE, Tracer, render_context, render_lineage
@@ -26,7 +25,6 @@ __all__ = [
     "METRICS_TABLE",
     "MetricsFlusher",
     "MetricsRegistry",
-    "Span",
     "TRACES_TABLE",
     "Tracer",
     "render_context",

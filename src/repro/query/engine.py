@@ -201,14 +201,12 @@ class QueryEngine:
         text = unparse(select) if key is None else key
         entry = self._entry_for(select, tables, text)
         try:
-            # Tick latency lands in the span's histogram.
-            with self.registry.span("query.tick", mode=entry.mode):
-                if entry.state is not None:
-                    result = entry.state.tick(tables, now)
-                    self._m_incremental.inc()
-                else:
-                    result = entry.plan.execute(tables, now, timer=self.registry.clock)
-                    self._m_full.inc()
+            if entry.state is not None:
+                result = entry.state.tick(tables, now)
+                self._m_incremental.inc()
+            else:
+                result = entry.plan.execute(tables, now, timer=self.registry.clock)
+                self._m_full.inc()
         except (TypeError, ValueError, OverflowError) as exc:
             # A row the expression cannot evaluate.  Drop the entry so a
             # partly ingested incremental state is rebuilt next time.

@@ -95,9 +95,6 @@ class RadioEnvironment:
         self._links[name] = link
         self._update(name)
 
-    def position_of(self, name: str) -> Position:
-        return self._positions[name]
-
     def walls_between(self, a: Position, b: Position) -> int:
         return sum(1 for wall in self.walls if wall.crossed_by(a, b))
 

@@ -187,10 +187,6 @@ class TableTier:
     def sealed_rows(self) -> int:
         return sum(segment.rows for segment in self.segments)
 
-    @property
-    def archived_rows(self) -> int:
-        return self.sealed_rows + len(self.pending)
-
     def scan_since(self, t_from: float) -> Tuple[List[Row], ArchiveScanInfo]:
         """Archived rows with ``timestamp >= t_from``, oldest first.
 
@@ -284,6 +280,7 @@ class DurableStore:
         self._m_seals = self._registry.counter("store.segment_seal_total")
         self._m_scans = self._registry.counter("store.archive_scan_total")
         self._m_pruned = self._registry.counter("store.segments_pruned_total")
+        self._m_group_commit = self._registry.histogram("store.group_commit_seconds")
         self._load_manifest()
         self.wal = WriteAheadLog(
             self.root / WAL_NAME,
@@ -360,8 +357,11 @@ class DurableStore:
 
     def flush(self) -> int:
         """Group-commit the pending WAL batch; returns rows flushed."""
-        with self._registry.span("store.group_commit"):
-            return self.wal.flush()
+        clock = self._registry.clock
+        t0 = clock()
+        flushed = self.wal.flush()
+        self._m_group_commit.observe(clock() - t0)
+        return flushed
 
     def _seal(self, tier: TableTier) -> Optional[SegmentInfo]:
         """Seal ``tier``'s pending rows into one immutable segment."""

@@ -5,7 +5,8 @@ per-device per-protocol bandwidth consumption.  This allows users to
 focus on how their devices and their applications ... are using the
 network."
 
-The view subscribes to the measurement plane and renders two screens:
+The view polls the measurement plane (:meth:`refresh`, on a timer in
+live mode) and renders two screens:
 the device list (bandwidth per machine) and, after
 :meth:`select_device`, the per-protocol breakdown for one machine —
 exactly the two panes of the paper's Figure 5 screenshot ("Bandwidth
@@ -57,9 +58,7 @@ class BandwidthView:
         self.devices: List[DeviceUsage] = []
         self.selected: Optional[str] = None  # MAC of the drilled-into device
         self.refreshes = 0
-        self.pushes = 0
         self._timer = None
-        self._subscription = None
 
     # ------------------------------------------------------------------
     # Data plane
@@ -81,41 +80,6 @@ class BandwidthView:
         if self._timer is not None:
             self._timer.cancel()
             self._timer = None
-
-    def attach_subscription(self, db, interval: Optional[float] = None):
-        """Drive the display from hwdb's active plane instead of a timer.
-
-        This is the paper's architecture verbatim: the handheld display
-        "subscribe[s] to query results" rather than polling.  A
-        continuous per-device aggregation over the flows ring pushes on
-        every interval (``deliver_empty=True`` so a quiet network still
-        repaints), and each push refreshes the screen.  Because the
-        query is a subscription, the query engine pins its compiled
-        plan and maintains the windowed sums incrementally between
-        pushes.  Returns the :class:`~repro.hwdb.database.Subscription`.
-        """
-        if self._subscription is not None:
-            raise RuntimeError("display is already subscribed")
-        query = (
-            f"SELECT src_mac, sum(bytes) AS bytes FROM flows "
-            f"[RANGE {self.window:g} SECONDS] GROUP BY src_mac"
-        )
-        self._subscription = db.subscribe(
-            query,
-            interval if interval is not None else self.refresh_interval,
-            self._on_push,
-            deliver_empty=True,
-        )
-        return self._subscription
-
-    def detach_subscription(self) -> None:
-        if self._subscription is not None:
-            self._subscription.cancel()
-            self._subscription = None
-
-    def _on_push(self, result) -> None:
-        self.pushes += 1
-        self.refresh()
 
     # ------------------------------------------------------------------
     # Interaction

@@ -1,9 +1,7 @@
-"""Fixture: well-formed metric and span names."""
+"""Fixture: well-formed metric names."""
 
 
 def register(registry):
     registry.counter("dhcp.leases_total")
     registry.gauge("hosts.active")
     registry.histogram("hwdb.insert_seconds")
-    with registry.span("openflow.packet_in"):
-        pass

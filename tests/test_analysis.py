@@ -110,7 +110,7 @@ class TestMetricNameRule:
             ("metric-name", 6),  # "hosts" (no namespace)
             ("metric-kind", 8),  # counter vs histogram for dhcp.lease_seconds
             ("metric-name", 8),  # counter "dhcp.lease_seconds" lacks _total
-            ("metric-name", 9),  # span "Handle-Packet"
+            ("metric-name", 9),  # histogram "Handle-Packet"
         ]
 
     def test_convention_names_are_clean(self):

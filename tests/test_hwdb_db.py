@@ -214,6 +214,22 @@ class TestRpcServer:
         with pytest.raises(RpcError):
             client.unsubscribe(999)
 
+    def test_unsubscribe_after_the_database_cancelled_it(self, setup):
+        sim, db = setup
+        db.create_table("probe", [("v", "integer")])
+        server = RpcServer(db)
+        client = HwdbClient(LocalTransport(server))
+        sub_id = client.subscribe("SELECT v FROM probe", 1.0, lambda result: None)
+        db.drop_table("probe")
+        sim.run_for(3.0)  # the next fire cannot run its query and cancels
+        assert db.subscriptions() == []
+        responses = []
+        server.handle_datagram(f"UNSUBSCRIBE {sub_id}".encode(), responses.append)
+        assert responses == [f"ERROR no subscription {sub_id}".encode()]
+        with pytest.raises(RpcError):
+            client.unsubscribe(sub_id)
+        assert sub_id not in client._push_callbacks
+
     def test_malformed_requests(self, setup):
         _sim, db = setup
         server = RpcServer(db)

@@ -1,4 +1,4 @@
-"""The telemetry subsystem: registry, spans, and the hwdb Metrics table.
+"""The telemetry subsystem: registry, latency histograms, and the hwdb Metrics table.
 
 The tentpole property under test is the dogfooding loop: every
 instrument in the registry is periodically flushed into the ``Metrics``
@@ -49,62 +49,6 @@ class TestRegistry:
         assert [name for name, _type in METRICS_SCHEMA] == [
             "name", "kind", "field", "value",
         ]
-
-    def test_span_nesting_and_tags(self):
-        registry = MetricsRegistry()
-        with registry.span("outer", device="tv") as outer:
-            with registry.span("inner") as inner:
-                assert registry.current_span() is inner
-            assert inner.parent is outer and inner.depth == 1
-        assert registry.current_span() is None
-        assert outer.children == [inner]
-        assert outer.tags == {"device": "tv"}
-        assert registry.get("span.outer").count == 1
-        assert registry.get("span.inner").count == 1
-        assert list(registry.finished_spans) == [inner, outer]
-
-    def test_timed_decorator(self):
-        registry = MetricsRegistry()
-
-        @registry.timed("work")
-        def work(n):
-            return n * 2
-
-        assert work(21) == 42
-        assert registry.get("span.work").count == 1
-
-    def test_timed_decorator_tags_and_nesting(self):
-        registry = MetricsRegistry()
-
-        @registry.timed("inner.step", stage="apply")
-        def inner():
-            return registry.current_span()
-
-        with registry.span("outer.step") as outer:
-            observed = inner()
-        assert observed.parent is outer
-        assert observed.tags == {"stage": "apply"}
-        assert observed.depth == 1
-
-    def test_span_records_even_when_body_raises(self):
-        registry = MetricsRegistry()
-        with pytest.raises(ValueError):
-            with registry.span("risky.op"):
-                raise ValueError("boom")
-        assert registry.get("span.risky.op").count == 1
-        assert registry.current_span() is None
-        assert registry.finished_spans[-1].name == "risky.op"
-        assert registry.finished_spans[-1].duration >= 0.0
-
-    def test_span_ring_overflow_counts_drops(self):
-        registry = MetricsRegistry(max_finished_spans=4)
-        for _ in range(6):
-            with registry.span("obs.tick"):
-                pass
-        # The first four fill the ring; the last two each evict one.
-        assert registry.get("obs.span_dropped_total").value == 2
-        assert len(registry.finished_spans) == 4
-        assert registry.get("span.obs.tick").count == 6
 
     def test_render_text_exposition(self):
         registry = MetricsRegistry()
@@ -295,11 +239,16 @@ class TestRouterTelemetry:
         assert config.metrics_flush_interval == 0.5
 
     def test_hot_paths_emit_spans(self, busy_router):
-        """Controller dispatch and query ticks run inside spans."""
+        """Controller dispatch and hwdb queries each feed one histogram."""
         _sim, router = busy_router
-        assert router.metrics.get("span.openflow.packet_in").count > 0
+        assert router.metrics.get("openflow.packet_in_seconds").count > 0
+        queries = router.metrics.get("hwdb.query_seconds").count
         router.hwdb_client().query("SELECT name FROM metrics [RANGE 2 SECONDS]")
-        assert router.metrics.get("span.query.tick").count > 0
+        assert router.metrics.get("hwdb.query_seconds").count == queries + 1
+        names = {metric.name for metric in router.metrics.metrics()}
+        assert not any(name.startswith("span.") for name in names)
+        assert "hwdb.subscription_fire_seconds" not in names
+        assert "obs.span_dropped_total" not in names
 
     def test_store_group_commit_runs_in_span(self, tmp_path):
         sim = Simulator(seed=5)
@@ -315,7 +264,7 @@ class TestRouterTelemetry:
         join_device(router, "tv", "02:aa:00:00:00:02")
         sim.run_for(5.0)
         router.store.flush()
-        assert router.metrics.get("span.store.group_commit").count > 0
+        assert router.metrics.get("store.group_commit_seconds").count > 0
         router.stop()
 
     def test_port_gauges_reflect_traffic(self, busy_router):

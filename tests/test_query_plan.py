@@ -545,6 +545,31 @@ class TestMetrics:
         )
         assert registry.gauge("hwdb.subscriptions_active").value == 1.0
         subscription.fire()
-        assert registry.histogram("hwdb.subscription_fire_seconds").count == 1
+        assert registry.histogram("hwdb.query_seconds").count == 1
         subscription.cancel()
         assert registry.gauge("hwdb.subscriptions_active").value == 0.0
+
+    def test_each_select_is_timed_once(self, db):
+        """One SELECT, ad hoc or fired, is one sample across all histograms."""
+        fill(db)
+        registry = db.registry
+
+        def samples():
+            return sum(
+                metric.count
+                for metric in registry.metrics()
+                if metric.kind == "histogram"
+            )
+
+        before = samples()
+        db.query("SELECT device, sum(bytes) AS b FROM flows GROUP BY device")
+        assert samples() == before + 1
+        subscription = db.subscribe(
+            "SELECT device FROM flows [ROWS 3]",
+            interval=1.0,
+            callback=lambda result: None,
+            start=False,
+        )
+        before = samples()
+        subscription.fire()
+        assert samples() == before + 1

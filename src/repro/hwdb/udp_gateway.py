@@ -25,6 +25,7 @@ from typing import TYPE_CHECKING, Callable, Dict, Optional, Union
 
 from ..core.errors import RpcError
 from ..net.addresses import IPv4Address
+from ..net.packet import PacketError
 from ..net.udp import PORT_HWDB_RPC
 from .cql.executor import ResultSet
 from .rpc import RpcServer, unpack_resultset
@@ -56,9 +57,17 @@ class HwdbUdpGateway:
 
         def reply(payload: bytes) -> None:
             try:
-                self.host.udp_send(src_ip, sport, payload, sport=self.port)
-            except ConnectionError:
-                logger.warning("hwdb push undeliverable to %s:%d", src_ip, sport)
+                try:
+                    self.host.udp_send(src_ip, sport, payload, sport=self.port)
+                except PacketError as exc:  # larger than one datagram
+                    if payload.startswith(b"PUSH "):
+                        raise
+                    # Answer the request anyway, so the client's callback
+                    # fires and its next request is accepted.
+                    error = f"ERROR reply not sent: {exc}".encode("utf-8")
+                    self.host.udp_send(src_ip, sport, error, sport=self.port)
+            except (ConnectionError, PacketError) as exc:
+                logger.warning("hwdb reply undeliverable to %s:%d: %s", src_ip, sport, exc)
 
         self.server.handle_datagram(data, reply)
 

@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import struct
+
+_PSEUDO = struct.Struct("!IIHH")
+
 
 def internet_checksum(data: bytes) -> int:
     """Compute the 16-bit one's-complement checksum of ``data``.
@@ -41,9 +45,10 @@ def checksum_update(checksum: int, old: bytes, new: bytes) -> int:
     return ~total & 0xFFFF
 
 
-def pseudo_header(src: bytes, dst: bytes, proto: int, length: int) -> bytes:
-    """The IPv4 pseudo header prepended for UDP/TCP checksums."""
-    return src + dst + bytes([0, proto]) + length.to_bytes(2, "big")
+def pseudo_header(src: int, dst: int, proto: int, length: int) -> bytes:
+    """The IPv4 pseudo header prepended for UDP/TCP checksums: the
+    addresses, a zero byte, the protocol and the segment length."""
+    return _PSEUDO.pack(src, dst, proto, length)
 
 
 def verify_checksum(data: bytes) -> bool:

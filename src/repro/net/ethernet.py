@@ -7,6 +7,7 @@ matches on the fields defined here.
 
 from __future__ import annotations
 
+import struct
 from typing import Union
 
 from .addresses import MACAddress
@@ -22,6 +23,14 @@ ETH_TYPE_LLDP = 0x88CC
 _HEADER_LEN = 14
 MIN_FRAME_LEN = 60  # without FCS
 MAX_FRAME_LEN = 1514
+
+_HEADER = struct.Struct("!6s6sH")
+
+
+def ethernet_frame(dst: bytes, src: bytes, ethertype: int, payload: bytes) -> bytes:
+    """An Ethernet II frame: the 6-byte destination and source MACs, the
+    ethertype, then ``payload``."""
+    return _HEADER.pack(dst, src, ethertype) + payload
 
 
 class Ethernet(Packet):
@@ -48,14 +57,9 @@ class Ethernet(Packet):
         return self.dst.is_multicast
 
     def pack(self) -> bytes:
-        body = self.pack_payload()
-        frame = (
-            self.dst.packed
-            + self.src.packed
-            + self.ethertype.to_bytes(2, "big")
-            + body
+        return ethernet_frame(
+            self.dst.packed, self.src.packed, self.ethertype, self.pack_payload()
         )
-        return frame
 
     @classmethod
     def unpack(cls, data: bytes) -> "Ethernet":

@@ -7,6 +7,8 @@ which makes the control UI's feedback immediate.
 
 from __future__ import annotations
 
+import struct
+
 from .checksum import internet_checksum
 from .packet import Packet, PacketError, Payload
 
@@ -20,6 +22,22 @@ CODE_HOST_UNREACHABLE = 1
 CODE_ADMIN_PROHIBITED = 13
 
 _HEADER_LEN = 8
+#: Type, code, checksum and the 4-byte "rest of header".
+_HEADER = struct.Struct("!BBHI")
+
+
+def icmp_message(icmp_type: int, code: int, rest: int, payload: bytes = b"") -> bytes:
+    """An ICMP message carrying ``payload``, checksummed over the whole
+    message; ``rest`` is taken modulo 2**32."""
+    header = _HEADER.pack(icmp_type, code, 0, rest & 0xFFFFFFFF)
+    csum = internet_checksum(header + payload)
+    return header[:2] + csum.to_bytes(2, "big") + header[4:] + payload
+
+
+def icmp_echo(icmp_type: int, ident: int, seq: int, data: bytes = b"") -> bytes:
+    """An echo request or reply (by ``icmp_type``): ``ident`` and ``seq``
+    are taken modulo 2**16 into the rest of the header."""
+    return icmp_message(icmp_type, 0, ((ident & 0xFFFF) << 16) | (seq & 0xFFFF), data)
 
 
 class ICMP(Packet):
@@ -62,16 +80,7 @@ class ICMP(Packet):
         return self.icmp_type == TYPE_ECHO_REPLY
 
     def pack(self) -> bytes:
-        body = self.pack_payload()
-        msg = bytearray(
-            bytes([self.icmp_type, self.code])
-            + b"\x00\x00"
-            + self.rest.to_bytes(4, "big")
-            + body
-        )
-        csum = internet_checksum(bytes(msg))
-        msg[2:4] = csum.to_bytes(2, "big")
-        return bytes(msg)
+        return icmp_message(self.icmp_type, self.code, self.rest, self.pack_payload())
 
     @classmethod
     def unpack(cls, data: bytes) -> "ICMP":

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import struct
 from typing import Union
 
 from .addresses import IPv4Address
@@ -14,6 +15,31 @@ PROTO_UDP = 17
 
 _MIN_HEADER_LEN = 20
 DEFAULT_TTL = 64
+
+#: Version/IHL through destination; the checksum is at bytes 10-11.
+_HEADER = struct.Struct("!BBHHHBBHII")
+_VER_IHL = (4 << 4) | 5
+
+
+def ipv4_packet(
+    src: int,
+    dst: int,
+    proto: int,
+    payload: bytes,
+    ttl: int = DEFAULT_TTL,
+    tos: int = 0,
+    ident: int = 0,
+    flags: int = 0,
+    frag_offset: int = 0,
+) -> bytes:
+    """An IPv4 packet from ``src`` to ``dst`` (addresses as ints) with a
+    20-byte header, its checksum filled in, carrying ``payload``."""
+    total_len = _MIN_HEADER_LEN + len(payload)
+    if total_len > 0xFFFF:
+        raise PacketError(f"IPv4 packet too long: {total_len} bytes")
+    flags_frag = ((flags & 0x7) << 13) | (frag_offset & 0x1FFF)
+    header = _HEADER.pack(_VER_IHL, tos, total_len, ident, flags_frag, ttl, proto, 0, src, dst)
+    return header[:10] + internet_checksum(header).to_bytes(2, "big") + header[12:] + payload
 
 
 class IPv4(Packet):
@@ -42,27 +68,23 @@ class IPv4(Packet):
         self.payload = payload
 
     def pack(self) -> bytes:
-        body = self.pack_payload()
         # UDP/TCP checksums need the pseudo header, so compute them here
         # where src/dst are known, if the payload layer requests it.
         if isinstance(self.payload, Packet) and hasattr(self.payload, "pack_with_pseudo"):
             body = self.payload.pack_with_pseudo(self.src, self.dst)
-        total_len = _MIN_HEADER_LEN + len(body)
-        ver_ihl = (4 << 4) | 5
-        flags_frag = ((self.flags & 0x7) << 13) | (self.frag_offset & 0x1FFF)
-        header = bytearray(
-            bytes([ver_ihl, self.tos])
-            + total_len.to_bytes(2, "big")
-            + self.ident.to_bytes(2, "big")
-            + flags_frag.to_bytes(2, "big")
-            + bytes([self.ttl, self.proto])
-            + b"\x00\x00"
-            + self.src.packed
-            + self.dst.packed
+        else:
+            body = self.pack_payload()
+        return ipv4_packet(
+            int(self.src),
+            int(self.dst),
+            self.proto,
+            body,
+            self.ttl,
+            self.tos,
+            self.ident,
+            self.flags,
+            self.frag_offset,
         )
-        csum = internet_checksum(bytes(header))
-        header[10:12] = csum.to_bytes(2, "big")
-        return bytes(header) + body
 
     @classmethod
     def unpack(cls, data: bytes) -> "IPv4":

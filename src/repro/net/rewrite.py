@@ -25,6 +25,10 @@ microflow hash lookup.  It applies the same acceptance tests, plus those
 of ``ICMP.unpack`` and ``ARP.unpack``: a header the codecs would reject
 leaves its fields ``None``, so the key equals the one read off the
 unpacked layer objects, for every frame.
+
+:func:`read_frame` is the receiving host's half (DESIGN.md §14, "Hosts
+speak bytes"): the fields a host dispatches on and the payload it hands
+up, under the same acceptance tests, cut where the codecs cut it.
 """
 
 from __future__ import annotations
@@ -71,6 +75,12 @@ _ETH_FIELDS = struct.Struct("!HIHIH")
 _ADDR = struct.Struct("!I")
 _ADDR_PAIR = struct.Struct("!II")
 _PORT_PAIR = struct.Struct("!HH")
+#: TCP ports, seq, ack, data-offset byte and flags byte.
+_TCP_FIELDS = struct.Struct("!HHIIBB")
+#: UDP ports and length.
+_UDP_FIELDS = struct.Struct("!HHH")
+#: ICMP type and code, then (past the checksum) an echo's ident and seq.
+_ICMP_FIELDS = struct.Struct("!BB2xHH")
 
 #: A flow key in ``repro.openflow.match.MATCH_FIELDS`` order: in_port,
 #: dl_src, dl_dst, dl_type, nw_src, nw_dst, nw_proto, tp_src, tp_dst,
@@ -78,6 +88,12 @@ _PORT_PAIR = struct.Struct("!HH")
 FlowKeyTuple = Tuple[
     int, int, int, int,
     Optional[int], Optional[int], Optional[int], Optional[int], Optional[int],
+]
+
+#: What a host reads off a frame (:func:`read_frame`): dl_dst, dl_type,
+#: nw_src, nw_dst, nw_proto, the transport fields and the payload.
+HostFrame = Tuple[
+    int, int, Optional[int], Optional[int], Optional[int], Optional[Tuple[int, ...]], bytes
 ]
 
 
@@ -140,7 +156,7 @@ def flow_key(frame: bytes, in_port: int) -> Optional[FlowKeyTuple]:
                         frame[start], frame[start + 1],
                     )
             else:
-                start, _proto = _transport(frame, ihl)
+                start, _proto, _size = _transport(frame, ihl)
                 if start:
                     tp_src, tp_dst = _PORT_PAIR.unpack_from(frame, start)
                     return (
@@ -155,6 +171,54 @@ def flow_key(frame: bytes, in_port: int) -> Optional[FlowKeyTuple]:
             (target,) = _ADDR.unpack_from(frame, _ARP_TARGET_IP)
             return (in_port, dl_src, dl_dst, dl_type, sender, target, opcode, None, None)
     return (in_port, dl_src, dl_dst, dl_type, None, None, None, None, None)
+
+
+def read_frame(frame: bytes) -> Optional[HostFrame]:
+    """The fields a receiving host dispatches on, or None when the frame
+    is shorter than an Ethernet header.
+
+    For an IPv4 packet the codecs accept, nw_src, nw_dst and nw_proto are
+    set, and the transport fields are ``(sport, dport, seq, ack, flags)``
+    for TCP, ``(sport, dport)`` for UDP and ``(type, code, ident, seq)``
+    for ICMP.  The payload is what the deepest header the codecs would
+    parse carries, cut where they cut it: at the IPv4 total length and
+    the UDP length.  A transport header the codecs would reject, or
+    another protocol, leaves the transport fields None and the payload
+    the IPv4 body.  Any other frame leaves all of these None and the
+    payload everything behind the Ethernet header.
+    """
+    if len(frame) < _L3:
+        return None
+    dst_hi, dst_lo, _src_hi, _src_lo, dl_type = _ETH_FIELDS.unpack_from(frame)
+    dl_dst = dst_hi << 32 | dst_lo
+    ihl = _ipv4_header_len(frame) if dl_type == ETH_TYPE_IPV4 else 0
+    if not ihl:
+        return dl_dst, dl_type, None, None, None, None, frame[_L3:]
+    nw_src, nw_dst = _ADDR_PAIR.unpack_from(frame, _NW_SRC)
+    nw_proto = frame[_IP_PROTO]
+    start = _L3 + ihl
+    transport: Optional[Tuple[int, ...]] = None
+    if nw_proto == PROTO_ICMP:
+        size = _segment_len(frame, ihl)
+        if size >= _ICMP_HEADER:
+            transport = _ICMP_FIELDS.unpack_from(frame, start)
+            end = start + size
+            start += _ICMP_HEADER
+    else:
+        at, _proto, size = _transport(frame, ihl)
+        if at and nw_proto == PROTO_TCP:
+            sport, dport, seq, ack, offset, flags = _TCP_FIELDS.unpack_from(frame, at)
+            transport = (sport, dport, seq, ack, flags & 0x3F)
+            end = start + size
+            start += (offset >> 4) * 4
+        elif at:
+            sport, dport, length = _UDP_FIELDS.unpack_from(frame, at)
+            transport = (sport, dport)
+            end = start + max(_UDP_HEADER, min(length, size))
+            start += _UDP_HEADER
+    if transport is None:
+        end = start + _segment_len(frame, ihl)  # the IPv4 body
+    return dl_dst, dl_type, nw_src, nw_dst, nw_proto, transport, frame[start:end]
 
 
 def _ipv4_header_len(buf: bytes) -> int:
@@ -179,23 +243,24 @@ def _segment_len(buf: bytes, ihl: int) -> int:
     return (total_len if total_len < l3_len else l3_len) - ihl
 
 
-def _transport(buf: bytes, ihl: int) -> Tuple[int, int]:
-    """``(offset, proto)`` of the TCP/UDP header the codecs would parse
-    behind an IPv4 header of ``ihl`` bytes, else ``(0, 0)``.  ICMP is
-    not a transport here: it has no ports to edit."""
+def _transport(buf: bytes, ihl: int) -> Tuple[int, int, int]:
+    """``(offset, proto, size)`` of the TCP/UDP header the codecs would
+    parse behind an IPv4 header of ``ihl`` bytes, ``size`` being the
+    segment's length (:func:`_segment_len`), else ``(0, 0, 0)``.  ICMP
+    is not a transport here: it has no ports to edit."""
     start = _L3 + ihl
     if len(buf) < start + _UDP_HEADER:
-        return 0, 0  # no room for the smaller of the two headers
+        return 0, 0, 0  # no room for the smaller of the two headers
     size = _segment_len(buf, ihl)
     proto = buf[_IP_PROTO]
     if proto == PROTO_TCP and size >= _TCP_MIN_HEADER:
         offset = (buf[start + 12] >> 4) * 4
         if _TCP_MIN_HEADER <= offset <= size:
-            return start, proto
+            return start, proto, size
     elif proto == PROTO_UDP and size >= _UDP_HEADER:
         if (buf[start + 4] << 8 | buf[start + 5]) >= _UDP_HEADER:
-            return start, proto
-    return 0, 0
+            return start, proto, size
+    return 0, 0, 0
 
 
 def _arp_opcode(buf: bytes) -> int:
@@ -213,14 +278,14 @@ def _set_nw(buf: bytearray, at: int, ip: bytes) -> None:
     old = bytes(buf[at : at + 4])
     buf[at : at + 4] = ip
     _patch_checksum(buf, _IP_CSUM, old, ip)
-    start, proto = _transport(buf, ihl)
+    start, proto, _size = _transport(buf, ihl)
     if start:
         _patch_checksum(buf, start + _L4_CSUM[proto], old, ip, udp=proto == PROTO_UDP)
 
 
 def _set_tp(buf: bytearray, field: int, port: int) -> None:
     ihl = _ipv4_header_len(buf)
-    start, proto = _transport(buf, ihl) if ihl else (0, 0)
+    start, proto, _size = _transport(buf, ihl) if ihl else (0, 0, 0)
     if not start:
         return
     at = start + field

@@ -7,6 +7,7 @@ counts to populate the hwdb ``Flows`` table.
 
 from __future__ import annotations
 
+import struct
 from typing import Union
 
 from .addresses import IPv4Address
@@ -15,6 +16,9 @@ from .ipv4 import PROTO_TCP
 from .packet import Packet, PacketError, Payload
 
 _MIN_HEADER_LEN = 20
+#: Ports, seq, ack, data offset and flags, window, checksum, urgent.
+_HEADER = struct.Struct("!HHIIHHHH")
+_OFFSET_5 = 5 << 12  # a 20-byte header: no options
 
 # Flag bits.
 FIN = 0x01
@@ -35,6 +39,49 @@ PORT_IMAP = 143
 PORT_IMAPS = 993
 PORT_RTMP = 1935
 PORT_BITTORRENT = 6881
+
+
+def tcp_header(
+    sport: int,
+    dport: int,
+    seq: int,
+    ack: int,
+    flags: int,
+    window: int = 65535,
+    urgent: int = 0,
+) -> bytes:
+    """A 20-byte TCP header with a zero checksum; ``seq`` and ``ack``
+    are taken modulo 2**32."""
+    return _HEADER.pack(
+        sport,
+        dport,
+        seq & 0xFFFFFFFF,
+        ack & 0xFFFFFFFF,
+        _OFFSET_5 | (flags & 0x3F),
+        window,
+        0,
+        urgent,
+    )
+
+
+def tcp_segment(
+    src: int,
+    dst: int,
+    sport: int,
+    dport: int,
+    seq: int,
+    ack: int,
+    flags: int,
+    payload: bytes = b"",
+    window: int = 65535,
+    urgent: int = 0,
+) -> bytes:
+    """A TCP segment carrying ``payload``, its checksum taken over the
+    pseudo header of ``src`` -> ``dst`` (addresses as ints)."""
+    header = tcp_header(sport, dport, seq, ack, flags, window, urgent)
+    pseudo = pseudo_header(src, dst, PROTO_TCP, _MIN_HEADER_LEN + len(payload))
+    csum = internet_checksum(pseudo + header + payload)
+    return header[:16] + csum.to_bytes(2, "big") + header[18:] + payload
 
 
 class TCP(Packet):
@@ -95,30 +142,27 @@ class TCP(Packet):
         return "|".join(names) if names else "none"
 
     def pack(self) -> bytes:
-        body = self.pack_payload()
-        offset_flags = (5 << 12) | (self.flags & 0x3F)
-        return (
-            self.sport.to_bytes(2, "big")
-            + self.dport.to_bytes(2, "big")
-            + self.seq.to_bytes(4, "big")
-            + self.ack.to_bytes(4, "big")
-            + offset_flags.to_bytes(2, "big")
-            + self.window.to_bytes(2, "big")
-            + b"\x00\x00"
-            + self.urgent.to_bytes(2, "big")
-            + body
+        """Pack with a zero checksum (it needs the IPv4 addresses)."""
+        header = tcp_header(
+            self.sport, self.dport, self.seq, self.ack, self.flags, self.window, self.urgent
         )
+        return header + self.pack_payload()
 
     def pack_with_pseudo(
         self, src: Union[str, IPv4Address], dst: Union[str, IPv4Address]
     ) -> bytes:
-        raw = bytearray(self.pack())
-        pseudo = pseudo_header(
-            IPv4Address(src).packed, IPv4Address(dst).packed, PROTO_TCP, len(raw)
+        return tcp_segment(
+            int(IPv4Address(src)),
+            int(IPv4Address(dst)),
+            self.sport,
+            self.dport,
+            self.seq,
+            self.ack,
+            self.flags,
+            self.pack_payload(),
+            self.window,
+            self.urgent,
         )
-        csum = internet_checksum(pseudo + bytes(raw))
-        raw[16:18] = csum.to_bytes(2, "big")
-        return bytes(raw)
 
     @classmethod
     def unpack(cls, data: bytes) -> "TCP":

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import struct
 from typing import Union
 
 from .addresses import IPv4Address
@@ -10,12 +11,34 @@ from .ipv4 import PROTO_UDP
 from .packet import Packet, PacketError, Payload
 
 _HEADER_LEN = 8
+_HEADER = struct.Struct("!HHHH")
+#: The largest payload one IPv4 packet carries: 65,535 - 20 - 8 bytes.
+MAX_PAYLOAD = 0xFFFF - 20 - _HEADER_LEN
 
 # Well-known ports the router's services listen on.
 PORT_DNS = 53
 PORT_DHCP_SERVER = 67
 PORT_DHCP_CLIENT = 68
 PORT_HWDB_RPC = 987  # the Homework database RPC endpoint
+
+
+def udp_header(sport: int, dport: int, size: int) -> bytes:
+    """The 8-byte UDP header, checksum zero, of a datagram carrying
+    ``size`` payload bytes; raises :class:`PacketError` above
+    :data:`MAX_PAYLOAD`."""
+    if size > MAX_PAYLOAD:
+        raise PacketError(f"UDP payload too large: {size} bytes (max {MAX_PAYLOAD})")
+    return _HEADER.pack(sport, dport, _HEADER_LEN + size, 0)
+
+
+def udp_datagram(src: int, dst: int, sport: int, dport: int, payload: bytes) -> bytes:
+    """A UDP datagram carrying ``payload``, its checksum taken over the
+    pseudo header of ``src`` -> ``dst`` (addresses as ints).  A checksum
+    that folds to 0 is sent as 0xFFFF, since 0 means "none" (RFC 768)."""
+    header = udp_header(sport, dport, len(payload))
+    pseudo = pseudo_header(src, dst, PROTO_UDP, _HEADER_LEN + len(payload))
+    csum = internet_checksum(pseudo + header + payload) or 0xFFFF
+    return header[:6] + csum.to_bytes(2, "big") + payload
 
 
 class UDP(Packet):
@@ -32,29 +55,16 @@ class UDP(Packet):
     def pack(self) -> bytes:
         """Pack without a checksum (legal for UDP over IPv4)."""
         body = self.pack_payload()
-        length = _HEADER_LEN + len(body)
-        return (
-            self.sport.to_bytes(2, "big")
-            + self.dport.to_bytes(2, "big")
-            + length.to_bytes(2, "big")
-            + b"\x00\x00"
-            + body
-        )
+        return udp_header(self.sport, self.dport, len(body)) + body
 
     def pack_with_pseudo(
         self, src: Union[str, IPv4Address], dst: Union[str, IPv4Address]
     ) -> bytes:
         """Pack with the checksum over the IPv4 pseudo header."""
-        raw = bytearray(self.pack())
-        length = len(raw)
-        pseudo = pseudo_header(
-            IPv4Address(src).packed, IPv4Address(dst).packed, PROTO_UDP, length
+        return udp_datagram(
+            int(IPv4Address(src)), int(IPv4Address(dst)), self.sport, self.dport,
+            self.pack_payload(),
         )
-        csum = internet_checksum(pseudo + bytes(raw))
-        if csum == 0:  # RFC 768: transmitted as all ones
-            csum = 0xFFFF
-        raw[6:8] = csum.to_bytes(2, "big")
-        return bytes(raw)
 
     @classmethod
     def unpack(cls, data: bytes) -> "UDP":

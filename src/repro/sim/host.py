@@ -25,13 +25,14 @@ from ..net.dhcp_msg import (
     OPT_SUBNET_MASK,
 )
 from ..net.dns_msg import DNSMessage, RCODE_NOERROR, TYPE_A
-from ..net.ethernet import ETH_TYPE_ARP, ETH_TYPE_IPV4, Ethernet
-from ..net.icmp import ICMP
-from ..net.ipv4 import IPv4, PROTO_ICMP, PROTO_TCP, PROTO_UDP
+from ..net.ethernet import ETH_TYPE_ARP, ETH_TYPE_IPV4, ethernet_frame
+from ..net.icmp import TYPE_ECHO_REPLY, TYPE_ECHO_REQUEST, icmp_echo
+from ..net.ipv4 import PROTO_ICMP, PROTO_TCP, PROTO_UDP, ipv4_packet
 from ..net.packet import PacketError
-from ..net.tcp import ACK, FIN, SYN, TCP
+from ..net.rewrite import read_frame
+from ..net.tcp import ACK, FIN, RST, SYN, tcp_segment
 from ..net.trace import trace_of, with_trace
-from ..net.udp import PORT_DHCP_CLIENT, PORT_DHCP_SERVER, PORT_DNS, UDP
+from ..net.udp import PORT_DHCP_CLIENT, PORT_DHCP_SERVER, PORT_DNS, udp_datagram
 from .link import Port
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -42,6 +43,9 @@ logger = logging.getLogger(__name__)
 UdpHandler = Callable[[bytes, IPv4Address, int], None]
 DnsCallback = Callable[[Optional[IPv4Address], int], None]
 PingCallback = Callable[[bool, float], None]
+
+_BROADCAST_IP = 0xFFFFFFFF
+_BROADCAST_MAC = b"\xff" * 6
 
 # DHCP client states.
 DHCP_INIT = "INIT"
@@ -83,8 +87,9 @@ class TCPConnection:
         self.on_close: Optional[Callable[[], None]] = None
 
     @property
-    def key(self) -> Tuple[int, IPv4Address, int]:
-        return (self.local_port, self.remote_ip, self.remote_port)
+    def key(self) -> Tuple[int, int, int]:
+        """The host's demux key: local port, remote address, remote port."""
+        return (self.local_port, int(self.remote_ip), self.remote_port)
 
     def connect(self) -> None:
         self.state = "SYN_SENT"
@@ -108,37 +113,35 @@ class TCPConnection:
             self.state = "FIN_WAIT"
 
     def _send_segment(self, flags: int, data: bytes = b"") -> None:
-        segment = TCP(
-            sport=self.local_port,
-            dport=self.remote_port,
-            seq=self.seq,
-            ack=self.ack,
-            flags=flags,
-            payload=data,
+        host = self.host
+        src = host._source(self.local_ip)
+        dst = int(self.remote_ip)
+        segment = tcp_segment(
+            src, dst, self.local_port, self.remote_port, self.seq, self.ack, flags, data
         )
-        self.host.send_ip(self.remote_ip, PROTO_TCP, segment, src=self.local_ip)
+        host.send_ip(dst, PROTO_TCP, segment, src)
 
-    def handle(self, segment: TCP, src_ip: IPv4Address) -> None:
-        payload = segment.pack_payload()
-        if segment.is_rst:
+    def handle(self, seq: int, flags: int, payload: bytes) -> None:
+        """Take one received segment: its seq, flags and payload."""
+        if flags & RST:
             self.state = "CLOSED"
             if self.on_close:
                 self.on_close()
             return
-        if self.state == "SYN_SENT" and segment.is_synack:
-            self.ack = segment.seq + 1
+        if self.state == "SYN_SENT" and flags & SYN and flags & ACK:
+            self.ack = seq + 1
             self.state = "ESTABLISHED"
             self._send_segment(ACK)
             if self.on_connect:
                 self.on_connect()
             return
-        if self.state == "LISTEN_CHILD" and segment.flags & ACK and not payload:
+        if self.state == "LISTEN_CHILD" and flags & ACK and not payload:
             self.state = "ESTABLISHED"
             if self.on_connect:
                 self.on_connect()
             return
         if payload:
-            self.ack = segment.seq + len(payload)
+            self.ack = seq + len(payload)
             self.bytes_received += len(payload)
             self._send_segment(ACK)
             if self.state == "LISTEN_CHILD":
@@ -147,8 +150,8 @@ class TCPConnection:
                     self.on_connect()
             if self.on_data:
                 self.on_data(payload)
-        if segment.is_fin:
-            self.ack = segment.seq + len(payload) + 1
+        if flags & FIN:
+            self.ack = seq + len(payload) + 1
             if self.state == "FIN_WAIT":
                 self._send_segment(ACK)
                 self.state = "CLOSED"
@@ -188,10 +191,11 @@ class Host:
         self.dns_server: Optional[IPv4Address] = None
 
         self._arp_table: Dict[IPv4Address, MACAddress] = {}
-        self._arp_pending: Dict[IPv4Address, List[IPv4]] = {}
+        # Packed IPv4 packets waiting for their next hop's MAC.
+        self._arp_pending: Dict[IPv4Address, List[bytes]] = {}
         self._udp_handlers: Dict[int, UdpHandler] = {}
         self._tcp_listeners: Dict[int, Callable[[TCPConnection], None]] = {}
-        self._tcp_conns: Dict[Tuple[int, IPv4Address, int], TCPConnection] = {}
+        self._tcp_conns: Dict[Tuple[int, int, int], TCPConnection] = {}
         self._next_ephemeral = 49152
 
         # DHCP client state.
@@ -257,44 +261,43 @@ class Host:
     # Frame TX/RX
     # ------------------------------------------------------------------
 
-    def send_frame(self, frame: Ethernet) -> None:
+    def send_frame(self, raw: bytes) -> None:
+        """Put one Ethernet frame, as bytes, on the wire."""
         self.frames_sent += 1
-        raw = frame.pack()
         tracer = self.tracer
         if tracer is not None:
             tracer.countdown -= 1
             if not tracer.countdown:
                 ctx = tracer.sampled()
                 if ctx is not None:
+                    fields = read_frame(raw)
+                    ethertype = f" ethertype={fields[1]:#06x}" if fields is not None else ""
                     raw = with_trace(raw, ctx)
-                    ctx.hop(
-                        "host",
-                        "tx",
-                        cause=f"device={self.name} ethertype={frame.ethertype:#06x}",
-                    )
+                    ctx.hop("host", "tx", cause=f"device={self.name}{ethertype}")
         self.port.send(raw)
 
     def _on_frame(self, raw: bytes, _port: Port) -> None:
         self.frames_received += 1
-        try:
-            frame = Ethernet.unpack(raw)
-        except PacketError:
-            return
-        if frame.dst != self.mac and not frame.dst.is_broadcast and not frame.dst.is_multicast:
+        fields = read_frame(raw)
+        if fields is None:
+            return  # shorter than an Ethernet header
+        dl_dst, dl_type, nw_src, nw_dst, nw_proto, transport, payload = fields
+        # The group bit marks broadcast and multicast alike.
+        if dl_dst != int(self.mac) and not dl_dst >> 40 & 1:
             return  # not for us (promiscuous mode not modelled)
         ctx = trace_of(raw)
         if ctx is not None:
             # First matching receiver ends the trace (finish is
             # idempotent, so broadcast copies are harmless).
             ctx.finish("host", "rx", decision="delivered", cause=f"device={self.name}")
-        if frame.ethertype == ETH_TYPE_ARP:
-            arp = frame.find(ARP)
-            if arp is not None:
-                self._handle_arp(arp)
-        elif frame.ethertype == ETH_TYPE_IPV4:
-            ip = frame.find(IPv4)
-            if ip is not None:
-                self._handle_ip(ip)
+        if nw_proto is not None:
+            self._on_ip(nw_src, nw_dst, nw_proto, transport, payload)
+        elif dl_type == ETH_TYPE_ARP:
+            try:
+                arp = ARP.unpack(payload)
+            except PacketError:
+                return
+            self._handle_arp(arp)
 
     # ------------------------------------------------------------------
     # ARP
@@ -309,19 +312,19 @@ class Host:
         ):
             reply = ARP.reply(self.mac, self.ip, arp.sender_mac, arp.sender_ip)
             self.send_frame(
-                Ethernet(arp.sender_mac, self.mac, ETH_TYPE_ARP, reply)
+                ethernet_frame(arp.sender_mac.packed, self.mac.packed, ETH_TYPE_ARP, reply.pack())
             )
         # Encapsulate and flush packets queued behind resolution.
         queued = self._arp_pending.pop(arp.sender_ip, [])
         for packet in queued:
             self.send_frame(
-                Ethernet(arp.sender_mac, self.mac, ETH_TYPE_IPV4, packet)
+                ethernet_frame(arp.sender_mac.packed, self.mac.packed, ETH_TYPE_IPV4, packet)
             )
 
-    def _resolve_and_send(self, next_hop: IPv4Address, packet: IPv4) -> None:
+    def _resolve_and_send(self, next_hop: IPv4Address, packet: bytes) -> None:
         mac = self._arp_table.get(next_hop)
         if mac is not None:
-            self.send_frame(Ethernet(mac, self.mac, ETH_TYPE_IPV4, packet))
+            self.send_frame(ethernet_frame(mac.packed, self.mac.packed, ETH_TYPE_IPV4, packet))
             return
         pending = self._arp_pending.setdefault(next_hop, [])
         pending.append(packet)
@@ -329,68 +332,76 @@ class Host:
             return  # resolution already in flight
         request = ARP.request(self.mac, self.ip or IPv4Address.any(), next_hop)
         self.send_frame(
-            Ethernet(MACAddress.broadcast(), self.mac, ETH_TYPE_ARP, request)
+            ethernet_frame(_BROADCAST_MAC, self.mac.packed, ETH_TYPE_ARP, request.pack())
         )
 
     # ------------------------------------------------------------------
     # IP send/receive
     # ------------------------------------------------------------------
 
-    def send_ip(
-        self,
-        dst: Union[str, IPv4Address],
-        proto: int,
-        payload,
-        src: Optional[Union[str, IPv4Address]] = None,
-    ) -> None:
-        """Route an IP packet: on-link destinations direct, else gateway.
+    def _source(self, src: Optional[IPv4Address] = None) -> int:
+        """The source address of a packet: ``src``, else this host's own.
+
+        ``src`` is for the simulated Internet cloud, which answers for
+        many addresses.  Raises ConnectionError when there is neither.
+        """
+        if src is None:
+            src = self.ip
+            if src is None:
+                raise ConnectionError(f"host {self.name} has no address yet")
+        return int(src)
+
+    def send_ip(self, dst: int, proto: int, payload: bytes, src: int) -> None:
+        """Route an IPv4 packet from ``src`` to ``dst`` (addresses as
+        ints) carrying ``payload``, a packed transport segment whose
+        checksum covers both: on-link destinations direct, else gateway.
 
         Under the paper's isolating /30 allocation nothing is on-link
         except the router, so all traffic goes through the gateway — the
-        property the Homework DHCP server engineers deliberately.  ``src``
-        overrides the source address (used by the simulated Internet cloud
-        which answers for many addresses).
+        property the Homework DHCP server engineers deliberately.
         """
-        if self.ip is None and src is None:
-            raise ConnectionError(f"host {self.name} has no address yet")
-        dst = IPv4Address(dst)
-        source = IPv4Address(src) if src is not None else self.ip
-        packet = IPv4(src=source, dst=dst, proto=proto, payload=payload)
-        network = self.network
-        if network is not None and dst in network:
-            next_hop = dst
-        elif self.gateway is not None:
-            next_hop = self.gateway
-        else:
-            raise ConnectionError(f"host {self.name} has no route to {dst}")
-        self._resolve_and_send(next_hop, packet)
+        self._resolve_and_send(self._next_hop(dst), ipv4_packet(src, dst, proto, payload))
 
-    def _handle_ip(self, ip: IPv4) -> None:
-        if (
-            self.ip is not None
-            and ip.dst != self.ip
-            and not ip.dst.is_broadcast
-            and ip.dst != IPv4Address("255.255.255.255")
-        ):
+    def _next_hop(self, dst: int) -> IPv4Address:
+        ip, netmask = self.ip, self.netmask
+        if ip is not None and netmask is not None:
+            # The prefix is the mask's bit count, as in ``network``.
+            prefix = bin(int(netmask)).count("1")
+            if not (dst ^ int(ip)) >> (32 - prefix):
+                return IPv4Address(dst)
+        if self.gateway is not None:
+            return self.gateway
+        raise ConnectionError(f"host {self.name} has no route to {IPv4Address(dst)}")
+
+    def _on_ip(
+        self,
+        src: int,
+        dst: int,
+        proto: int,
+        transport: Optional[Tuple[int, ...]],
+        payload: bytes,
+    ) -> None:
+        """Take one IPv4 packet: its addresses, protocol, transport
+        fields (see ``read_frame``) and payload."""
+        ip = self.ip
+        if ip is not None and dst != int(ip) and dst != _BROADCAST_IP:
             return
-        if ip.proto == PROTO_UDP:
-            udp = ip.find(UDP)
-            if udp is not None:
-                self._handle_udp(udp, ip.src)
-        elif self.ip is None:
+        if transport is None:
+            return  # a protocol or header this stack does not take
+        if proto == PROTO_UDP:
+            self._on_udp(src, transport[0], transport[1], payload)
+        elif ip is None:
             # No address (lease lost mid-conversation): TCP and ICMP both
             # answer with transmissions we cannot source.  A real stack
             # drops late segments for a deconfigured interface; only UDP
             # stays open above, since DHCP rides it to get us an address.
             return
-        elif ip.proto == PROTO_TCP:
-            tcp = ip.find(TCP)
-            if tcp is not None:
-                self._handle_tcp(tcp, ip.src)
-        elif ip.proto == PROTO_ICMP:
-            icmp = ip.find(ICMP)
-            if icmp is not None:
-                self._handle_icmp(icmp, ip.src)
+        elif proto == PROTO_TCP:
+            sport, dport, seq, ack, flags = transport
+            self._on_tcp(src, dst, sport, dport, seq, ack, flags, payload)
+        elif proto == PROTO_ICMP:
+            icmp_type, _code, ident, seq = transport
+            self._on_icmp(src, icmp_type, ident, seq, payload)
 
     # ------------------------------------------------------------------
     # UDP
@@ -409,22 +420,22 @@ class Host:
         """Send a datagram; returns the source port used."""
         if sport == 0:
             sport = self._ephemeral_port()
-        self.send_ip(dst, PROTO_UDP, UDP(sport=sport, dport=dport, payload=data))
+        src = self._source()
+        dst_ip = int(IPv4Address(dst))
+        self.send_ip(dst_ip, PROTO_UDP, udp_datagram(src, dst_ip, sport, dport, data), src)
         return sport
 
-    def _handle_udp(self, udp: UDP, src_ip: IPv4Address) -> None:
-        if udp.dport == PORT_DHCP_CLIENT:
-            msg = udp.find(DHCPMessage) if hasattr(udp.payload, "pack") else None
-            if msg is None:
-                try:
-                    msg = DHCPMessage.unpack(udp.pack_payload())
-                except PacketError:
-                    return
+    def _on_udp(self, src: int, sport: int, dport: int, payload: bytes) -> None:
+        if dport == PORT_DHCP_CLIENT:
+            try:
+                msg = DHCPMessage.unpack(payload)
+            except PacketError:
+                return
             self._handle_dhcp(msg)
             return
-        handler = self._udp_handlers.get(udp.dport)
+        handler = self._udp_handlers.get(dport)
         if handler is not None:
-            handler(udp.pack_payload(), src_ip, udp.sport)
+            handler(payload, IPv4Address(src), sport)
 
     def _ephemeral_port(self) -> int:
         port = self._next_ephemeral
@@ -463,16 +474,12 @@ class Host:
             self.start_dhcp(retry_interval)
 
     def _broadcast_dhcp(self, msg: DHCPMessage) -> None:
-        udp = UDP(sport=PORT_DHCP_CLIENT, dport=PORT_DHCP_SERVER, payload=msg)
-        packet = IPv4(
-            src=self.ip or IPv4Address.any(),
-            dst=IPv4Address.broadcast(),
-            proto=PROTO_UDP,
-            payload=udp,
+        src = int(self.ip) if self.ip is not None else 0
+        datagram = udp_datagram(
+            src, _BROADCAST_IP, PORT_DHCP_CLIENT, PORT_DHCP_SERVER, msg.pack()
         )
-        self.send_frame(
-            Ethernet(MACAddress.broadcast(), self.mac, ETH_TYPE_IPV4, packet)
-        )
+        packet = ipv4_packet(src, _BROADCAST_IP, PROTO_UDP, datagram)
+        self.send_frame(ethernet_frame(_BROADCAST_MAC, self.mac.packed, ETH_TYPE_IPV4, packet))
 
     def _handle_dhcp(self, msg: DHCPMessage) -> None:
         if msg.xid != self._dhcp_xid or msg.chaddr != self.mac:
@@ -643,32 +650,37 @@ class Host:
         conn.connect()
         return conn
 
-    def _handle_tcp(self, segment: TCP, src_ip: IPv4Address) -> None:
-        key = (segment.dport, src_ip, segment.sport)
-        conn = self._tcp_conns.get(key)
+    def _on_tcp(
+        self,
+        src: int,
+        dst: int,
+        sport: int,
+        dport: int,
+        seq: int,
+        ack: int,
+        flags: int,
+        payload: bytes,
+    ) -> None:
+        """Take one TCP segment from ``src`` to ``dst`` (see ``_on_ip``)."""
+        conn = self._tcp_conns.get((dport, src, sport))
         if conn is not None:
-            conn.handle(segment, src_ip)
+            conn.handle(seq, flags, payload)
             return
-        if segment.is_syn and segment.dport in self._tcp_listeners:
-            child = TCPConnection(self, segment.dport, src_ip, segment.sport)
+        if flags & SYN and not flags & ACK and dport in self._tcp_listeners:
+            child = TCPConnection(self, dport, IPv4Address(src), sport)
             child.state = "LISTEN_CHILD"
-            child.ack = segment.seq + 1
+            child.ack = seq + 1
             self._tcp_conns[child.key] = child
-            self._tcp_listeners[segment.dport](child)
+            self._tcp_listeners[dport](child)
             child._send_segment(SYN | ACK)
             child.seq += 1
             return
         # No listener: refuse with RST, as a real stack would.
-        if not segment.is_rst:
-            rst = TCP(
-                sport=segment.dport,
-                dport=segment.sport,
-                seq=segment.ack,
-                flags=0x04 | ACK,
-                ack=segment.seq + 1,
-            )
+        if not flags & RST:
             try:
-                self.send_ip(src_ip, PROTO_TCP, rst)
+                own = self._source()
+                rst = tcp_segment(own, src, dport, sport, ack, seq + 1, RST | ACK)
+                self.send_ip(src, PROTO_TCP, rst, own)
             except ConnectionError:
                 pass
 
@@ -681,15 +693,16 @@ class Host:
         self._ping_seq += 1
         key = (self._ping_ident, self._ping_seq)
         self._ping_pending[key] = (self.sim.now, callback)
-        echo = ICMP.echo_request(self._ping_ident, self._ping_seq, b"homework")
-        self.send_ip(dst, PROTO_ICMP, echo)
+        echo = icmp_echo(TYPE_ECHO_REQUEST, self._ping_ident, self._ping_seq, b"homework")
+        src = self._source()
+        self.send_ip(int(IPv4Address(dst)), PROTO_ICMP, echo, src)
 
-    def _handle_icmp(self, icmp: ICMP, src_ip: IPv4Address) -> None:
-        if icmp.is_echo_request:
-            reply = ICMP.echo_reply(icmp.ident, icmp.seq, icmp.pack_payload())
-            self.send_ip(src_ip, PROTO_ICMP, reply)
-        elif icmp.is_echo_reply:
-            key = (icmp.ident, icmp.seq)
+    def _on_icmp(self, src: int, icmp_type: int, ident: int, seq: int, payload: bytes) -> None:
+        if icmp_type == TYPE_ECHO_REQUEST:
+            reply = icmp_echo(TYPE_ECHO_REPLY, ident, seq, payload)
+            self.send_ip(src, PROTO_ICMP, reply, self._source())
+        elif icmp_type == TYPE_ECHO_REPLY:
+            key = (ident, seq)
             pending = self._ping_pending.pop(key, None)
             if pending is not None:
                 sent_at, callback = pending

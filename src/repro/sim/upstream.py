@@ -11,7 +11,7 @@ permitted-sites enforcement and the measurement plane end to end.
 from __future__ import annotations
 
 import logging
-from typing import TYPE_CHECKING, Callable, Dict, Optional, Union
+from typing import TYPE_CHECKING, Callable, Dict, Optional, Tuple, Union
 
 from ..net.addresses import IPv4Address, MACAddress
 from ..net.dns_msg import (
@@ -20,10 +20,10 @@ from ..net.dns_msg import (
     RCODE_NXDOMAIN,
     TYPE_A,
 )
-from ..net.ipv4 import IPv4
+from ..net.ipv4 import PROTO_UDP
 from ..net.packet import PacketError
-from ..net.tcp import TCP
-from ..net.udp import PORT_DNS, UDP
+from ..net.tcp import ACK, SYN
+from ..net.udp import PORT_DNS, udp_datagram
 from .host import Host, TCPConnection
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -74,7 +74,6 @@ class InternetCloud(Host):
         self.connections_served = 0
         self.dns_queries_served = 0
         self.on_serve: Optional[Callable[[TCPConnection], None]] = None
-        self._current_dst: Optional[IPv4Address] = None
 
     def add_site(self, name: str, addr: Union[str, IPv4Address]) -> None:
         self.zone[name.rstrip(".").lower()] = IPv4Address(addr)
@@ -91,45 +90,55 @@ class InternetCloud(Host):
 
     # -- Accept traffic for any address --------------------------------
 
-    def _handle_ip(self, ip: IPv4) -> None:
-        self._current_dst = ip.dst
+    def _on_ip(
+        self,
+        src: int,
+        dst: int,
+        proto: int,
+        transport: Optional[Tuple[int, ...]],
+        payload: bytes,
+    ) -> None:
+        if proto == PROTO_UDP and transport is not None and transport[1] == PORT_DNS:
+            self._serve_dns(src, dst, transport[0], payload)
+            return
+        # Answer as the address the packet was sent to: the normal stack
+        # takes the packet, and sources every reply from that address,
+        # as well as any ARP request a reply triggers.
+        own_ip = self.ip
+        self.ip = IPv4Address(dst)
         try:
-            if ip.proto == 17:
-                udp = ip.find(UDP)
-                if udp is not None and udp.dport == PORT_DNS:
-                    self._serve_dns(udp, ip)
-                    return
-            # Fall through to the normal stack with dst filtering disabled.
-            original_ip = self.ip
-            self.ip = ip.dst
-            try:
-                super()._handle_ip(ip)
-            finally:
-                self.ip = original_ip
+            super()._on_ip(src, dst, proto, transport, payload)
         finally:
-            self._current_dst = None
+            self.ip = own_ip
 
-    def _handle_tcp(self, segment: TCP, src_ip: IPv4Address) -> None:
-        key = (segment.dport, src_ip, segment.sport)
-        conn = self._tcp_conns.get(key)
-        if conn is None and segment.is_syn:
+    def _on_tcp(
+        self,
+        src: int,
+        dst: int,
+        sport: int,
+        dport: int,
+        seq: int,
+        ack: int,
+        flags: int,
+        payload: bytes,
+    ) -> None:
+        conn = self._tcp_conns.get((dport, src, sport))
+        if conn is None and flags & SYN and not flags & ACK:
             # Auto-listen: every port serves.
-            child = TCPConnection(self, segment.dport, src_ip, segment.sport)
+            child = TCPConnection(self, dport, IPv4Address(src), sport)
             child.state = "LISTEN_CHILD"
-            child.ack = segment.seq + 1
-            child.local_ip = self._current_dst
+            child.ack = seq + 1
+            child.local_ip = IPv4Address(dst)
             self._tcp_conns[child.key] = child
             self.connections_served += 1
             child.on_data = lambda data, c=child: self._serve_request(c, data)
             if self.on_serve:
                 self.on_serve(child)
-            from ..net.tcp import ACK, SYN
-
             child._send_segment(SYN | ACK)
             child.seq += 1
             return
         if conn is not None:
-            conn.handle(segment, src_ip)
+            conn.handle(seq, flags, payload)
 
     def _serve_request(self, conn: TCPConnection, data: bytes) -> None:
         """Answer a request with a body.
@@ -149,9 +158,10 @@ class InternetCloud(Host):
 
     # -- Authoritative DNS ----------------------------------------------
 
-    def _serve_dns(self, udp: UDP, ip: IPv4) -> None:
+    def _serve_dns(self, src: int, dst: int, sport: int, payload: bytes) -> None:
+        """Answer a DNS query sent from ``src``:``sport`` to ``dst``, from ``dst``."""
         try:
-            query = DNSMessage.unpack(udp.pack_payload())
+            query = DNSMessage.unpack(payload)
         except PacketError:
             return
         if query.is_response or not query.questions:
@@ -163,8 +173,8 @@ class InternetCloud(Host):
             response = query.respond([DNSRecord.a(question.qname, address)])
         else:
             response = query.respond(rcode=RCODE_NXDOMAIN)
-        reply = UDP(sport=PORT_DNS, dport=udp.sport, payload=response.pack())
-        self.send_ip(ip.src, 17, reply, src=ip.dst)
+        reply = udp_datagram(dst, src, PORT_DNS, sport, response.pack())
+        self.send_ip(src, PROTO_UDP, reply, dst)
 
     def __repr__(self) -> str:
         return f"InternetCloud(ip={self.ip}, sites={len(self.zone)})"

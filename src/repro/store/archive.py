@@ -280,7 +280,6 @@ class DurableStore:
         self._m_seals = self._registry.counter("store.segment_seal_total")
         self._m_scans = self._registry.counter("store.archive_scan_total")
         self._m_pruned = self._registry.counter("store.segments_pruned_total")
-        self._m_group_commit = self._registry.histogram("store.group_commit_seconds")
         self._load_manifest()
         self.wal = WriteAheadLog(
             self.root / WAL_NAME,
@@ -357,11 +356,7 @@ class DurableStore:
 
     def flush(self) -> int:
         """Group-commit the pending WAL batch; returns rows flushed."""
-        clock = self._registry.clock
-        t0 = clock()
-        flushed = self.wal.flush()
-        self._m_group_commit.observe(clock() - t0)
-        return flushed
+        return self.wal.flush()
 
     def _seal(self, tier: TableTier) -> Optional[SegmentInfo]:
         """Seal ``tier``'s pending rows into one immutable segment."""

@@ -91,6 +91,7 @@ class WriteAheadLog:
         self._m_rows = self.registry.counter("store.wal_rows_total")
         self._m_bytes = self.registry.counter("store.wal_byte_total")
         self._m_rewrites = self.registry.counter("store.wal_rewrite_total")
+        self._m_group_commit = self.registry.histogram("store.group_commit_seconds")
         self._fh = self._open()
 
     def _open(self):
@@ -122,12 +123,15 @@ class WriteAheadLog:
         self._last_flush = self._clock()
         if not self._pending:
             return 0
+        clock = self.registry.clock
+        t0 = clock()
         count = len(self._pending)
         # The pending tuples are JSON-encoded directly (tuples render as
         # arrays) — no per-row copy on the group-commit path.
         self._write_record({"k": "b", "rows": self._pending})
         self._pending = []
         self._m_rows.inc(count)
+        self._m_group_commit.observe(clock() - t0)
         return count
 
     def write_clear(self, table: str, through: int) -> None:

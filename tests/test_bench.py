@@ -169,7 +169,7 @@ def test_trace_kernel_runs_what_host_send_frame_runs():
         host.tracer = tracer
         host.port = SimpleNamespace(send=deliver)
         for _ in range(count):
-            host.send_frame(frame)
+            host.send_frame(frame.pack())
 
     def through_kernel(tracer, deliver, count):
         traced_sends(tracer, lambda raw, _port: deliver(raw), frame.pack())(count)

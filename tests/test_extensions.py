@@ -86,13 +86,13 @@ class TestNatEndToEnd:
     def test_cloud_sees_only_external_ip(self, nat_env):
         sim, router, host = nat_env
         seen = []
-        original = router.cloud._handle_tcp
+        original = router.cloud._on_tcp
 
-        def spy(segment, src_ip):
-            seen.append(str(src_ip))
-            original(segment, src_ip)
+        def spy(src, *fields):
+            seen.append(str(IPv4Address(src)))
+            original(src, *fields)
 
-        router.cloud._handle_tcp = spy
+        router.cloud._on_tcp = spy
         target = router.cloud.lookup("facebook.com")
         conn = host.tcp_connect(target, 443)
         conn.on_connect = lambda: conn.send(b"GET 10000 /x")

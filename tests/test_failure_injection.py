@@ -91,7 +91,7 @@ class TestHostileWireInput:
                 payload=UDP(68, 67, b"\x01\x01\x06\x00short"),
             ),
         )
-        host.send_frame(bad)
+        host.send_frame(bad.pack())
         sim.run_for(1.0)
         assert router.dhcp.discovers == 0  # not parsed as DHCP, not crashed
 

@@ -36,7 +36,7 @@ class TestProxyArp:
         from repro.net import ARP, ETH_TYPE_ARP, Ethernet, MACAddress
 
         probe = ARP.request(a.mac, a.ip, b.ip)
-        a.send_frame(Ethernet(MACAddress.broadcast(), a.mac, ETH_TYPE_ARP, probe))
+        a.send_frame(Ethernet(MACAddress.broadcast(), a.mac, ETH_TYPE_ARP, probe).pack())
         sim.run_for(1.0)
         assert a._arp_table.get(IPv4Address(str(b.ip))) == router.config.router_mac
 

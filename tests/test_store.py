@@ -77,6 +77,24 @@ class TestWal:
         assert wal.pending_rows == 0
         wal.close()
 
+    def test_group_commit_seconds_times_each_batch_written(self, tmp_path):
+        # One sample per batch the log writes, whether the append path or
+        # an explicit flush writes it; a flush with nothing pending is
+        # not a group commit.
+        clock = SimulatedClock()
+        wal = WriteAheadLog(tmp_path / "wal.log", clock, group_records=2)
+        commits = wal.registry.get("store.group_commit_seconds")
+        assert commits is not None and commits.count == 0
+        wal.append("flows", 1, 1.0, ("a", 1))
+        wal.append("flows", 2, 2.0, ("a", 2))  # the batch is full: written
+        assert commits.count == 1
+        assert wal.flush() == 0
+        assert commits.count == 1
+        wal.append("flows", 3, 3.0, ("a", 3))
+        assert wal.flush() == 1
+        assert commits.count == 2
+        wal.close()
+
     def test_time_based_flush_uses_injected_clock(self, tmp_path):
         clock = SimulatedClock()
         wal = WriteAheadLog(

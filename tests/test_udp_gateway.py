@@ -1,10 +1,14 @@
 """hwdb RPC over real simulated UDP, through the datapath."""
 
+import logging
+
 import pytest
 
 from repro import HomeworkRouter, RouterConfig, Simulator
 from repro.core.errors import RpcError
+from repro.hwdb.rpc import pack_resultset
 from repro.hwdb.udp_gateway import RemoteHwdbClient
+from repro.net.udp import MAX_PAYLOAD
 
 from tests.conftest import join_device
 
@@ -139,3 +143,72 @@ class TestRemoteRpc:
         sim.run_for(20.0)
         assert pushes
         assert any(row[1] > 0 for push in pushes for row in push.rows)
+
+
+def fill_leases(router, rows=2000):
+    """Enough lease rows that ``SELECT * FROM leases`` outgrows one
+    UDP datagram."""
+    for i in range(rows):
+        router.db.insert(
+            "leases",
+            {"mac": f"02:cc:00:00:{i >> 8:02x}:{i & 0xFF:02x}",
+             "ip": f"10.3.{i >> 8}.{i & 0xFF}", "hostname": f"device-{i}",
+             "action": "granted", "expires": 0.0},
+        )
+    answer = pack_resultset(router.db.query("SELECT * FROM leases"))
+    assert len(answer.encode("utf-8")) > MAX_PAYLOAD
+
+
+class TestRepliesLargerThanADatagram:
+    def test_query_is_answered_with_an_error(self, env):
+        sim, router, _station, client = env
+        fill_leases(router)
+        results = []
+        client.query("SELECT * FROM leases", lambda result, error: results.append((result, error)))
+        sim.run_for(2.0)
+        assert len(results) == 1
+        result, error = results[0]
+        assert result is None
+        assert "too large" in error
+        # The client is free again, and its next query is answered.
+        client.query(
+            "SELECT count(*) AS n FROM leases",
+            lambda result, error: results.append((result, error)),
+        )
+        sim.run_for(2.0)
+        result, error = results[1]
+        assert error is None and result.columns == ["n"]
+
+    def test_push_is_dropped_and_logged(self, env):
+        sim, router, _station, client = env
+        pushes = []
+        subscribed = []
+        client.subscribe(
+            "SELECT * FROM leases",
+            interval=1.0,
+            on_push=pushes.append,
+            on_subscribed=lambda sub_id, error: subscribed.append(error),
+        )
+        sim.run_for(0.5)
+        assert subscribed == [None]
+        fill_leases(router)
+        # Listen on the package logger itself: the CLI's logging set-up
+        # stops it propagating to the root logger.
+        records = []
+        handler = logging.Handler()
+        handler.emit = records.append
+        package_logger = logging.getLogger("repro")
+        package_logger.addHandler(handler)
+        try:
+            sim.run_for(2.0)
+        finally:
+            package_logger.removeHandler(handler)
+        messages = [record.getMessage() for record in records]
+        assert pushes == []
+        assert any("too large" in message for message in messages)
+        assert not any("callback failed" in message for message in messages)
+        # The run goes on, and the gateway still answers.
+        results = []
+        client.query("SELECT count(*) AS n FROM leases", lambda r, e: results.append(e))
+        sim.run_for(2.0)
+        assert results == [None]

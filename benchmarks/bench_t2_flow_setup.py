@@ -18,7 +18,10 @@ import pytest
 
 from repro.obs import Histogram, MetricsRegistry
 
-from repro.net import ETH_TYPE_IPV4, Ethernet, IPv4, PROTO_TCP, TCP
+from repro.net import ETH_TYPE_IPV4, IPv4Address, MACAddress
+from repro.net.ethernet import ethernet_frame
+from repro.net.ipv4 import PROTO_TCP, ipv4_packet
+from repro.net.tcp import ACK, tcp_segment
 from repro.nox.controller import Controller
 from repro.nox.l2_learning import L2LearningSwitch
 from repro.openflow.actions import output
@@ -32,12 +35,13 @@ _sport = itertools.count(20000)
 
 
 def frame_bytes(sport=50000, dport=443):
-    return Ethernet(
-        "02:00:00:00:00:02",
-        "02:00:00:00:00:01",
+    src, dst = int(IPv4Address("10.2.0.6")), int(IPv4Address("31.13.72.36"))
+    return ethernet_frame(
+        MACAddress("02:00:00:00:00:02").packed,
+        MACAddress("02:00:00:00:00:01").packed,
         ETH_TYPE_IPV4,
-        IPv4("10.2.0.6", "31.13.72.36", proto=PROTO_TCP, payload=TCP(sport, dport)),
-    ).pack()
+        ipv4_packet(src, dst, PROTO_TCP, tcp_segment(src, dst, sport, dport, 0, 0, ACK)),
+    )
 
 
 def make_datapath(enable_cache=True, wildcard_rules=0):

@@ -18,10 +18,10 @@ from ..hwdb.database import HomeworkDatabase
 from ..measurement.aggregator import BandwidthAggregator
 from ..net import ETH_TYPE_IPV4, PROTO_TCP, PROTO_UDP
 from ..net.addresses import IPv4Address, MACAddress
-from ..net.ethernet import Ethernet
-from ..net.ipv4 import IPv4
+from ..net.ethernet import ethernet_frame
+from ..net.ipv4 import ipv4_packet
 from ..net.trace import with_trace
-from ..net.udp import UDP
+from ..net.udp import udp_datagram
 from ..obs.trace import Tracer
 from ..openflow.actions import PORT_NONE, output
 from ..openflow.datapath import Datapath
@@ -221,17 +221,13 @@ def bench_trace(iterations: int, clock: Clock) -> Dict[str, object]:
         )
         return dp
 
-    raw = Ethernet(
-        dst="02:bb:00:00:00:aa",
-        src="02:bb:00:00:00:01",
-        ethertype=ETH_TYPE_IPV4,
-        payload=IPv4(
-            src="10.2.0.5",
-            dst="10.2.0.6",
-            proto=PROTO_UDP,
-            payload=UDP(sport=40_000, dport=9, payload=b"x" * 32),
-        ),
-    ).pack()
+    src, dst = int(IPv4Address("10.2.0.5")), int(IPv4Address("10.2.0.6"))
+    raw = ethernet_frame(
+        MACAddress("02:bb:00:00:00:aa").packed,
+        MACAddress("02:bb:00:00:00:01").packed,
+        ETH_TYPE_IPV4,
+        ipv4_packet(src, dst, PROTO_UDP, udp_datagram(src, dst, 40_000, 9, b"x" * 32)),
+    )
 
     dp_plain = build_datapath()
 

@@ -218,9 +218,6 @@ class MetricsRegistry:
         metric = self._metrics.get(name)
         return 0 if metric is None else metric.value
 
-    def reset(self) -> None:
-        self._metrics.clear()
-
     # ------------------------------------------------------------------
     # Export
     # ------------------------------------------------------------------

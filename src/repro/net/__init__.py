@@ -1,8 +1,11 @@
 """Wire formats for the Homework router reproduction.
 
-Real, symmetric pack/unpack implementations of every protocol the home
-router touches: Ethernet, ARP, IPv4, UDP, TCP, ICMP, DNS and DHCP, plus
-address types, the Internet checksum, and a pcap trace writer/reader.
+Ethernet, IPv4, UDP, TCP and ICMP headers are written by one builder
+each, beside their constants, and read at fixed offsets in
+:mod:`repro.net.rewrite`; no layer object stands for them.  ARP, DNS
+and DHCP messages are codecs with symmetric pack/unpack.  Address
+types, the Internet checksum and a pcap trace writer/reader complete the
+package.
 """
 
 from .addresses import AddressError, IPv4Address, IPv4Network, MACAddress
@@ -41,14 +44,11 @@ from .ethernet import (
     ETH_TYPE_IPV6,
     ETH_TYPE_LLDP,
     ETH_TYPE_VLAN,
-    Ethernet,
 )
-from .icmp import ICMP
-from .ipv4 import IPv4, PROTO_ICMP, PROTO_TCP, PROTO_UDP
+from .ipv4 import PROTO_ICMP, PROTO_TCP, PROTO_UDP
 from .packet import Packet, PacketError
 from .pcap import PcapReader, PcapWriter
-from .tcp import TCP
-from .udp import PORT_DHCP_CLIENT, PORT_DHCP_SERVER, PORT_DNS, PORT_HWDB_RPC, UDP
+from .udp import PORT_DHCP_CLIENT, PORT_DHCP_SERVER, PORT_DNS, PORT_HWDB_RPC
 
 __all__ = [
     "AddressError",
@@ -84,14 +84,11 @@ __all__ = [
     "RCODE_REFUSED",
     "RCODE_SERVFAIL",
     "reverse_pointer_name",
-    "Ethernet",
     "ETH_TYPE_IPV4",
     "ETH_TYPE_ARP",
     "ETH_TYPE_VLAN",
     "ETH_TYPE_IPV6",
     "ETH_TYPE_LLDP",
-    "ICMP",
-    "IPv4",
     "PROTO_ICMP",
     "PROTO_TCP",
     "PROTO_UDP",
@@ -99,8 +96,6 @@ __all__ = [
     "PacketError",
     "PcapReader",
     "PcapWriter",
-    "TCP",
-    "UDP",
     "PORT_DNS",
     "PORT_DHCP_SERVER",
     "PORT_DHCP_CLIENT",

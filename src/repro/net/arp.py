@@ -38,7 +38,6 @@ class ARP(Packet):
         self.sender_ip = IPv4Address(sender_ip)
         self.target_mac = MACAddress(target_mac)
         self.target_ip = IPv4Address(target_ip)
-        self.payload = b""
 
     @classmethod
     def request(

@@ -84,7 +84,6 @@ class DHCPMessage(Packet):
         self.secs = int(secs) & 0xFFFF
         self.flags = int(flags) & 0xFFFF
         self.options: Dict[int, bytes] = dict(options or {})
-        self.payload = b""
 
     # -- option helpers -------------------------------------------------
 

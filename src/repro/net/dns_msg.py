@@ -214,7 +214,6 @@ class DNSMessage(Packet):
         self.answers = list(answers or [])
         self.authorities = list(authorities or [])
         self.additionals = list(additionals or [])
-        self.payload = b""
 
     @classmethod
     def query(cls, name: str, qtype: int = TYPE_A, ident: int = 0) -> "DNSMessage":

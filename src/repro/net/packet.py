@@ -1,22 +1,19 @@
-"""Base classes for the packet model.
+"""The base of the message codecs.
 
-Every protocol layer is a :class:`Packet` subclass with symmetric
-``pack()`` / ``unpack()`` methods producing real wire bytes.  Layers nest
-through the ``payload`` attribute, so a full frame is e.g.::
-
-    Ethernet(src=..., dst=..., payload=IPv4(..., payload=UDP(..., payload=b"...")))
-
-The Open vSwitch-style datapath classifies packets by parsing these wire
-bytes back into headers, exactly as the kernel flow extractor does.
+ARP, DNS and DHCP messages are :class:`Packet` subclasses with symmetric
+``pack()`` / ``unpack()`` methods producing real wire bytes.  The
+Ethernet, IPv4, TCP, UDP and ICMP headers around them have no objects:
+each is written by one builder beside its constants (``ethernet_frame``,
+``ipv4_packet``, ``tcp_segment``, ``udp_datagram``, ``icmp_echo``) and
+read at fixed offsets (:mod:`repro.net.rewrite`), the way Open vSwitch's
+flow extractor reads a frame.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Type, TypeVar, Union
+from typing import Type, TypeVar
 
 P = TypeVar("P", bound="Packet")
-
-Payload = Union["Packet", bytes]
 
 
 class PacketError(ValueError):
@@ -24,13 +21,10 @@ class PacketError(ValueError):
 
 
 class Packet:
-    """Abstract protocol layer.
+    """Abstract protocol message.
 
-    Subclasses must implement :meth:`pack` and :meth:`unpack` and should
-    store their payload (next layer or raw bytes) in ``self.payload``.
+    Subclasses must implement :meth:`pack` and :meth:`unpack`.
     """
-
-    payload: Payload
 
     def pack(self) -> bytes:
         raise NotImplementedError
@@ -38,28 +32,6 @@ class Packet:
     @classmethod
     def unpack(cls: Type[P], data: bytes) -> P:
         raise NotImplementedError
-
-    def pack_payload(self) -> bytes:
-        """Serialise ``self.payload`` whether it is a layer or raw bytes."""
-        payload = getattr(self, "payload", b"")
-        if isinstance(payload, Packet):
-            return payload.pack()
-        if payload is None:
-            return b""
-        return bytes(payload)
-
-    def find(self, layer: Type[P]) -> Optional[P]:
-        """Return the first nested layer of type ``layer``, if any.
-
-        Walks the payload chain, so ``frame.find(UDP)`` works on a full
-        Ethernet frame.
-        """
-        node: Payload = self
-        while isinstance(node, Packet):
-            if isinstance(node, layer):
-                return node
-            node = getattr(node, "payload", b"")
-        return None
 
     def __len__(self) -> int:
         return len(self.pack())

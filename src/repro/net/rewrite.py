@@ -1,4 +1,5 @@
-"""Set-field edits and the flow key, on raw Ethernet frames, at fixed offsets.
+"""Set-field edits, the flow key and the header reader, on raw Ethernet
+frames, at fixed offsets.
 
 The datapath rewrites a forwarded frame the way Open vSwitch's set-field
 actions do (DESIGN.md §14, "Rewrite in place"): it never parses the
@@ -12,23 +13,31 @@ as 0xFFFF (RFC 768).
 
 Each function edits a ``bytearray`` holding one whole frame and never
 raises.  A field is edited only when the frame holds the header it
-lives in, by the same tests ``IPv4.unpack``, ``TCP.unpack`` and
-``UDP.unpack`` apply before they parse that header; nothing else in the
-frame changes.  On a frame the codecs build, the result is therefore
-byte-identical to unpacking the frame, assigning the field and packing
-it again.  Any other frame is edited, not normalised: Ethernet padding,
-IPv4 options and wrong checksums pass through as they came.
+lives in, by this module's acceptance tests: an IPv4 header of version
+4 whose length is at least 20 bytes, fits the frame and is no longer
+than the total length (:func:`_ipv4_header_len`); then a TCP header
+whose data offset is at least 20 bytes and fits the segment, or a UDP
+header whose length field is at least 8 (:func:`_transport`).  Nothing
+else in the frame changes.  Any other frame is edited, not normalised:
+Ethernet padding, IPv4 options and wrong checksums pass through as they
+came.
 
 :func:`flow_key` reads the datapath's match key the same way (DESIGN.md
 §14, "Key from bytes"), as Open vSwitch's flow extractor does before its
-microflow hash lookup.  It applies the same acceptance tests, plus those
-of ``ICMP.unpack`` and ``ARP.unpack``: a header the codecs would reject
-leaves its fields ``None``, so the key equals the one read off the
-unpacked layer objects, for every frame.
+microflow hash lookup.  It applies the same acceptance tests, plus an
+8-byte ICMP header and a 28-byte Ethernet/IPv4 ARP request or reply: a
+header that fails its test leaves its fields ``None``.
 
-:func:`read_frame` is the receiving host's half (DESIGN.md §14, "Hosts
-speak bytes"): the fields a host dispatches on and the payload it hands
-up, under the same acceptance tests, cut where the codecs cut it.
+:func:`read_frame` is the receiving half (DESIGN.md §14, "Hosts speak
+bytes"): the fields a host dispatches on and the payload it hands up,
+and the payload a packet-in handler consumes, under the same acceptance
+tests, cut at the IPv4 total length and the UDP length.
+
+The tests check all three against the layer-object codecs kept in
+``tests/reference_codecs.py``: on every frame those build or would
+parse, the key and the fields are the ones read off the unpacked
+objects, and an edit is byte-identical to unpacking the frame, assigning
+the field and packing it again.
 """
 
 from __future__ import annotations
@@ -60,7 +69,7 @@ _L4_CSUM = {PROTO_TCP: 16, PROTO_UDP: 6}
 
 _IPV4_TAG = ETH_TYPE_IPV4.to_bytes(2, "big")
 
-#: An ARP packet ``ARP.unpack`` accepts: 28 bytes starting with hardware
+#: An ARP packet :class:`~repro.net.arp.ARP` accepts: 28 bytes starting with hardware
 #: type Ethernet, protocol type IPv4 and address lengths 6 and 4, and
 #: opcode request or reply.
 _ARP_LEN = 28
@@ -136,7 +145,7 @@ def flow_key(frame: bytes, in_port: int) -> Optional[FlowKeyTuple]:
     IPv4 yields the addresses and protocol, plus the ports of a TCP or
     UDP header and the type and code of an ICMP header.  ARP yields the
     sender and target addresses and the opcode.  Any other ethertype,
-    and any header the codecs would reject, leaves its fields None.
+    and any header that fails its acceptance test, leaves its fields None.
     """
     if len(frame) < _L3:
         return None
@@ -174,18 +183,18 @@ def flow_key(frame: bytes, in_port: int) -> Optional[FlowKeyTuple]:
 
 
 def read_frame(frame: bytes) -> Optional[HostFrame]:
-    """The fields a receiving host dispatches on, or None when the frame
-    is shorter than an Ethernet header.
+    """The fields a receiver dispatches on, or None when the frame is
+    shorter than an Ethernet header.
 
-    For an IPv4 packet the codecs accept, nw_src, nw_dst and nw_proto are
-    set, and the transport fields are ``(sport, dport, seq, ack, flags)``
-    for TCP, ``(sport, dport)`` for UDP and ``(type, code, ident, seq)``
-    for ICMP.  The payload is what the deepest header the codecs would
-    parse carries, cut where they cut it: at the IPv4 total length and
-    the UDP length.  A transport header the codecs would reject, or
-    another protocol, leaves the transport fields None and the payload
-    the IPv4 body.  Any other frame leaves all of these None and the
-    payload everything behind the Ethernet header.
+    For an IPv4 packet that passes its acceptance test, nw_src, nw_dst
+    and nw_proto are set, and the transport fields are ``(sport, dport,
+    seq, ack, flags)`` for TCP, ``(sport, dport)`` for UDP and ``(type,
+    code, ident, seq)`` for ICMP.  The payload is what the deepest
+    accepted header carries, cut at the IPv4 total length and the UDP
+    length.  A transport header that fails its test, or another
+    protocol, leaves the transport fields None and the payload the IPv4
+    body.  Any other frame leaves all of these None and the payload
+    everything behind the Ethernet header.
     """
     if len(frame) < _L3:
         return None
@@ -222,7 +231,7 @@ def read_frame(frame: bytes) -> Optional[HostFrame]:
 
 
 def _ipv4_header_len(buf: bytes) -> int:
-    """The IPv4 header length ``IPv4.unpack`` would accept, else 0."""
+    """The length of the IPv4 header ``buf`` holds, else 0."""
     if len(buf) < _L3 + _IP_MIN_HEADER or buf[_ETHERTYPE:_L3] != _IPV4_TAG:
         return 0
     ver_ihl = buf[_L3]
@@ -235,8 +244,8 @@ def _ipv4_header_len(buf: bytes) -> int:
 
 
 def _segment_len(buf: bytes, ihl: int) -> int:
-    """Bytes behind an IPv4 header of ``ihl`` bytes that the codecs hand
-    to the layer above."""
+    """Bytes behind an IPv4 header of ``ihl`` bytes that belong to the
+    layer above."""
     # The segment ends at total_len or the frame's end, whichever is first.
     l3_len = len(buf) - _L3
     total_len = buf[_IP_TOTAL_LEN] << 8 | buf[_IP_TOTAL_LEN + 1]
@@ -244,8 +253,8 @@ def _segment_len(buf: bytes, ihl: int) -> int:
 
 
 def _transport(buf: bytes, ihl: int) -> Tuple[int, int, int]:
-    """``(offset, proto, size)`` of the TCP/UDP header the codecs would
-    parse behind an IPv4 header of ``ihl`` bytes, ``size`` being the
+    """``(offset, proto, size)`` of the TCP/UDP header that passes its
+    acceptance test behind an IPv4 header of ``ihl`` bytes, ``size`` being the
     segment's length (:func:`_segment_len`), else ``(0, 0, 0)``.  ICMP
     is not a transport here: it has no ports to edit."""
     start = _L3 + ihl
@@ -264,7 +273,7 @@ def _transport(buf: bytes, ihl: int) -> Tuple[int, int, int]:
 
 
 def _arp_opcode(buf: bytes) -> int:
-    """The opcode of the ARP packet ``ARP.unpack`` would accept, else 0."""
+    """The opcode of the ARP packet ``ARP.unpack`` accepts in ``buf``, else 0."""
     if len(buf) < _L3 + _ARP_LEN or buf[_L3 : _L3 + 6] != _ARP_ETH_IPV4:
         return 0
     opcode = buf[_ARP_OPCODE] << 8 | buf[_ARP_OPCODE + 1]

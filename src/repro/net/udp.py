@@ -3,12 +3,10 @@
 from __future__ import annotations
 
 import struct
-from typing import Union
 
-from .addresses import IPv4Address
 from .checksum import internet_checksum, pseudo_header
 from .ipv4 import PROTO_UDP
-from .packet import Packet, PacketError, Payload
+from .packet import PacketError
 
 _HEADER_LEN = 8
 _HEADER = struct.Struct("!HHHH")
@@ -39,59 +37,3 @@ def udp_datagram(src: int, dst: int, sport: int, dport: int, payload: bytes) -> 
     pseudo = pseudo_header(src, dst, PROTO_UDP, _HEADER_LEN + len(payload))
     csum = internet_checksum(pseudo + header + payload) or 0xFFFF
     return header[:6] + csum.to_bytes(2, "big") + payload
-
-
-class UDP(Packet):
-    """A UDP datagram."""
-
-    def __init__(self, sport: int, dport: int, payload: Payload = b""):
-        for name, port in (("sport", sport), ("dport", dport)):
-            if not 0 <= int(port) <= 0xFFFF:
-                raise PacketError(f"UDP {name} out of range: {port}")
-        self.sport = int(sport)
-        self.dport = int(dport)
-        self.payload = payload
-
-    def pack(self) -> bytes:
-        """Pack without a checksum (legal for UDP over IPv4)."""
-        body = self.pack_payload()
-        return udp_header(self.sport, self.dport, len(body)) + body
-
-    def pack_with_pseudo(
-        self, src: Union[str, IPv4Address], dst: Union[str, IPv4Address]
-    ) -> bytes:
-        """Pack with the checksum over the IPv4 pseudo header."""
-        return udp_datagram(
-            int(IPv4Address(src)), int(IPv4Address(dst)), self.sport, self.dport,
-            self.pack_payload(),
-        )
-
-    @classmethod
-    def unpack(cls, data: bytes) -> "UDP":
-        if len(data) < _HEADER_LEN:
-            raise PacketError(f"UDP datagram too short: {len(data)} bytes")
-        sport = int.from_bytes(data[0:2], "big")
-        dport = int.from_bytes(data[2:4], "big")
-        length = int.from_bytes(data[4:6], "big")
-        if length < _HEADER_LEN:
-            raise PacketError(f"bad UDP length: {length}")
-        body = data[_HEADER_LEN : max(_HEADER_LEN, min(length, len(data)))]
-        payload: Payload = body
-        if body and (dport == PORT_DNS or sport == PORT_DNS):
-            from .dns_msg import DNSMessage
-
-            try:
-                payload = DNSMessage.unpack(bytes(body))
-            except PacketError:
-                pass
-        elif body and {sport, dport} & {PORT_DHCP_SERVER, PORT_DHCP_CLIENT}:
-            from .dhcp_msg import DHCPMessage
-
-            try:
-                payload = DHCPMessage.unpack(bytes(body))
-            except PacketError:
-                pass
-        return cls(sport=sport, dport=dport, payload=payload)
-
-    def __repr__(self) -> str:
-        return f"UDP(sport={self.sport}, dport={self.dport})"

@@ -119,9 +119,6 @@ class Controller:
         if component is not None:
             component.uninstall()
 
-    def components(self) -> List[str]:
-        return list(self._components)
-
     # ------------------------------------------------------------------
     # Event dispatch
     # ------------------------------------------------------------------

@@ -13,7 +13,7 @@ from typing import Dict
 
 from ..net.addresses import MACAddress
 from ..openflow.actions import flood, output
-from ..openflow.match import Match, extract_key
+from ..openflow.match import Match
 from ..openflow.messages import NO_BUFFER, PacketIn
 from .component import CONTINUE, Component, STOP
 from .controller import EV_PACKET_IN
@@ -38,17 +38,19 @@ class L2LearningSwitch(Component):
         self.register_handler(EV_PACKET_IN, self.handle_packet_in, priority=200)
 
     def handle_packet_in(self, msg: PacketIn) -> int:
-        key = extract_key(msg.data, msg.in_port)
+        key = msg.key
         if key is None:
             return CONTINUE
+        _in_port, dl_src, dl_dst, *_ = key
         # Learn the sender's port.
-        self.mac_to_port[key.dl_src] = msg.in_port
+        self.mac_to_port[MACAddress(dl_src)] = msg.in_port
 
-        if key.dl_dst.is_broadcast or key.dl_dst.is_multicast:
+        # The group bit marks broadcast and multicast alike.
+        if dl_dst >> 40 & 1:
             self._flood(msg)
             return STOP
 
-        out_port = self.mac_to_port.get(key.dl_dst)
+        out_port = self.mac_to_port.get(MACAddress(dl_dst))
         if out_port is None:
             self._flood(msg)
             return STOP

@@ -32,6 +32,7 @@ from collections import deque
 from typing import TYPE_CHECKING, Callable, Iterable, List, Optional
 
 from ..core.metrics import MetricsRegistry
+from ..net.rewrite import read_frame
 from ..net.trace import TraceContext
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -177,8 +178,9 @@ class Tracer:
         self._m_started.inc()
         ctx = TraceContext(mint=self._late_seq, sampled=False, clock=self.clock, tracer=self)
         port = sender.name if sender is not None else "none"
-        if len(frame) >= 14:
-            cause = f"port={port} ethertype={int.from_bytes(frame[12:14], 'big'):#06x}"
+        fields = read_frame(frame)
+        if fields is not None:
+            cause = f"port={port} ethertype={fields[1]:#06x}"
         else:
             cause = f"port={port} len={len(frame)}"
         if sender is not None and sender.number == 0:

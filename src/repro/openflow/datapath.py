@@ -20,7 +20,7 @@ from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
 from ..core.errors import DatapathError
 from ..core.metrics import MetricsRegistry
 from ..net.port import Port
-from ..net.rewrite import flow_key
+from ..net.rewrite import FlowKeyTuple, flow_key
 from ..net.trace import TraceContext, trace_of, with_trace
 from .actions import (
     ActionList,
@@ -386,7 +386,7 @@ class Datapath:
             # Slow path already pays a controller round trip: record
             # unconditionally so a later drop/deny keeps its prefix.
             ctx.hop("datapath", "lookup", decision="miss")
-        self._punt(raw, in_port, REASON_NO_MATCH)
+        self._punt(raw, in_port, REASON_NO_MATCH, key)
 
     def _lineage(self, raw: bytes, in_port: int) -> Tuple[bytes, Optional[TraceContext]]:
         """``raw`` and the lineage it carries, minting one late for an
@@ -411,9 +411,12 @@ class Datapath:
             isinstance(a, Output) and a.port == PORT_CONTROLLER for a in actions
         )
 
-    def _punt(self, raw: bytes, in_port: int, reason: int) -> None:
+    def _punt(
+        self, raw: bytes, in_port: int, reason: int, key: Optional[FlowKeyTuple]
+    ) -> None:
         # The tagged frame is what the buffer holds and the PacketIn
-        # carries, so every handler above reads the lineage off msg.data.
+        # carries, so every handler above reads the lineage off msg.data;
+        # the key read off the frame rides along, so none reads it again.
         raw, ctx = self._lineage(raw, in_port)
         if self.channel is None:
             if ctx is not None:
@@ -435,6 +438,7 @@ class Datapath:
                 in_port=in_port,
                 reason=reason,
                 data=raw,
+                key=key,
             )
         )
 
@@ -492,7 +496,8 @@ class Datapath:
         if out_port == PORT_NONE:
             return
         if out_port == PORT_CONTROLLER:
-            self._punt(data, in_port, REASON_ACTION)
+            # The frame as the actions before this output edited it.
+            self._punt(data, in_port, REASON_ACTION, flow_key(data, in_port))
             return
         if out_port == PORT_LOCAL:
             if self.local_handler is not None:

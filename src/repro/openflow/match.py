@@ -5,8 +5,9 @@ packet (what Open vSwitch's kernel flow extractor produces); a
 :class:`Match` is a possibly-wildcarded pattern over those fields (what
 flow-mod rules carry).  The extraction itself reads the frame's bytes
 (:func:`repro.net.rewrite.flow_key`); the datapath probes its cache and
-table with that tuple, and a :class:`FlowKey` is the same tuple with
-address objects, for code that reads fields by name.
+table with that tuple and hands it to the controller with each
+packet-in, and a :class:`FlowKey` is the same tuple with address
+objects, for code that reads fields by name.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from typing import Optional, Tuple, Union
 
 from ..net.addresses import IPv4Address, MACAddress
 from ..net.packet import PacketError
-from ..net.rewrite import flow_key
+from ..net.rewrite import FlowKeyTuple, flow_key
 
 MATCH_FIELDS = (
     "in_port",
@@ -148,19 +149,10 @@ class Match:
         self.nw_dst_prefix = nw_dst_prefix
 
     @classmethod
-    def from_key(cls, key: FlowKey) -> "Match":
-        """The fully-specified match for one flow key (microflow rule)."""
-        return cls(
-            in_port=key.in_port,
-            dl_src=key.dl_src,
-            dl_dst=key.dl_dst,
-            dl_type=key.dl_type,
-            nw_src=key.nw_src,
-            nw_dst=key.nw_dst,
-            nw_proto=key.nw_proto,
-            tp_src=key.tp_src,
-            tp_dst=key.tp_dst,
-        )
+    def from_key(cls, key: FlowKeyTuple) -> "Match":
+        """The fully-specified match for one flow key tuple, in
+        :data:`MATCH_FIELDS` order (microflow rule)."""
+        return cls(*key)
 
     @classmethod
     def any(cls) -> "Match":
@@ -258,9 +250,3 @@ class Match:
             if value is not None:
                 parts.append(f"{field}={value}")
         return f"Match({', '.join(parts) if parts else '*'})"
-
-
-def extract_key(frame: bytes, in_port: int) -> Optional[FlowKey]:
-    """Extract a flow key, returning None for unparseable frames."""
-    key = flow_key(frame, in_port)
-    return None if key is None else FlowKey.from_tuple(key)

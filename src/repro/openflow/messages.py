@@ -12,6 +12,7 @@ from __future__ import annotations
 import itertools
 from typing import List, Optional
 
+from ..net.rewrite import FlowKeyTuple
 from .actions import ActionList
 from .flow_table import DEFAULT_PRIORITY, FlowEntry
 from .match import Match
@@ -73,7 +74,12 @@ REASON_ACTION = 1
 
 
 class PacketIn(OpenFlowMessage):
-    """A packet punted to the controller (table miss or explicit action)."""
+    """A packet punted to the controller (table miss or explicit action).
+
+    ``key`` is the flow key the datapath read off ``data`` at the punt
+    (:func:`repro.net.rewrite.flow_key`), so no handler reads the headers
+    again; None for a frame shorter than an Ethernet header.
+    """
 
     def __init__(
         self,
@@ -81,7 +87,7 @@ class PacketIn(OpenFlowMessage):
         in_port: int,
         reason: int,
         data: bytes,
-        total_len: Optional[int] = None,
+        key: Optional[FlowKeyTuple],
         xid: Optional[int] = None,
     ):
         super().__init__(xid)
@@ -89,7 +95,7 @@ class PacketIn(OpenFlowMessage):
         self.in_port = in_port
         self.reason = reason
         self.data = data
-        self.total_len = total_len if total_len is not None else len(data)
+        self.key = key
 
 
 NO_BUFFER = 0xFFFFFFFF

@@ -82,6 +82,3 @@ class RestRouter:
         if path_matched:
             return error_response(405, f"method {request.method} not allowed")
         return error_response(404, f"no such resource {request.path}")
-
-    def routes(self) -> List[str]:
-        return [f"{m} {t}" for m, _p, t, _h in self._routes]

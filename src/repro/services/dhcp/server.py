@@ -31,15 +31,15 @@ from ...net.dhcp_msg import (
     OPT_ROUTER,
     OPT_SUBNET_MASK,
 )
-from ...net.ethernet import ETH_TYPE_IPV4, Ethernet
-from ...net.ipv4 import IPv4, PROTO_UDP
+from ...net.ethernet import ETH_TYPE_IPV4, ethernet_frame
+from ...net.ipv4 import PROTO_UDP, ipv4_packet
 from ...net.packet import PacketError
+from ...net.rewrite import read_frame
 from ...net.trace import trace_of, with_trace
-from ...net.udp import PORT_DHCP_CLIENT, PORT_DHCP_SERVER, UDP
+from ...net.udp import PORT_DHCP_CLIENT, PORT_DHCP_SERVER, udp_datagram
 from ...nox.component import CONTINUE, Component, STOP
 from ...nox.controller import EV_PACKET_IN
 from ...openflow.actions import output
-from ...openflow.match import extract_key
 from ...openflow.messages import PacketIn
 from .leases import LeaseDatabase, STATE_BOUND
 from .policy import DENIED, DevicePolicyStore, PENDING
@@ -111,22 +111,17 @@ class DhcpServer(Component):
     # ------------------------------------------------------------------
 
     def handle_packet_in(self, msg: PacketIn) -> int:
-        key = extract_key(msg.data, msg.in_port)
-        if key is None or key.nw_proto != PROTO_UDP or key.tp_dst != PORT_DHCP_SERVER:
+        key = msg.key
+        if key is None:
             return CONTINUE
+        *_, nw_proto, _tp_src, tp_dst = key
+        if nw_proto != PROTO_UDP or tp_dst != PORT_DHCP_SERVER:
+            return CONTINUE
+        # The key names a UDP header, so the payload read is the datagram's.
         try:
-            frame = Ethernet.unpack(msg.data)
+            request = DHCPMessage.unpack(read_frame(msg.data)[6])
         except PacketError:
             return CONTINUE
-        request = frame.find(DHCPMessage)
-        if request is None:
-            udp = frame.find(UDP)
-            if udp is None:
-                return CONTINUE
-            try:
-                request = DHCPMessage.unpack(udp.pack_payload())
-            except PacketError:
-                return CONTINUE
         self._handle_dhcp(request, msg.in_port, trace_of(msg.data))
         return STOP
 
@@ -312,18 +307,14 @@ class DhcpServer(Component):
     def _send_reply(self, reply: DHCPMessage, in_port: int, ctx=None) -> None:
         # Replies go link-layer unicast to the client MAC but IP broadcast
         # (the client has no address yet), matching common server practice.
-        udp = UDP(sport=PORT_DHCP_SERVER, dport=PORT_DHCP_CLIENT, payload=reply)
-        packet = IPv4(
-            src=self.server_id,
-            dst=IPv4Address.broadcast(),
-            proto=PROTO_UDP,
-            payload=udp,
-        )
-        frame = Ethernet(
-            dst=reply.chaddr,
-            src=self.config.router_mac,
-            ethertype=ETH_TYPE_IPV4,
-            payload=packet,
+        src = int(self.server_id)
+        dst = int(IPv4Address.broadcast())
+        datagram = udp_datagram(src, dst, PORT_DHCP_SERVER, PORT_DHCP_CLIENT, reply.pack())
+        frame = ethernet_frame(
+            reply.chaddr.packed,
+            self.config.router_mac.packed,
+            ETH_TYPE_IPV4,
+            ipv4_packet(src, dst, PROTO_UDP, datagram),
         )
         # The reply is fresh bytes continuing the request's lineage.
-        self.controller.send_packet(with_trace(frame.pack(), ctx), output(in_port))
+        self.controller.send_packet(with_trace(frame, ctx), output(in_port))

@@ -28,15 +28,15 @@ from ...net.dns_msg import (
     RCODE_REFUSED,
     TYPE_A,
 )
-from ...net.ethernet import ETH_TYPE_IPV4, Ethernet
-from ...net.ipv4 import IPv4, PROTO_UDP
+from ...net.ethernet import ETH_TYPE_IPV4, ethernet_frame
+from ...net.ipv4 import PROTO_UDP, ipv4_packet
 from ...net.packet import PacketError
+from ...net.rewrite import FlowKeyTuple, read_frame
 from ...net.trace import trace_of, with_trace
-from ...net.udp import PORT_DNS, UDP
+from ...net.udp import PORT_DNS, udp_datagram
 from ...nox.component import CONTINUE, Component, STOP
 from ...nox.controller import EV_PACKET_IN
 from ...openflow.actions import output
-from ...openflow.match import extract_key
 from ...openflow.messages import PacketIn
 from .cache import DnsCache, RequestedNames
 from .filter import SiteFilter
@@ -101,19 +101,15 @@ class DnsProxy(Component):
     # ------------------------------------------------------------------
 
     def handle_packet_in(self, msg: PacketIn) -> int:
-        key = extract_key(msg.data, msg.in_port)
-        if key is None or key.nw_proto != PROTO_UDP or key.tp_dst != PORT_DNS:
+        key = msg.key
+        if key is None:
             return CONTINUE
+        *_, nw_proto, _tp_src, tp_dst = key
+        if nw_proto != PROTO_UDP or tp_dst != PORT_DNS:
+            return CONTINUE
+        # The key names a UDP header, so the payload read is the datagram's.
         try:
-            frame = Ethernet.unpack(msg.data)
-        except PacketError:
-            return CONTINUE
-        ip = frame.find(IPv4)
-        udp = frame.find(UDP)
-        if ip is None or udp is None:
-            return CONTINUE
-        try:
-            query = DNSMessage.unpack(udp.pack_payload())
+            query = DNSMessage.unpack(read_frame(msg.data)[6])
         except PacketError:
             return STOP  # malformed DNS to us: swallow
         if query.is_response or not query.questions:
@@ -122,21 +118,16 @@ class DnsProxy(Component):
         ctx = trace_of(msg.data)
         if ctx is not None:
             ctx.hop("dns", "query", cause=f"name={query.qname or ''}")
-        self._answer(query, frame, ip, udp, msg.in_port, ctx)
+        self._answer(query, key, msg.in_port, ctx)
         return STOP
 
     def _answer(
-        self,
-        query: DNSMessage,
-        frame: Ethernet,
-        ip: IPv4,
-        udp: UDP,
-        in_port: int,
-        ctx=None,
+        self, query: DNSMessage, key: FlowKeyTuple, in_port: int, ctx=None
     ) -> None:
         name = query.qname or ""
-        device_ip = ip.src
-        device_mac = frame.src
+        _in_port, dl_src, _dl_dst, _dl_type, nw_src, *_ = key
+        device_ip = IPv4Address(nw_src)
+        device_mac = MACAddress(dl_src)
         question = query.questions[0]
 
         if not self.filter.permits(device_mac, name):
@@ -148,17 +139,13 @@ class DnsProxy(Component):
                 ctx.force()
                 ctx.hop("dns", "answer", decision="blocked", cause=f"name={name}")
             self._emit(device_ip, name, None, allowed=False)
-            self._reply(
-                query.respond(rcode=RCODE_NXDOMAIN), frame, ip, udp, in_port, ctx
-            )
+            self._reply(query.respond(rcode=RCODE_NXDOMAIN), key, in_port, ctx)
             return
 
         if question.qtype != TYPE_A:
             if ctx is not None:
                 ctx.hop("dns", "answer", decision="refused", cause=f"qtype={question.qtype}")
-            self._reply(
-                query.respond(rcode=RCODE_REFUSED), frame, ip, udp, in_port, ctx
-            )
+            self._reply(query.respond(rcode=RCODE_REFUSED), key, in_port, ctx)
             return
 
         cached = self.cache.get(name, self.now)
@@ -168,7 +155,7 @@ class DnsProxy(Component):
                 ctx.hop(
                     "dns", "answer", decision="cache", cause=f"name={name} ip={cached}"
                 )
-            self._finish(query, frame, ip, udp, in_port, name, cached, ctx)
+            self._finish(query, key, in_port, device_ip, name, cached, ctx)
             return
 
         self._m_cache_misses.inc()
@@ -183,9 +170,7 @@ class DnsProxy(Component):
                         "dns", "answer", decision="nxdomain", cause=f"name={name}"
                     )
                 self._emit(device_ip, name, None, allowed=True)
-                self._reply(
-                    query.respond(rcode=RCODE_NXDOMAIN), frame, ip, udp, in_port, ctx
-                )
+                self._reply(query.respond(rcode=RCODE_NXDOMAIN), key, in_port, ctx)
                 return
             self._m_upstream_answers.inc()
             self.cache.put(name, address, self.now)
@@ -196,47 +181,42 @@ class DnsProxy(Component):
                     decision="upstream",
                     cause=f"name={name} ip={address}",
                 )
-            self._finish(query, frame, ip, udp, in_port, name, address, ctx)
+            self._finish(query, key, in_port, device_ip, name, address, ctx)
 
         self.upstream.resolve(name, resolved)
 
     def _finish(
         self,
         query: DNSMessage,
-        frame: Ethernet,
-        ip: IPv4,
-        udp: UDP,
+        key: FlowKeyTuple,
         in_port: int,
+        device_ip: IPv4Address,
         name: str,
         address: IPv4Address,
         ctx=None,
     ) -> None:
         # Remember the binding: this device may now open flows to address.
-        self.requested.record(ip.src, name, address, self.now)
-        self._emit(ip.src, name, address, allowed=True)
+        self.requested.record(device_ip, name, address, self.now)
+        self._emit(device_ip, name, address, allowed=True)
         response = query.respond([DNSRecord.a(name, address)])
-        self._reply(response, frame, ip, udp, in_port, ctx)
+        self._reply(response, key, in_port, ctx)
 
     def _reply(
-        self,
-        response: DNSMessage,
-        frame: Ethernet,
-        ip: IPv4,
-        udp: UDP,
-        in_port: int,
-        ctx=None,
+        self, response: DNSMessage, key: FlowKeyTuple, in_port: int, ctx=None
     ) -> None:
-        reply_udp = UDP(sport=PORT_DNS, dport=udp.sport, payload=response.pack())
-        reply_ip = IPv4(src=ip.dst, dst=ip.src, proto=PROTO_UDP, payload=reply_udp)
-        reply_frame = Ethernet(
-            dst=frame.src,
-            src=self.config.router_mac,
-            ethertype=ETH_TYPE_IPV4,
-            payload=reply_ip,
+        """Answer the query ``key`` names: from the address and to the
+        port it was sent to, back to the MAC and port it came from."""
+        _in_port, dl_src, _dl_dst, _dl_type, nw_src, nw_dst, _proto, tp_src, _tp_dst = key
+        datagram = udp_datagram(nw_dst, nw_src, PORT_DNS, tp_src, response.pack())
+        reply_frame = ethernet_frame(
+            dl_src.to_bytes(6, "big"),
+            self.config.router_mac.packed,
+            ETH_TYPE_IPV4,
+            ipv4_packet(nw_dst, nw_src, PROTO_UDP, datagram),
         )
         # The reply is fresh bytes carrying the query's lineage: the
         # trace ends when the asking host receives it.
-        self.controller.send_packet(with_trace(reply_frame.pack(), ctx), output(in_port))
+        self.controller.send_packet(with_trace(reply_frame, ctx), output(in_port))
 
     def _emit(
         self,

@@ -22,12 +22,11 @@ from ..core.config import RouterConfig
 from ..core.events import EventBus
 from ..net.addresses import IPv4Address, MACAddress
 from ..net.arp import ARP, ARP_REQUEST
-from ..net.ethernet import ETH_TYPE_ARP, ETH_TYPE_IPV4, Ethernet
-from ..net.icmp import ICMP
-from ..net.ipv4 import IPv4, PROTO_ICMP
-from ..net.packet import PacketError
+from ..net.ethernet import ETH_TYPE_ARP, ETH_TYPE_IPV4, ethernet_frame
+from ..net.icmp import TYPE_ECHO_REPLY, TYPE_ECHO_REQUEST, icmp_echo
+from ..net.ipv4 import PROTO_ICMP, PROTO_TCP, PROTO_UDP, ipv4_packet
+from ..net.rewrite import FlowKeyTuple, read_frame
 from ..net.trace import trace_of, with_trace
-from ..net.ipv4 import PROTO_TCP, PROTO_UDP
 from ..nox.component import CONTINUE, Component, STOP
 from ..nox.controller import EV_PACKET_IN
 from ..openflow.actions import (
@@ -42,7 +41,7 @@ from ..openflow.actions import (
     output,
     route_rewrite,
 )
-from ..openflow.match import Match, extract_key
+from ..openflow.match import Match
 from ..openflow.messages import NO_BUFFER, PacketIn
 from .dnsproxy.proxy import DnsProxy, FLOW_BLOCKED
 from .nat import NatTable
@@ -122,9 +121,12 @@ class RouterCore(Component):
             logger.debug("NAT binding expired: %r", binding)
 
     def learn_port(self, msg: PacketIn) -> int:
-        key = extract_key(msg.data, msg.in_port)
-        if key is not None and key.dl_src.is_unicast:
-            self.mac_to_port[key.dl_src] = msg.in_port
+        key = msg.key
+        if key is not None:
+            _in_port, dl_src, *_ = key
+            # The group bit marks broadcast and multicast sources alike.
+            if not dl_src >> 40 & 1:
+                self.mac_to_port[MACAddress(dl_src)] = msg.in_port
         return CONTINUE
 
     # ------------------------------------------------------------------
@@ -132,14 +134,15 @@ class RouterCore(Component):
     # ------------------------------------------------------------------
 
     def handle_packet_in(self, msg: PacketIn) -> int:
-        key = extract_key(msg.data, msg.in_port)
+        key = msg.key
         if key is None:
             return CONTINUE
-        self.mac_to_port[key.dl_src] = msg.in_port
-        if key.dl_type == ETH_TYPE_ARP:
-            self._handle_arp(msg)
+        _in_port, dl_src, _dl_dst, dl_type, *_ = key
+        self.mac_to_port[MACAddress(dl_src)] = msg.in_port
+        if dl_type == ETH_TYPE_ARP:
+            self._handle_arp(msg, key)
             return STOP
-        if key.dl_type == ETH_TYPE_IPV4:
+        if dl_type == ETH_TYPE_IPV4:
             self._handle_ipv4(msg, key)
             return STOP
         # Non-IP, non-ARP traffic is dropped on the home network.
@@ -150,34 +153,30 @@ class RouterCore(Component):
     # Proxy ARP
     # ------------------------------------------------------------------
 
-    def _handle_arp(self, msg: PacketIn) -> None:
-        try:
-            frame = Ethernet.unpack(msg.data)
-        except PacketError:
+    def _handle_arp(self, msg: PacketIn, key: FlowKeyTuple) -> None:
+        # An ARP key carries the opcode as nw_proto, None unless the
+        # packet is a well-formed request or reply.
+        *_, opcode, _tp_src, _tp_dst = key
+        if opcode != ARP_REQUEST:
             return
-        arp = frame.find(ARP)
-        if arp is None or arp.opcode != ARP_REQUEST:
-            return
+        arp = ARP.unpack(read_frame(msg.data)[6])
         # The router answers for every address: devices must never reach
         # each other at Ethernet layer, and the upstream cloud reaches us.
+        router_mac = self.config.router_mac
         reply = ARP.reply(
-            sender_mac=self.config.router_mac,
+            sender_mac=router_mac,
             sender_ip=arp.target_ip,
             target_mac=arp.sender_mac,
             target_ip=arp.sender_ip,
         )
-        reply_frame = Ethernet(
-            dst=arp.sender_mac,
-            src=self.config.router_mac,
-            ethertype=ETH_TYPE_ARP,
-            payload=reply,
+        reply_frame = ethernet_frame(
+            arp.sender_mac.packed, router_mac.packed, ETH_TYPE_ARP, reply.pack()
         )
         self._m_arp_replies.inc()
         ctx = trace_of(msg.data)
         if ctx is not None:
             ctx.hop("router", "arp_reply", cause=f"target={arp.target_ip}")
-        reply_raw = with_trace(reply_frame.pack(), ctx)
-        self.controller.send_packet(reply_raw, output(msg.in_port))
+        self.controller.send_packet(with_trace(reply_frame, ctx), output(msg.in_port))
 
     # ------------------------------------------------------------------
     # IPv4 forwarding
@@ -200,15 +199,16 @@ class RouterCore(Component):
             str(pid) for pid in restrictions.source_policies
         )
 
-    def _handle_ipv4(self, msg: PacketIn, key) -> None:
-        src_ip = key.nw_src
-        dst_ip = key.nw_dst
+    def _handle_ipv4(self, msg: PacketIn, key: FlowKeyTuple) -> None:
+        _in_port, _dl_src, _dl_dst, _dl_type, nw_src, nw_dst, nw_proto, *_ = key
         ctx = trace_of(msg.data)
-        if src_ip is None or dst_ip is None:
+        if nw_src is None or nw_dst is None:
             self._m_drops.inc()
             if ctx is not None:
                 ctx.finish("router", "drop", decision="drop", cause="no_addresses")
             return
+        src_ip = IPv4Address(nw_src)
+        dst_ip = IPv4Address(nw_dst)
 
         # Policy: denied devices get an explicit drop flow.
         src_lease = self.dhcp.leases.by_ip(src_ip)
@@ -270,7 +270,7 @@ class RouterCore(Component):
                     ctx.hop(
                         "dns", "flow_check", decision="allowed", cause=f"dst={dst_ip}"
                     )
-            if self.nat is not None and key.nw_proto in (PROTO_TCP, PROTO_UDP):
+            if self.nat is not None and nw_proto in (PROTO_TCP, PROTO_UDP):
                 self._install_nat_route(msg, key)
             else:
                 self._install_route(msg, key, self.upstream_mac, self.upstream_port)
@@ -285,12 +285,11 @@ class RouterCore(Component):
     # Source NAT (optional extension; RouterConfig(nat_enabled=True))
     # ------------------------------------------------------------------
 
-    def _install_nat_route(self, msg: PacketIn, key) -> None:
+    def _install_nat_route(self, msg: PacketIn, key: FlowKeyTuple) -> None:
         """Masquerade an outbound flow and pre-install its reverse rule."""
         assert self.nat is not None
-        binding = self.nat.bind(
-            key.nw_proto, key.nw_src, key.tp_src or 0, self.now
-        )
+        _in_port, dl_src, _dl_dst, _dl_type, nw_src, _nw_dst, nw_proto, tp_src, _ = key
+        binding = self.nat.bind(nw_proto, nw_src, tp_src or 0, self.now)
         ctx = trace_of(msg.data)
         if ctx is not None:
             ctx.hop(
@@ -326,21 +325,22 @@ class RouterCore(Component):
         if msg.buffer_id == NO_BUFFER:
             self.controller.send_packet(msg.data, forward, in_port=msg.in_port)
 
-        device_port = self.mac_to_port.get(key.dl_src)
+        device_mac = MACAddress(dl_src)
+        device_port = self.mac_to_port.get(device_mac)
         if device_port is None:
             return
         reverse_match = Match(
             in_port=self.upstream_port,
             dl_type=ETH_TYPE_IPV4,
             nw_dst=self.nat.external_ip,
-            nw_proto=key.nw_proto,
+            nw_proto=nw_proto,
             tp_dst=binding.external_port,
         )
         reverse = [
             SetNwDst(binding.device_ip),
             SetTpDst(binding.device_port),
             SetDlSrc(self.config.router_mac),
-            SetDlDst(key.dl_src),
+            SetDlDst(device_mac),
             Output(device_port),
         ]
         self._m_flows_installed.inc()
@@ -350,7 +350,9 @@ class RouterCore(Component):
             idle_timeout=self.config.flow_idle_timeout,
         )
 
-    def _install_route(self, msg: PacketIn, key, dst_mac: MACAddress, out_port: int) -> None:
+    def _install_route(
+        self, msg: PacketIn, key: FlowKeyTuple, dst_mac: MACAddress, out_port: int
+    ) -> None:
         actions = route_rewrite(self.config.router_mac, dst_mac, out_port)
         ctx = trace_of(msg.data)
         if ctx is not None:
@@ -371,7 +373,8 @@ class RouterCore(Component):
         if msg.buffer_id == NO_BUFFER:
             self.controller.send_packet(msg.data, actions, in_port=msg.in_port)
 
-    def _install_drop(self, msg: PacketIn, key, reason: str) -> None:
+    def _install_drop(self, msg: PacketIn, key: FlowKeyTuple, reason: str) -> None:
+        _in_port, _dl_src, _dl_dst, _dl_type, nw_src, nw_dst, *_ = key
         ctx = trace_of(msg.data)
         if ctx is not None:
             # The packet dies in the datapath buffer (no packet-out) —
@@ -387,8 +390,8 @@ class RouterCore(Component):
         self.bus.emit(
             "router.flow.blocked",
             timestamp=self.now,
-            src_ip=str(key.nw_src),
-            dst_ip=str(key.nw_dst),
+            src_ip=str(IPv4Address(nw_src)),
+            dst_ip=str(IPv4Address(nw_dst)),
             reason=reason,
         )
 
@@ -396,17 +399,18 @@ class RouterCore(Component):
     # Traffic addressed to the router itself
     # ------------------------------------------------------------------
 
-    def _handle_local(self, msg: PacketIn, key) -> None:
+    def _handle_local(self, msg: PacketIn, key: FlowKeyTuple) -> None:
+        _in_port, dl_src, _dl_dst, _dl_type, nw_src, nw_dst, nw_proto, tp_src, tp_dst = key
         # A NAT return whose reverse rule expired: de-translate and
         # reinstall by replaying through the binding.
         if (
             self.nat is not None
             and msg.in_port == self.upstream_port
-            and key.nw_dst == self.nat.external_ip
-            and key.nw_proto in (PROTO_TCP, PROTO_UDP)
+            and nw_dst == int(self.nat.external_ip)
+            and nw_proto in (PROTO_TCP, PROTO_UDP)
         ):
             ctx = trace_of(msg.data)
-            binding = self.nat.lookup_external(key.nw_proto, key.tp_dst or 0, self.now)
+            binding = self.nat.lookup_external(nw_proto, tp_dst or 0, self.now)
             if binding is not None:
                 lease = self.dhcp.leases.by_ip(binding.device_ip)
                 device_port = (
@@ -446,33 +450,29 @@ class RouterCore(Component):
             if ctx is not None:
                 ctx.finish("nat", "expire", decision="drop", cause="nat_expired")
             return
-        if key.nw_proto != PROTO_ICMP:
+        if nw_proto != PROTO_ICMP:
             # DHCP/DNS were consumed earlier in the chain; other local
             # traffic (e.g. the control API port) is out of band here.
             self._m_drops.inc()
             return
-        try:
-            frame = Ethernet.unpack(msg.data)
-        except PacketError:
+        # An ICMP key carries the type as tp_src, None unless the frame
+        # holds a whole ICMP header.
+        if tp_src != TYPE_ECHO_REQUEST:
             return
-        ip = frame.find(IPv4)
-        icmp = frame.find(ICMP)
-        if ip is None or icmp is None or not icmp.is_echo_request:
-            return
-        reply = ICMP.echo_reply(icmp.ident, icmp.seq, icmp.pack_payload())
-        reply_ip = IPv4(src=ip.dst, dst=ip.src, proto=PROTO_ICMP, payload=reply)
-        reply_frame = Ethernet(
-            dst=frame.src,
-            src=self.config.router_mac,
-            ethertype=ETH_TYPE_IPV4,
-            payload=reply_ip,
+        _dl_dst, _dl_type, _src, _dst, _proto, transport, data = read_frame(msg.data)
+        _type, _code, ident, seq = transport
+        echo = icmp_echo(TYPE_ECHO_REPLY, ident, seq, data)
+        reply_frame = ethernet_frame(
+            dl_src.to_bytes(6, "big"),
+            self.config.router_mac.packed,
+            ETH_TYPE_IPV4,
+            ipv4_packet(nw_dst, nw_src, PROTO_ICMP, echo),
         )
         self._m_echo_replies.inc()
         ctx = trace_of(msg.data)
         if ctx is not None:
-            ctx.hop("router", "echo_reply", cause=f"ident={icmp.ident} seq={icmp.seq}")
-        reply_raw = with_trace(reply_frame.pack(), ctx)
-        self.controller.send_packet(reply_raw, output(msg.in_port))
+            ctx.hop("router", "echo_reply", cause=f"ident={ident} seq={seq}")
+        self.controller.send_packet(with_trace(reply_frame, ctx), output(msg.in_port))
 
     # ------------------------------------------------------------------
     # Control-plane hooks

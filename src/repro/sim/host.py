@@ -690,7 +690,9 @@ class Host:
 
     def ping(self, dst: Union[str, IPv4Address], callback: PingCallback) -> None:
         """Send an echo request; ``callback(success, rtt)`` on reply."""
-        self._ping_seq += 1
+        # Count modulo 2**16, as the echo carries it, so the reply's
+        # (ident, seq) is the key the request was filed under.
+        self._ping_seq = (self._ping_seq + 1) & 0xFFFF
         key = (self._ping_ident, self._ping_seq)
         self._ping_pending[key] = (self.sim.now, callback)
         echo = icmp_echo(TYPE_ECHO_REQUEST, self._ping_ident, self._ping_seq, b"homework")

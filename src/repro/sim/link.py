@@ -93,7 +93,13 @@ class Link:
 
     def transmit(self, from_port: Port, frame: bytes) -> None:
         """Schedule delivery of ``frame`` at the far end."""
-        destination = self.peer(from_port)
+        self._carry(from_port, self.peer(from_port), frame, 1)
+
+    def _carry(
+        self, from_port: Port, destination: Port, frame: bytes, attempts: int
+    ) -> None:
+        """Put ``frame`` on the medium for ``attempts`` serialisations and
+        deliver each copy the fault plan asks for, or drop it."""
         plan = self._delivery_plan(frame)
         if not plan:
             self.frames_dropped += 1
@@ -104,15 +110,19 @@ class Link:
             return
         ctx = trace_of(frame)
         if ctx is not None and ctx.active:
-            ctx.hop("link", "deliver", cause=f"wired dst={destination.name}")
+            ctx.hop("link", "deliver", cause=self._deliver_cause(destination, attempts))
         start = max(self.sim.now, self._busy_until[id(from_port)])
-        done = start + self._serialization_delay(frame)
+        done = start + attempts * self._serialization_delay(frame)
         self._busy_until[id(from_port)] = done
         self.frames_carried += 1
         self.bytes_carried += len(frame)
         for extra in plan:
             arrival = done + self.latency + extra
             self._schedule_delivery(destination, arrival, frame)
+
+    def _deliver_cause(self, destination: Port, attempts: int) -> str:
+        """The cause of a traced frame's deliver hop."""
+        return f"wired dst={destination.name}"
 
     def __repr__(self) -> str:
         return f"Link({self.a.name} <-> {self.b.name})"
@@ -168,6 +178,9 @@ class WirelessLink(Link):
         return self.retries / self.transmissions
 
     def transmit(self, from_port: Port, frame: bytes) -> None:
+        """Draw the attempts ``frame`` takes; past ``max_retries`` it is
+        dropped, else it is carried as on a wire, each attempt taking the
+        medium for one serialisation."""
         destination = self.peer(from_port)
         loss = self.loss_probability()
         attempts = 1
@@ -186,28 +199,10 @@ class WirelessLink(Link):
                     cause=f"retries_exceeded rssi={self.rssi_dbm:.1f}dBm",
                 )
             return
-        plan = self._delivery_plan(frame)
-        if not plan:
-            self.frames_dropped += 1
-            ctx = self._lineage(from_port, frame)
-            if ctx is not None:
-                ctx.finish("link", "drop", decision="drop", cause="link_fault")
-            return
-        ctx = trace_of(frame)
-        if ctx is not None and ctx.active:
-            ctx.hop(
-                "link",
-                "deliver",
-                cause=f"wireless rssi={self.rssi_dbm:.1f}dBm retries={attempts - 1}",
-            )
-        start = max(self.sim.now, self._busy_until[id(from_port)])
-        done = start + attempts * self._serialization_delay(frame)
-        self._busy_until[id(from_port)] = done
-        self.frames_carried += 1
-        self.bytes_carried += len(frame)
-        for extra in plan:
-            arrival = done + self.latency + extra
-            self._schedule_delivery(destination, arrival, frame)
+        self._carry(from_port, destination, frame, attempts)
+
+    def _deliver_cause(self, destination: Port, attempts: int) -> str:
+        return f"wireless rssi={self.rssi_dbm:.1f}dBm retries={attempts - 1}"
 
     def __repr__(self) -> str:
         return (

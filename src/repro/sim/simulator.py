@@ -157,23 +157,6 @@ class Simulator:
         """Execute events for the next ``duration`` seconds."""
         return self.run_until(self.now + duration)
 
-    def run(self, max_events: int = 1_000_000) -> int:
-        """Drain the whole queue (one-shot events), up to ``max_events``."""
-        executed = 0
-        while self._queue and executed < max_events:
-            entry = heapq.heappop(self._queue)
-            event = entry[2]
-            if event.cancelled:
-                continue
-            if event.periodic:
-                # Draining with periodic events would never terminate;
-                # re-queue and stop at this timestamp instead.
-                heapq.heappush(self._queue, entry)
-                break
-            self._execute(event)
-            executed += 1
-        return executed
-
     def pending(self) -> int:
         """Number of scheduled, uncancelled events."""
         return sum(1 for entry in self._queue if not entry[2].cancelled)

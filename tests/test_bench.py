@@ -26,12 +26,11 @@ import repro.bench.hotpath as hotpath
 from repro.bench.hotpath import run_hotpath, traced_sends
 from repro.core.clock import Clock, WallClock
 from repro.net import ETH_TYPE_IPV4, PROTO_UDP
-from repro.net.ethernet import Ethernet
-from repro.net.ipv4 import IPv4
 from repro.net.trace import trace_of
-from repro.net.udp import UDP
 from repro.obs.trace import Tracer
 from repro.sim.host import Host
+
+from tests.reference_codecs import Ethernet, IPv4, UDP
 
 pytestmark = pytest.mark.tier1
 

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core.errors import DatapathError
-from repro.net import ETH_TYPE_IPV4, Ethernet, IPv4, PROTO_TCP, TCP
+from repro.net import ETH_TYPE_IPV4, PROTO_TCP
 from repro.openflow.actions import (
     PORT_FLOOD,
     PORT_TABLE,
@@ -37,6 +37,8 @@ from repro.openflow.messages import (
 )
 from repro.sim.link import Link, Port
 from repro.sim.simulator import Simulator
+
+from tests.reference_codecs import Ethernet, IPv4, TCP
 
 
 def frame_bytes(sport=1000, dport=80, src="10.0.0.1", dst="10.0.0.2"):

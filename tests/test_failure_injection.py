@@ -8,11 +8,11 @@ radio blackout.
 import pytest
 
 from repro import HomeworkRouter, RouterConfig, Simulator
-from repro.net import Ethernet, IPv4, UDP
 from repro.net.ethernet import ETH_TYPE_IPV4
 from repro.services.udev.usbkey import UsbKey
 
 from tests.conftest import join_device
+from tests.reference_codecs import Ethernet, IPv4, UDP
 
 
 class TestControllerLoss:

@@ -3,7 +3,8 @@
 The datapath reads its match key straight off the frame's bytes
 (:func:`repro.net.rewrite.flow_key`).  It used to unpack the whole frame
 into Ethernet, IPv4, TCP/UDP/ICMP and ARP objects and read nine fields
-off them; that path lives on here as the reference, :func:`object_key`.
+off them; that path lives on here as the reference, :func:`object_key`,
+over the layer objects of ``tests/reference_codecs.py``.
 For every input the two must agree: canonical frames, frames cut at
 every offset, frames with one header field broken, random bytes, and
 frames carrying a trace context.
@@ -18,21 +19,18 @@ from repro.net import (
     DNSMessage,
     ETH_TYPE_ARP,
     ETH_TYPE_IPV4,
-    Ethernet,
-    ICMP,
-    IPv4,
     IPv4Address,
     MACAddress,
     PROTO_ICMP,
     PROTO_TCP,
     PROTO_UDP,
-    TCP,
-    UDP,
     PacketError,
 )
 from repro.net.rewrite import flow_key
 from repro.net.trace import TraceContext, with_trace
-from repro.openflow.match import FlowKey, extract_key
+from repro.openflow.match import FlowKey
+
+from tests.reference_codecs import Ethernet, ICMP, IPv4, TCP, UDP
 
 # ----------------------------------------------------------------------
 # The reference
@@ -40,8 +38,8 @@ from repro.openflow.match import FlowKey, extract_key
 
 
 def object_key(raw, in_port):
-    """The deleted object path: ``FlowKey.extract`` on an unpacked frame,
-    as a tuple, or None where ``extract_key`` returned None."""
+    """The object path: the key read off the unpacked layer objects, as
+    a tuple, or None for a frame shorter than an Ethernet header."""
     try:
         frame = Ethernet.unpack(raw)
     except PacketError:
@@ -72,9 +70,10 @@ def object_key(raw, in_port):
 
 def assert_same_key(raw, in_port=3):
     expected = object_key(raw, in_port)
-    assert flow_key(raw, in_port) == expected
-    parsed = extract_key(raw, in_port)
-    assert (parsed.as_tuple() if parsed is not None else None) == expected
+    key = flow_key(raw, in_port)
+    assert key == expected
+    if key is not None:
+        assert FlowKey.from_tuple(key).as_tuple() == expected
 
 
 # ----------------------------------------------------------------------
@@ -272,4 +271,4 @@ class TestFlowKeyObject:
     def test_extract_rejects_a_short_frame(self):
         with pytest.raises(PacketError):
             FlowKey.extract(b"\x00" * 13, 1)
-        assert extract_key(b"\x00" * 13, 1) is None
+        assert flow_key(b"\x00" * 13, 1) is None

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core.errors import DatapathError
-from repro.net import ETH_TYPE_IPV4, Ethernet, IPv4, PROTO_TCP, TCP
+from repro.net import ETH_TYPE_IPV4, PROTO_TCP
 from repro.openflow.actions import (
     Output,
     SetDlDst,
@@ -18,6 +18,8 @@ from repro.openflow.actions import (
 )
 from repro.openflow.flow_table import FlowEntry, FlowTable
 from repro.openflow.match import FlowKey, Match
+
+from tests.reference_codecs import Ethernet, IPv4, TCP
 
 
 def key(sport=1000, dport=80, in_port=1):

@@ -59,7 +59,7 @@ def random_match(rng: random.Random) -> Match:
         # Fully-concrete pattern: exercises the exact-match index.
         key = random_key(rng)
         if key.nw_src is not None and key.tp_src is not None:
-            return Match.from_key(key)
+            return Match.from_key(key.as_tuple())
     kwargs = {}
     if rng.random() < 0.4:
         kwargs["in_port"] = rng.choice((1, 2))
@@ -235,7 +235,7 @@ def test_flow_table_is_indexed_by_default():
                     nw_proto=PROTO_TCP,
                     tp_src=80,
                     tp_dst=80,
-                )
+                ).as_tuple()
             ),
             output(2),
             priority=20,

@@ -5,12 +5,13 @@ builders beside each codec: ``ethernet_frame``, ``ipv4_packet``,
 ``tcp_segment``, ``udp_datagram``, ``icmp_echo``) and read every
 received frame at fixed offsets (:func:`repro.net.rewrite.read_frame`).
 
-* **Send side.**  The codecs' ``pack`` methods call the same builders,
-  so comparing against them would prove nothing.  The reference is a
-  frozen copy of the codecs' pack code as it stood before the builders,
-  :func:`ref_frame` and its helpers below.
+* **Send side.**  The reference codecs' ``pack`` methods
+  (``tests/reference_codecs.py``) call the same builders, so comparing
+  against them would prove nothing.  The reference is a frozen copy of
+  the codecs' pack code as it stood before the builders, :func:`ref_frame`
+  and its helpers below.
 * **Receive side.**  The reference is ``Ethernet.unpack(raw).find(...)``,
-  which stays in ``src/``: on codec-built frames, and on frames cut at
+  from the reference codecs: on codec-built frames, and on frames cut at
   every offset, with every version and IHL nibble, a total length short
   of the frame or past it, a bad TCP data offset, a bad UDP length and
   Ethernet padding.  A host fed any of them never raises.
@@ -28,16 +29,11 @@ from repro.net import (
     DNSRecord,
     ETH_TYPE_ARP,
     ETH_TYPE_IPV4,
-    Ethernet,
-    ICMP,
-    IPv4,
     IPv4Address,
     MACAddress,
     PROTO_ICMP,
     PROTO_TCP,
     PROTO_UDP,
-    TCP,
-    UDP,
     Packet,
     PacketError,
     internet_checksum,
@@ -51,6 +47,8 @@ from repro.net.udp import MAX_PAYLOAD, udp_datagram
 from repro.sim.host import Host, TCPConnection
 from repro.sim.simulator import Simulator
 from repro.sim.upstream import InternetCloud
+
+from tests.reference_codecs import Ethernet, ICMP, IPv4, TCP, UDP
 
 pytestmark = pytest.mark.tier1
 

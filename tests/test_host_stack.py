@@ -195,6 +195,17 @@ class TestIcmp:
         sim.run_for(1.0)
         assert results == [True, True, True]
 
+    def test_ping_past_the_16_bit_sequence_space(self, sim, pair):
+        """The echo carries the sequence number modulo 2**16; the reply to
+        a host's 65,536th ping must still find its callback."""
+        h1, _h2 = pair
+        results = []
+        h1._ping_seq = 0xFFFF
+        h1.ping("192.168.0.2", lambda ok, rtt: results.append(ok))
+        sim.run_for(1.0)
+        assert results == [True]
+        assert h1._ping_pending == {}
+
 
 class TestDnsStub:
     def test_resolution_via_cloud(self, sim):

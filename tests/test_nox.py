@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core.errors import ControllerError
-from repro.net import ETH_TYPE_IPV4, Ethernet, IPv4, PROTO_TCP, TCP
+from repro.net import ETH_TYPE_IPV4, PROTO_TCP
 from repro.nox.component import CONTINUE, Component, STOP
 from repro.nox.controller import Controller, EV_PACKET_IN
 from repro.nox.l2_learning import L2LearningSwitch
@@ -15,6 +15,8 @@ from repro.openflow.actions import output
 from repro.sim.host import Host
 from repro.sim.link import Link
 from repro.sim.simulator import Simulator
+
+from tests.reference_codecs import Ethernet, IPv4, TCP
 
 
 @pytest.fixture

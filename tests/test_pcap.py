@@ -5,8 +5,9 @@ import io
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.net import Ethernet
 from repro.net.pcap import LINKTYPE_ETHERNET, PcapError, PcapReader, PcapWriter, read_all
+
+from tests.reference_codecs import Ethernet
 
 
 def test_roundtrip_single_frame():

@@ -5,7 +5,7 @@ import io
 from hypothesis import given, settings, strategies as st
 
 from repro.hwdb.cql import parse, unparse
-from repro.net import ETH_TYPE_IPV4, Ethernet, IPv4, IPv4Address, MACAddress, TCP, UDP
+from repro.net import ETH_TYPE_IPV4, IPv4Address, MACAddress
 from repro.net.dhcp_msg import BOOTREPLY, BOOTREQUEST, DHCPMessage
 from repro.net.dns_msg import (
     DNSMessage,
@@ -26,6 +26,8 @@ from repro.policy.model import DNS_BLOCK, DNS_ONLY, NET_DENY, Policy
 from repro.core.events import EventBus
 from repro.services.nat import NatTable
 from repro.sim.simulator import Simulator
+
+from tests.reference_codecs import Ethernet, IPv4, TCP, UDP
 
 # ----------------------------------------------------------------------
 # Strategies
@@ -94,7 +96,7 @@ class TestMatchProperties:
     @settings(max_examples=100)
     @given(flow_keys())
     def test_exact_match_is_exact(self, key):
-        match = Match.from_key(key)
+        match = Match.from_key(key.as_tuple())
         assert match.is_exact
         assert match.matches(key)
 
@@ -104,7 +106,7 @@ class TestMatchProperties:
         """If wide covers narrow, anything narrow matches, wide matches."""
         key = data.draw(flow_keys())
         wide = data.draw(wildcard_matches(key))
-        narrow = Match.from_key(key)
+        narrow = Match.from_key(key.as_tuple())
         if _covers(wide, narrow):
             assert wide.matches(key)
 
@@ -115,7 +117,7 @@ class TestMatchProperties:
         ``Match.matches`` accepts, for wildcard and exact patterns."""
         keys = [data.draw(flow_keys()) for _ in range(data.draw(st.integers(1, 6)))]
         pattern = data.draw(
-            st.one_of(wildcard_matches(keys[0]), st.just(Match.from_key(keys[0])))
+            st.one_of(wildcard_matches(keys[0]), st.just(Match.from_key(keys[0].as_tuple())))
         )
         by_tuple = {key.as_tuple(): key for key in keys}
         expected = {t for t, key in by_tuple.items() if pattern.matches(key)}

@@ -3,7 +3,8 @@
 Set* actions edit frame bytes at fixed offsets (:mod:`repro.net.rewrite`)
 and patch checksums incrementally.  The datapath used to unpack the
 frame into layer objects, assign the fields and pack it again at every
-Output; that path lives on here as the reference, :func:`object_path`.
+Output; that path lives on here as the reference, :func:`object_path`,
+over the layer objects of ``tests/reference_codecs.py``.
 
 * A canonical frame (one the codecs build; every simulated frame is one)
   must come out byte-identical to the reference.
@@ -24,16 +25,11 @@ from repro.net import (
     DNSMessage,
     ETH_TYPE_ARP,
     ETH_TYPE_IPV4,
-    Ethernet,
-    ICMP,
-    IPv4,
     IPv4Address,
     MACAddress,
     PROTO_ICMP,
     PROTO_TCP,
     PROTO_UDP,
-    TCP,
-    UDP,
     PacketError,
     internet_checksum,
 )
@@ -50,6 +46,8 @@ from repro.openflow.actions import (
 )
 from repro.openflow.datapath import Datapath
 from repro.sim.simulator import Simulator
+
+from tests.reference_codecs import Ethernet, ICMP, IPv4, TCP, UDP
 
 # ----------------------------------------------------------------------
 # The two paths

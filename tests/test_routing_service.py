@@ -33,7 +33,8 @@ class TestProxyArp:
         sim, router, a, b = net
         # Even a direct ARP probe for the *other device's* IP is answered
         # by the router: devices never learn each other's real MACs.
-        from repro.net import ARP, ETH_TYPE_ARP, Ethernet, MACAddress
+        from repro.net import ARP, ETH_TYPE_ARP, MACAddress
+        from tests.reference_codecs import Ethernet
 
         probe = ARP.request(a.mac, a.ip, b.ip)
         a.send_frame(Ethernet(MACAddress.broadcast(), a.mac, ETH_TYPE_ARP, probe).pack())

@@ -137,23 +137,6 @@ def test_events_can_schedule_events():
     assert seen == [2.0]
 
 
-def test_run_drains_oneshot_queue():
-    sim = Simulator()
-    seen = []
-    sim.schedule(1.0, lambda: seen.append(1))
-    sim.schedule(2.0, lambda: seen.append(2))
-    executed = sim.run()
-    assert executed == 2
-    assert seen == [1, 2]
-
-
-def test_run_stops_at_periodic():
-    sim = Simulator()
-    sim.schedule_periodic(1.0, lambda: None)
-    executed = sim.run(max_events=100)
-    assert executed == 0  # periodic events are not drained
-
-
 def test_pending_counts_uncancelled():
     sim = Simulator()
     a = sim.schedule(1.0, lambda: None)

@@ -15,7 +15,7 @@ from repro.bench.hotpath import _build_flow_tables, run_hotpath
 def test_hotpath_indexed_lookup_512(benchmark):
     indexed, _linear, keys = _build_flow_tables()
     key = keys[137]
-    result = benchmark(indexed.lookup, key)
+    result = benchmark(indexed.resolve, key)
     assert result is not None
     benchmark.extra_info["entries"] = 512
     benchmark.extra_info["path"] = "indexed wildcard+exact table"
@@ -24,7 +24,7 @@ def test_hotpath_indexed_lookup_512(benchmark):
 def test_hotpath_linear_lookup_512(benchmark):
     _indexed, linear, keys = _build_flow_tables()
     key = keys[137]
-    result = benchmark(linear.lookup, key)
+    result = benchmark(linear.resolve, key)
     assert result is not None
     benchmark.extra_info["entries"] = 512
     benchmark.extra_info["path"] = "reference linear scan"

@@ -122,9 +122,9 @@ def test_t2_indexed_vs_linear_512(benchmark):
 
     indexed, linear, keys = _build_flow_tables()
     key = keys[137]
-    winner, reference = indexed.lookup(key), linear.lookup(key)
+    winner, reference = indexed.resolve(key), linear.resolve(key)
     assert winner is not None and winner.match.same_pattern(reference.match)
-    benchmark(indexed.lookup, key)
+    benchmark(indexed.resolve, key)
     benchmark.extra_info["entries"] = 512
     benchmark.extra_info["path"] = "indexed wildcard+exact table"
 

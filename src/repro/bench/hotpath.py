@@ -14,8 +14,7 @@ from __future__ import annotations
 from typing import Callable, Dict, List, Optional, Tuple
 
 from ..core.clock import Clock, WallClock
-from ..hwdb.database import HomeworkDatabase
-from ..measurement.aggregator import BandwidthAggregator
+from ..measurement.protocols import classify
 from ..net import ETH_TYPE_IPV4, PROTO_TCP, PROTO_UDP
 from ..net.addresses import IPv4Address, MACAddress
 from ..net.ethernet import ethernet_frame
@@ -26,7 +25,7 @@ from ..obs.trace import Tracer
 from ..openflow.actions import PORT_NONE, output
 from ..openflow.datapath import Datapath
 from ..openflow.flow_table import FlowEntry, FlowTable, LinearFlowTable
-from ..openflow.match import FlowKey, Match
+from ..openflow.match import Match
 from ..sim.simulator import Simulator
 
 #: Entry count at which the acceptance criterion's speedup is measured.
@@ -108,32 +107,34 @@ def _build_flow_tables(entries: int = FLOW_TABLE_ENTRIES):
             match = Match(dl_src=mac, nw_dst=ip, nw_proto=PROTO_TCP, tp_dst=port)
         for table in (indexed, linear):
             table.add(FlowEntry(match, output(2), priority=10 + (i % 37)))
+        # The packet's key tuple, as the datapath reads it off the frame.
         keys.append(
-            FlowKey(
-                in_port=1,
-                dl_src=mac,
-                dl_dst=MACAddress("02:bb:00:00:00:aa"),
-                dl_type=ETH_TYPE_IPV4,
-                nw_src=IPv4Address("10.2.0.1"),
-                nw_dst=ip,
-                nw_proto=PROTO_TCP,
-                tp_src=40_000,
-                tp_dst=port,
+            (
+                1,
+                int(mac),
+                int(MACAddress("02:bb:00:00:00:aa")),
+                ETH_TYPE_IPV4,
+                int(IPv4Address("10.2.0.1")),
+                int(ip),
+                PROTO_TCP,
+                40_000,
+                port,
             )
         )
     return indexed, linear, keys
 
 
 def bench_flow_lookup(iterations: int, clock: Clock) -> Dict[str, object]:
-    """Indexed vs reference linear lookup over the same 512 rules."""
+    """Indexed vs reference linear lookup over the same 512 rules: the
+    datapath's own call, ``resolve`` on a packet's key tuple."""
     indexed, linear, keys = _build_flow_tables()
     nkeys = len(keys)
 
     def loop(table):
         def run(count: int) -> None:
-            lookup = table.lookup
+            resolve = table.resolve
             for i in range(count):
-                lookup(keys[i % nkeys])
+                resolve(keys[i % nkeys])
 
         return run
 
@@ -176,9 +177,8 @@ def _noop() -> None:
 
 
 def bench_classify(iterations: int, clock: Clock) -> Dict[str, object]:
-    """Memoized protocol classification over a realistic triple mix."""
-    db = HomeworkDatabase(Simulator(seed=1).clock)
-    aggregator = BandwidthAggregator(db)
+    """Memoized protocol classification over a realistic triple mix: the
+    call the bandwidth aggregator makes per Flows row."""
     triples = [
         (PROTO_TCP, 40_000 + (i % 64), (80, 443, 22, 53, 1935, 8080)[i % 6])
         for i in range(256)
@@ -186,13 +186,12 @@ def bench_classify(iterations: int, clock: Clock) -> Dict[str, object]:
     ntriples = len(triples)
 
     def run(count: int) -> None:
-        protocol_of = aggregator._protocol_of
         for i in range(count):
             proto, sport, dport = triples[i % ntriples]
-            protocol_of(proto, sport, dport)
+            classify(proto, sport, dport)[0]
 
     stats = _timed_ops(run, iterations, clock)
-    return {"classify": stats, "memo_entries": len(aggregator._classify_memo)}
+    return {"classify": stats, "cache_entries": classify.cache_info().currsize}
 
 
 def bench_trace(iterations: int, clock: Clock) -> Dict[str, object]:
@@ -316,21 +315,21 @@ def run_hotpath(quick: bool = False, clock: Optional[Clock] = None) -> Dict[str,
     budget = QUICK_ITERATIONS if quick else FULL_ITERATIONS
     flow = bench_flow_lookup(budget["flow_lookup"], clock)
     dispatch = bench_sim_dispatch(budget["sim_dispatch"], clock)
-    classify = bench_classify(budget["classify"], clock)
+    classified = bench_classify(budget["classify"], clock)
     trace = bench_trace(budget["trace"], clock)
     return {
         "flow_lookup_indexed_512": flow["indexed"]["ops_per_sec"],
         "flow_lookup_linear_512": flow["linear"]["ops_per_sec"],
         "flow_lookup_speedup_512": flow["speedup"],
         "sim_dispatch_events": dispatch["events"]["ops_per_sec"],
-        "classify_memoized": classify["classify"]["ops_per_sec"],
+        "classify_memoized": classified["classify"]["ops_per_sec"],
         "trace_untraced_pps": trace["untraced"]["ops_per_sec"],
         "trace_sampled_pps": trace["traced"]["ops_per_sec"],
         "trace_overhead_ratio_sampled": trace["overhead_ratio"],
         "detail": {
             "flow_lookup": flow,
             "sim_dispatch": dispatch,
-            "classify": classify,
+            "classify": classified,
             "trace": trace,
         },
     }

@@ -55,29 +55,9 @@ class BandwidthAggregator:
     counts every row ever written, so it is a perfect change detector).
     """
 
-    #: Classification memo cap; a household sees far fewer distinct
-    #: (proto, sport, dport) triples than this, so eviction is a
-    #: pathological-traffic safety valve, not a steady-state event.
-    CLASSIFY_MEMO_MAX = 16_384
-
     def __init__(self, db: HomeworkDatabase):
         self.db = db
         self._device_map_cache: Optional[Tuple[int, Dict[str, Tuple[str, str]]]] = None
-        # (proto, sport, dport) → protocol label.  classify() walks its
-        # port tables per call; aggregation loops hit the same few
-        # triples thousands of times per tick, so a flat dict probe
-        # beats re-classifying every row (DESIGN.md §14).
-        self._classify_memo: Dict[Tuple[int, int, int], str] = {}
-
-    def _protocol_of(self, proto: int, sport: int, dport: int) -> str:
-        memo_key = (proto, sport, dport)
-        protocol = self._classify_memo.get(memo_key)
-        if protocol is None:
-            if len(self._classify_memo) >= self.CLASSIFY_MEMO_MAX:
-                self._classify_memo.clear()
-            protocol, _application = classify(proto, sport, dport)
-            self._classify_memo[memo_key] = protocol
-        return protocol
 
     def _generation(self, name: str) -> int:
         """Rows ever inserted into ``name`` (-1 when the table is absent)."""
@@ -129,7 +109,7 @@ class BandwidthAggregator:
             return usage
 
         for src_ip, dst_ip, proto, sport, dport, nbytes, packets in result.rows:
-            protocol = self._protocol_of(proto, sport, dport)
+            protocol = classify(proto, sport, dport)[0]
             up = usage_for(src_ip)
             if up is not None:
                 up.bytes_up += nbytes
@@ -164,7 +144,7 @@ class BandwidthAggregator:
         for src_ip, dst_ip, proto, sport, dport, nbytes in result.rows:
             if src_ip not in target_ips and dst_ip not in target_ips:
                 continue
-            protocol = self._protocol_of(proto, sport, dport)
+            protocol = classify(proto, sport, dport)[0]
             totals[protocol] = totals.get(protocol, 0) + nbytes
         return sorted(totals.items(), key=lambda item: item[1], reverse=True)
 

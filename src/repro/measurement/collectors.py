@@ -96,22 +96,16 @@ class FlowCollector:
 
     @staticmethod
     def _key_for_match(match) -> Optional[FlowStatsKey]:
+        _in_port, dl_src, _dl_dst, dl_type, nw_src, nw_dst, nw_proto, tp_src, tp_dst = match.key
         if (
-            match.dl_type != ETH_TYPE_IPV4
-            or match.nw_src is None
-            or match.nw_dst is None
-            or match.nw_proto is None
-            or match.dl_src is None
+            dl_type != ETH_TYPE_IPV4
+            or nw_src is None
+            or nw_dst is None
+            or nw_proto is None
+            or dl_src is None
         ):
             return None
-        return (
-            int(match.nw_src),
-            int(match.nw_dst),
-            match.nw_proto,
-            match.tp_src or 0,
-            match.tp_dst or 0,
-            int(match.dl_src),
-        )
+        return (nw_src, nw_dst, nw_proto, tp_src or 0, tp_dst or 0, dl_src)
 
     def _write_row(self, key: FlowStatsKey, dp: int, db: int) -> None:
         src_ip, dst_ip, proto, sport, dport, src_mac = key

@@ -222,9 +222,10 @@ class Controller:
             )
         )
 
-    def remove_flows(self, match: Match, strict: bool = False, priority: int = DEFAULT_PRIORITY) -> None:
+    def remove_flows(self, match: Match) -> None:
+        """Remove every rule ``match`` covers (a loose delete)."""
         self._m_flow_mods.inc()
-        self.send(FlowMod.delete(match, strict=strict, priority=priority))
+        self.send(FlowMod.delete(match))
 
     def send_packet(
         self, data: bytes, actions: ActionList, in_port: int = 0xFFFF,
@@ -236,14 +237,9 @@ class Controller:
             PacketOut(actions=actions, data=data, buffer_id=buffer_id, in_port=in_port)
         )
 
-    def request_stats(
-        self,
-        kind: int,
-        callback: Callable[[StatsReply], None],
-        match: Optional[Match] = None,
-    ) -> None:
+    def request_stats(self, kind: int, callback: Callable[[StatsReply], None]) -> None:
         """Issue a stats request; ``callback`` fires with the reply."""
-        request = StatsRequest(kind, match=match)
+        request = StatsRequest(kind)
         self._pending_stats[request.xid] = callback
         self.send(request)
 

@@ -34,14 +34,11 @@ from .actions import (
     PORT_NORMAL,
     PORT_TABLE,
 )
-from .flow_table import FlowEntry, FlowTable, _covers, matching_keys
+from .flow_table import FlowEntry, FlowTable, matching_keys
 from .messages import (
     ErrorMessage,
     FC_ADD,
     FC_DELETE,
-    FC_DELETE_STRICT,
-    FC_MODIFY,
-    FC_MODIFY_STRICT,
     FeaturesReply,
     FeaturesRequest,
     FlowMod,
@@ -240,15 +237,13 @@ class Datapath:
 
     def _handle_flow_mod(self, mod: FlowMod) -> None:
         self._m_flow_mods.inc()
-        if mod.command in (FC_ADD, FC_MODIFY, FC_MODIFY_STRICT) and any(
-            isinstance(a, Output) and a.port == PORT_TABLE for a in mod.actions
-        ):
-            # OpenFlow 1.0 allows OFPP_TABLE only as a packet-out
-            # destination: a flow outputting to the table would feed
-            # every frame it matches back into itself.
-            self._reply(ErrorMessage("bad_action", "output to PORT_TABLE", xid=mod.xid))
-            return
         if mod.command == FC_ADD:
+            if any(isinstance(a, Output) and a.port == PORT_TABLE for a in mod.actions):
+                # OpenFlow 1.0 allows OFPP_TABLE only as a packet-out
+                # destination: a flow outputting to the table would feed
+                # every frame it matches back into itself.
+                self._reply(ErrorMessage("bad_action", "output to PORT_TABLE", xid=mod.xid))
+                return
             entry = FlowEntry(
                 match=mod.match,
                 actions=mod.actions,
@@ -260,9 +255,11 @@ class Datapath:
                 send_flow_removed=mod.send_flow_removed,
             )
             try:
-                self.table.add(entry, check_overlap=mod.check_overlap)
+                self.table.add(entry)
             except DatapathError as exc:
-                self._reply(ErrorMessage("overlap", str(exc), xid=mod.xid))
+                # A full table is the one refusal an add can meet
+                # (OpenFlow 1.0's OFPFMFC_ALL_TABLES_FULL).
+                self._reply(ErrorMessage("table_full", str(exc), xid=mod.xid))
                 return
             self._invalidate_cache_for(entry)
             if mod.buffer_id != NO_BUFFER:
@@ -270,22 +267,8 @@ class Datapath:
                 if punted_at is not None:
                     self._m_flow_setup.observe(self.sim.now - punted_at)
                 self._release_buffer(mod.buffer_id, entry.actions, entry)
-        elif mod.command in (FC_MODIFY, FC_MODIFY_STRICT):
-            self.table.modify(
-                mod.match,
-                mod.actions,
-                strict=(mod.command == FC_MODIFY_STRICT),
-                priority=mod.priority,
-            )
-            self._cache.clear()
-        elif mod.command in (FC_DELETE, FC_DELETE_STRICT):
-            removed = self.table.delete(
-                mod.match,
-                strict=(mod.command == FC_DELETE_STRICT),
-                priority=mod.priority,
-                out_port=mod.out_port,
-            )
-            for entry in removed:
+        elif mod.command == FC_DELETE:
+            for entry in self.table.delete(mod.match):
                 self._invalidate_cache_for(entry)
                 if entry.send_flow_removed and self.channel is not None:
                     self.channel.to_controller(
@@ -312,11 +295,7 @@ class Datapath:
             self._reply(ErrorMessage("bad_stats", f"kind={msg.kind}", xid=msg.xid))
             return
         now = self.sim.now
-        body = [
-            FlowStats(entry, now)
-            for entry in self.table
-            if msg.match is None or _covers(msg.match, entry.match)
-        ]
+        body = [FlowStats(entry, now) for entry in self.table]
         self._reply(StatsReply(msg.kind, body, xid=msg.xid))
 
     # ------------------------------------------------------------------

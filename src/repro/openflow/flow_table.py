@@ -13,12 +13,18 @@ finds all candidates at once.  Buckets are visited in descending
 max-priority order with early exit, preserving the linear scan's exact
 winner (priority, then insertion order).
 
-Flow-mods are indexed too: every entry also sits in a group for each
-MAC address it pins, keyed by (field, value).  A delete or modify whose
-match pins ``dl_src`` or ``dl_dst`` — as every flow-mod the router
-sends does — confirms just the smaller group instead of scanning the
-table.  :class:`LinearFlowTable` keeps the original O(n) scans as the
+The table takes the two flow-mods the router sends: an add, which
+replaces a rule with the same pattern and priority, and a loose delete.
+Deletes are indexed too: every entry also sits in a group for each MAC
+address it pins, keyed by (field, value).  A delete whose match pins
+``dl_src`` or ``dl_dst`` — as every delete the router sends does —
+confirms just the smaller group instead of scanning the table.
+:class:`LinearFlowTable` keeps the original O(n) scans as the
 differential-testing reference.
+
+Rules are indexed by their :attr:`Match.key`, the packet key tuple's
+own layout, so a packet's key and a rule's values go through the same
+masked compare (:func:`_masked`).
 """
 
 from __future__ import annotations
@@ -28,15 +34,10 @@ from typing import Collection, Dict, List, Optional, Tuple
 
 from ..core.errors import DatapathError
 from .actions import ActionList
-from .match import FlowKey, MATCH_FIELDS, Match
+from .match import DL_DST_INDEX, DL_SRC_INDEX, NW_DST_INDEX, NW_SRC_INDEX, Match
 
 DEFAULT_PRIORITY = 0x8000
 NO_TIMEOUT = 0.0
-
-#: Field indices (into MATCH_FIELDS / FlowKey.as_tuple()) of the two
-#: CIDR-capable fields.
-_NW_SRC_INDEX = MATCH_FIELDS.index("nw_src")
-_NW_DST_INDEX = MATCH_FIELDS.index("nw_dst")
 
 
 class FlowEntry:
@@ -126,34 +127,26 @@ def _mask_of(match: Match) -> Tuple:
     same CIDR prefixes, so a bucket probe is a single masked hash lookup.
     """
     spec: List[Tuple[int, Optional[int]]] = []
-    for index, field in enumerate(MATCH_FIELDS):
-        value = getattr(match, field)
+    for index, value in enumerate(match.key):
         if value is None:
             continue
-        if index == _NW_SRC_INDEX:
+        if index == NW_SRC_INDEX:
             spec.append((index, _prefix_mask(match.nw_src_prefix)))
-        elif index == _NW_DST_INDEX:
+        elif index == NW_DST_INDEX:
             spec.append((index, _prefix_mask(match.nw_dst_prefix)))
         else:
             spec.append((index, None))
     return tuple(spec)
 
 
-def _bucket_key(match: Match, mask: Tuple) -> Tuple:
-    """A match's hash slot within its bucket: masked concrete values."""
-    parts: List[int] = []
-    for index, netmask in mask:
-        value = int(getattr(match, MATCH_FIELDS[index]))
-        parts.append(value if netmask is None else value & netmask)
-    return tuple(parts)
-
-
 def _masked(key_tuple: Tuple, mask: Tuple) -> Optional[Tuple]:
-    """A packet key tuple's values under a bucket mask: what a rule's
-    :func:`_bucket_key` must equal for the rule to match the packet.
+    """A key tuple's values under a bucket mask.
 
-    None when the packet lacks a field the mask makes concrete (e.g. a
-    transport port on an ARP frame): no rule with that mask matches.
+    For a rule's own :attr:`Match.key` under its own mask this is the
+    rule's slot in its bucket; for a packet's key it is the slot of
+    every rule with that mask that matches the packet.  None when the
+    key lacks a field the mask makes concrete (e.g. a transport port on
+    an ARP frame): no rule with that mask matches.
     """
     parts: List[int] = []
     for index, netmask in mask:
@@ -164,23 +157,15 @@ def _masked(key_tuple: Tuple, mask: Tuple) -> Optional[Tuple]:
     return tuple(parts)
 
 
-def _key_of(match: Match) -> Tuple:
-    """A match's values laid out as a packet key tuple: ints, with None
-    where the match wildcards the field."""
-    return tuple(
-        None if value is None else int(value)
-        for value in (getattr(match, field) for field in MATCH_FIELDS)
-    )
-
-
 def _group_keys(match: Match) -> List[Tuple[str, int]]:
-    """The flow-mod index groups of a match: ``(field, value)`` for each
+    """The delete index groups of a match: ``(field, value)`` for each
     MAC address it pins."""
     keys = []
-    if match.dl_src is not None:
-        keys.append(("dl_src", int(match.dl_src)))
-    if match.dl_dst is not None:
-        keys.append(("dl_dst", int(match.dl_dst)))
+    dl_src, dl_dst = match.key[DL_SRC_INDEX], match.key[DL_DST_INDEX]
+    if dl_src is not None:
+        keys.append(("dl_src", dl_src))
+    if dl_dst is not None:
+        keys.append(("dl_dst", dl_dst))
     return keys
 
 
@@ -267,7 +252,8 @@ class _Bucket:
 
 
 class FlowTable:
-    """Priority-ordered rule set with OpenFlow add/modify/delete semantics.
+    """Priority-ordered rule set with OpenFlow add and loose-delete
+    semantics.
 
     Lookup resolves exactly as a descending-priority scan would
     (insertion order breaks ties, matching NOX-era switch behaviour) but
@@ -289,8 +275,8 @@ class FlowTable:
         self._ordered_buckets: List[_Bucket] = []
         self._order_dirty = False
         self._next_order = 0
-        # Flow-mod index: (field, MAC) -> {_order: entry} for the
-        # dl_src and dl_dst each entry pins.
+        # Delete index: (field, MAC) -> {_order: entry} for the dl_src
+        # and dl_dst each entry pins.
         self._groups: Dict[Tuple[str, int], Dict[int, FlowEntry]] = {}
 
     def __len__(self) -> int:
@@ -315,7 +301,7 @@ class FlowTable:
             else:
                 group[entry._order] = entry
         if entry.match.is_exact:
-            key = _bucket_key(entry.match, _EXACT_MASK)
+            key = entry.match.key
             entry._index_key = (_EXACT_SENTINEL, key)
             slot = self._exact.get(key)
             if slot is None:
@@ -331,7 +317,7 @@ class FlowTable:
             self._exact_size += 1
             return
         mask = _mask_of(entry.match)
-        key = _bucket_key(entry.match, mask)
+        key = _masked(entry.match.key, mask)
         entry._index_key = (mask, key)
         bucket = self._buckets.get(mask)
         if bucket is None:
@@ -373,13 +359,13 @@ class FlowTable:
         self._order_dirty = True
 
     def _candidates(self, match: Match) -> Optional[Collection[FlowEntry]]:
-        """The entries a flow-mod on ``match`` can touch, or None when
+        """The entries a delete on ``match`` can remove, or None when
         ``match`` pins neither MAC address and the table must be scanned.
 
-        Every entry that ``match`` covers, or that has its exact pattern,
-        pins each MAC address ``match`` pins, to the same value.  So it
-        sits in the group of each of them, and the smaller group holds
-        all of them; a missing group means none exists.
+        Every entry that ``match`` covers pins each MAC address ``match``
+        pins, to the same value.  So it sits in the group of each of
+        them, and the smaller group holds all of them; a missing group
+        means none exists.
         """
         smallest: Optional[Dict[int, FlowEntry]] = None
         for group_key in _group_keys(match):
@@ -400,13 +386,14 @@ class FlowTable:
 
     def _replace_candidate(self, entry: FlowEntry) -> Optional[FlowEntry]:
         """An installed rule with the same pattern and priority, if any."""
-        if entry.match.is_exact:
-            slot = self._exact.get(_bucket_key(entry.match, _EXACT_MASK))
+        match = entry.match
+        if match.is_exact:
+            slot = self._exact.get(match.key)
         else:
-            mask = _mask_of(entry.match)
+            mask = _mask_of(match)
             bucket = self._buckets.get(mask)
             slot = (
-                bucket.slots.get(_bucket_key(entry.match, mask))
+                bucket.slots.get(_masked(match.key, mask))
                 if bucket is not None
                 else None
             )
@@ -414,7 +401,7 @@ class FlowTable:
             return None
         for existing in slot:
             if existing.priority == entry.priority and existing.match.same_pattern(
-                entry.match
+                match
             ):
                 return existing
         return None
@@ -423,38 +410,22 @@ class FlowTable:
     # Mutation
     # ------------------------------------------------------------------
 
-    def add(
-        self, entry: FlowEntry, replace: bool = True, check_overlap: bool = False
-    ) -> None:
+    def add(self, entry: FlowEntry) -> None:
         """Insert ``entry``; replaces an identical (match, priority) rule.
-
-        ``check_overlap`` implements OpenFlow's OFPFF_CHECK_OVERLAP: the
-        insert is refused when another same-priority rule could match a
-        common packet (an ambiguity the controller asked to be told of).
 
         Keeps the list sorted by descending priority; stable within a
         priority so earlier rules win ties.
         """
-        if check_overlap:
-            for existing in self._entries:
-                if existing.priority == entry.priority and _overlaps(
-                    existing.match, entry.match
-                ):
-                    raise DatapathError(
-                        f"overlap check failed: {entry.match} overlaps "
-                        f"{existing.match} at priority {entry.priority}"
-                    )
-        if replace:
-            existing = self._replace_candidate(entry)
-            if existing is not None:
-                # Take over the old rule's list position and tie-break
-                # order, exactly as the in-place replacement did.
-                entry._order = existing._order
-                position = self._entries.index(existing)
-                self._entries[position] = entry
-                self._unindex(existing)
-                self._index(entry)
-                return
+        existing = self._replace_candidate(entry)
+        if existing is not None:
+            # Take over the old rule's list position and tie-break
+            # order, exactly as the in-place replacement did.
+            entry._order = existing._order
+            position = self._entries.index(existing)
+            self._entries[position] = entry
+            self._unindex(existing)
+            self._index(entry)
+            return
         if len(self._entries) >= self.max_entries:
             raise DatapathError(f"flow table full ({self.max_entries} entries)")
         entry._order = self._next_order
@@ -464,13 +435,10 @@ class FlowTable:
         self._neg_priorities.insert(index, -entry.priority)
         self._index(entry)
 
-    def lookup(self, key: FlowKey) -> Optional[FlowEntry]:
-        """Highest-priority entry matching ``key``, or None (table miss)."""
-        return self.resolve(key.as_tuple())
-
     def resolve(self, key_tuple: Tuple) -> Optional[FlowEntry]:
-        """:meth:`lookup` for a key tuple, as the datapath reads it off
-        the frame (:func:`repro.net.rewrite.flow_key`)."""
+        """Highest-priority entry matching a packet's key tuple, as the
+        datapath reads it off the frame (:func:`repro.net.rewrite.flow_key`),
+        or None (table miss)."""
         best: Optional[FlowEntry] = None
         slot = self._exact.get(key_tuple)
         if slot:
@@ -487,34 +455,14 @@ class FlowTable:
                 best = candidate
         return best
 
-    def modify(
-        self, match: Match, actions: ActionList, strict: bool = False,
-        priority: int = DEFAULT_PRIORITY,
-    ) -> int:
-        """Update actions on matching entries; returns count modified."""
-        candidates = self._candidates(match)
-        modified = 0
-        for entry in self._entries if candidates is None else candidates:
-            if self._mod_matches(entry, match, strict, priority):
-                entry.actions = list(actions)
-                modified += 1
-        return modified
-
-    def delete(
-        self,
-        match: Match,
-        strict: bool = False,
-        priority: int = DEFAULT_PRIORITY,
-        out_port: Optional[int] = None,
-    ) -> List[FlowEntry]:
-        """Remove matching entries; returns them in table order (for
-        flow-removed events)."""
+    def delete(self, match: Match) -> List[FlowEntry]:
+        """Remove the entries ``match`` covers (a loose delete); returns
+        them in table order (for flow-removed events)."""
         candidates = self._candidates(match)
         removed = [
             entry
             for entry in (self._entries if candidates is None else candidates)
-            if self._mod_matches(entry, match, strict, priority)
-            and self._out_port_matches(entry, out_port)
+            if _covers(match, entry.match)
         ]
         if removed:
             if candidates is not None:
@@ -525,26 +473,6 @@ class FlowTable:
             self._entries = [e for e in self._entries if e._index_key is not None]
             self._neg_priorities = [-e.priority for e in self._entries]
         return removed
-
-    @staticmethod
-    def _out_port_matches(entry: FlowEntry, out_port: Optional[int]) -> bool:
-        if out_port is None:
-            return True
-        from .actions import Output
-
-        return any(
-            isinstance(action, Output) and action.port == out_port
-            for action in entry.actions
-        )
-
-    @staticmethod
-    def _mod_matches(
-        entry: FlowEntry, match: Match, strict: bool, priority: int
-    ) -> bool:
-        if strict:
-            return entry.priority == priority and entry.match.same_pattern(match)
-        # Loose: the given match must be equal-or-wider than the entry's.
-        return _covers(match, entry.match)
 
     def expire(self, now: float) -> List[tuple]:
         """Remove timed-out entries; returns [(entry, reason), ...]."""
@@ -587,12 +515,6 @@ class FlowTable:
 #: Sentinel mask marking entries indexed in the exact-match dict.
 _EXACT_SENTINEL: Tuple = ("exact",)
 
-#: The all-concrete mask: every field, full netmasks on the CIDR fields.
-_EXACT_MASK: Tuple = tuple(
-    (index, 0xFFFFFFFF if index in (_NW_SRC_INDEX, _NW_DST_INDEX) else None)
-    for index in range(len(MATCH_FIELDS))
-)
-
 
 def matching_keys(match: Match, key_tuples: Collection[Tuple]) -> List[Tuple]:
     """The packet key tuples among ``key_tuples`` that ``match`` matches.
@@ -601,10 +523,9 @@ def matching_keys(match: Match, key_tuples: Collection[Tuple]) -> List[Tuple]:
     match its own key, so with a dict of keys it is one membership test.
     """
     if match.is_exact:
-        key = _bucket_key(match, _EXACT_MASK)
-        return [key] if key in key_tuples else []
+        return [match.key] if match.key in key_tuples else []
     mask = _mask_of(match)
-    want = _bucket_key(match, mask)
+    want = _masked(match.key, mask)
     return [key for key in key_tuples if _masked(key, mask) == want]
 
 
@@ -612,42 +533,25 @@ class LinearFlowTable(FlowTable):
     """The original O(n) scans, kept as the testing reference.
 
     Adds and expiry are inherited (the entry list is maintained
-    identically); ``lookup``, ``modify`` and ``delete`` are literal walks
-    of the priority-sorted list.  The differential property tests assert
-    that this and :class:`FlowTable` pick the identical winner, and
-    modify and remove the identical entries in the identical order.
+    identically); ``resolve`` and ``delete`` are literal walks of the
+    priority-sorted list, and ``resolve`` asks each rule's
+    :meth:`Match.matches`, not the index's masked compare.  The
+    differential property tests assert that this and :class:`FlowTable`
+    pick the identical winner, and remove the identical entries in the
+    identical order.
     """
 
-    def lookup(self, key: FlowKey) -> Optional[FlowEntry]:
+    def resolve(self, key_tuple: Tuple) -> Optional[FlowEntry]:
         for entry in self._entries:
-            if entry.match.matches(key):
+            if entry.match.matches(key_tuple):
                 return entry
         return None
 
-    def modify(
-        self, match: Match, actions: ActionList, strict: bool = False,
-        priority: int = DEFAULT_PRIORITY,
-    ) -> int:
-        modified = 0
-        for entry in self._entries:
-            if self._mod_matches(entry, match, strict, priority):
-                entry.actions = list(actions)
-                modified += 1
-        return modified
-
-    def delete(
-        self,
-        match: Match,
-        strict: bool = False,
-        priority: int = DEFAULT_PRIORITY,
-        out_port: Optional[int] = None,
-    ) -> List[FlowEntry]:
+    def delete(self, match: Match) -> List[FlowEntry]:
         removed: List[FlowEntry] = []
         kept: List[FlowEntry] = []
         for entry in self._entries:
-            if self._mod_matches(entry, match, strict, priority) and self._out_port_matches(
-                entry, out_port
-            ):
+            if _covers(match, entry.match):
                 removed.append(entry)
             else:
                 kept.append(entry)
@@ -665,16 +569,16 @@ def _overlaps(a: Match, b: Match) -> bool:
     Field-wise: the matches are disjoint iff some field is specified by
     both with incompatible values; otherwise a witness packet exists.
     """
-    for field in MATCH_FIELDS:
-        value_a = getattr(a, field)
-        value_b = getattr(b, field)
+    for index, (value_a, value_b) in enumerate(zip(a.key, b.key)):
         if value_a is None or value_b is None:
             continue
-        if field in ("nw_src", "nw_dst"):
-            mask = _prefix_mask(
-                min(getattr(a, field + "_prefix"), getattr(b, field + "_prefix"))
-            )
-            if (int(value_a) & mask) != (int(value_b) & mask):
+        if index == NW_SRC_INDEX or index == NW_DST_INDEX:
+            if index == NW_SRC_INDEX:
+                prefixlen = min(a.nw_src_prefix, b.nw_src_prefix)
+            else:
+                prefixlen = min(a.nw_dst_prefix, b.nw_dst_prefix)
+            mask = _prefix_mask(prefixlen)
+            if (value_a & mask) != (value_b & mask):
                 return False
         elif value_a != value_b:
             return False
@@ -684,15 +588,15 @@ def _overlaps(a: Match, b: Match) -> bool:
 def _covers(wide: Match, narrow: Match) -> bool:
     """True when every packet matched by ``narrow`` is matched by ``wide``.
 
-    ``narrow``'s values stand in for a packet key in the bucket probe's
+    ``narrow``'s key stands in for a packet key in the bucket probe's
     masked compare against ``wide``: ``narrow`` must pin every field
     ``wide`` pins, to the same value under ``wide``'s mask.  A key has
     no prefix length, so one check is added: no CIDR prefix of
     ``narrow`` may be shorter than ``wide``'s.
     """
-    if (wide.nw_src is not None and narrow.nw_src_prefix < wide.nw_src_prefix) or (
-        wide.nw_dst is not None and narrow.nw_dst_prefix < wide.nw_dst_prefix
+    if (wide.key[NW_SRC_INDEX] is not None and narrow.nw_src_prefix < wide.nw_src_prefix) or (
+        wide.key[NW_DST_INDEX] is not None and narrow.nw_dst_prefix < wide.nw_dst_prefix
     ):
         return False
     mask = _mask_of(wide)
-    return _masked(_key_of(narrow), mask) == _bucket_key(wide, mask)
+    return _masked(narrow.key, mask) == _masked(wide.key, mask)

@@ -119,16 +119,16 @@ class PacketOut(OpenFlowMessage):
         self.in_port = in_port
 
 
-# Flow-mod commands.
+# Flow-mod commands: OpenFlow 1.0's OFPFC_ADD and OFPFC_DELETE, the two
+# the router sends.  The datapath refuses the others (modify, strict
+# modify, strict delete) with ``bad_flow_mod``.
 FC_ADD = 0
-FC_MODIFY = 1
-FC_MODIFY_STRICT = 2
 FC_DELETE = 3
-FC_DELETE_STRICT = 4
 
 
 class FlowMod(OpenFlowMessage):
-    """Add/modify/delete rules in the datapath's flow table."""
+    """Add rules to, or loosely delete them from, the datapath's flow
+    table."""
 
     def __init__(
         self,
@@ -139,10 +139,8 @@ class FlowMod(OpenFlowMessage):
         idle_timeout: float = 0.0,
         hard_timeout: float = 0.0,
         cookie: int = 0,
-        out_port: Optional[int] = None,
         send_flow_removed: bool = False,
         buffer_id: int = NO_BUFFER,
-        check_overlap: bool = False,
         xid: Optional[int] = None,
     ):
         super().__init__(xid)
@@ -153,18 +151,17 @@ class FlowMod(OpenFlowMessage):
         self.idle_timeout = idle_timeout
         self.hard_timeout = hard_timeout
         self.cookie = cookie
-        self.out_port = out_port
         self.send_flow_removed = send_flow_removed
         self.buffer_id = buffer_id
-        self.check_overlap = check_overlap
 
     @classmethod
     def add(cls, match: Match, actions: ActionList, **kwargs) -> "FlowMod":
         return cls(FC_ADD, match, actions, **kwargs)
 
     @classmethod
-    def delete(cls, match: Match, strict: bool = False, **kwargs) -> "FlowMod":
-        return cls(FC_DELETE_STRICT if strict else FC_DELETE, match, **kwargs)
+    def delete(cls, match: Match, **kwargs) -> "FlowMod":
+        """Remove every rule ``match`` covers (a loose delete)."""
+        return cls(FC_DELETE, match, **kwargs)
 
 
 # Flow-removed reasons.
@@ -217,15 +214,11 @@ STATS_FLOW = 1
 
 
 class StatsRequest(OpenFlowMessage):
-    def __init__(
-        self,
-        kind: int,
-        match: Optional[Match] = None,
-        xid: Optional[int] = None,
-    ):
+    """Ask for stats of one kind; a flow-stats reply covers every entry."""
+
+    def __init__(self, kind: int, xid: Optional[int] = None):
         super().__init__(xid)
         self.kind = kind
-        self.match = match
 
 
 class FlowStats:

@@ -222,9 +222,6 @@ class Host:
         self._ping_ident = sim.random.randrange(1, 0xFFFF)
         self._ping_seq = 0
 
-        self.frames_received = 0
-        self.frames_sent = 0
-
         # Packet-lineage flight recorder; the router injects its Tracer
         # when the device attaches (None = tracing off, zero cost).  Only
         # sampled transmissions get a context here: each frame counts
@@ -263,7 +260,6 @@ class Host:
 
     def send_frame(self, raw: bytes) -> None:
         """Put one Ethernet frame, as bytes, on the wire."""
-        self.frames_sent += 1
         tracer = self.tracer
         if tracer is not None:
             tracer.countdown -= 1
@@ -277,7 +273,6 @@ class Host:
         self.port.send(raw)
 
     def _on_frame(self, raw: bytes, _port: Port) -> None:
-        self.frames_received += 1
         fields = read_frame(raw)
         if fields is None:
             return  # shorter than an Ethernet header

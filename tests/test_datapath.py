@@ -18,8 +18,6 @@ from repro.openflow.match import Match
 from repro.openflow.messages import (
     ErrorMessage,
     FC_ADD,
-    FC_MODIFY,
-    FC_MODIFY_STRICT,
     FeaturesReply,
     FeaturesRequest,
     FlowMod,
@@ -166,7 +164,7 @@ class TestPipeline:
             peer = Port(f"host{n}")
             peer.on_receive(lambda data, port, n=n: received[n].append(data))
             Link(sim, dp.port(n), peer)
-        dp.handle_message(FlowMod.add(Match.any(), output(PORT_FLOOD)))
+        dp.handle_message(FlowMod.add(Match(), output(PORT_FLOOD)))
         dp.process_frame(frame_bytes(), 1)
         sim.run_for(1.0)
         assert received[1] == []
@@ -245,10 +243,15 @@ class TestFlowModHandling:
         assert removed[0].reason == RR_IDLE_TIMEOUT
         assert len(dp.table) == 0
 
-    def test_modify_changes_actions(self, dp):
-        dp.handle_message(FlowMod.add(Match(tp_dst=80), output(2)))
-        dp.handle_message(FlowMod(1, Match(tp_dst=80), output(1)))  # FC_MODIFY
-        assert dp.table.entries()[0].actions[0].port == 1
+    def test_add_past_a_full_table_answers_table_full(self, dp):
+        dp.handle_message(FlowMod.add(Match(tp_dst=80), output(2), cookie=1))
+        dp.handle_message(FlowMod.add(Match(tp_dst=443), output(2), cookie=2))
+        dp.table.max_entries = 2
+        before = [(e.match, e.actions, e.priority, e.cookie) for e in dp.table]
+        dp.handle_message(FlowMod.add(Match(tp_dst=22), output(1), cookie=3, xid=51))
+        errors = [m for m in dp.messages if isinstance(m, ErrorMessage)]
+        assert [(e.error_type, e.xid) for e in errors] == [("table_full", 51)]
+        assert [(e.match, e.actions, e.priority, e.cookie) for e in dp.table] == before
 
 
 class TestProtocolMessages:
@@ -287,9 +290,21 @@ class TestProtocolMessages:
         assert [(e.error_type, e.xid) for e in errors] == [("bad_buffer", 31)]
 
     def test_unknown_flow_mod_command_error_echoes_xid(self, dp):
-        dp.handle_message(FlowMod(99, Match(), xid=32))
-        errors = [m for m in dp.messages if isinstance(m, ErrorMessage)]
-        assert [(e.error_type, e.xid) for e in errors] == [("bad_flow_mod", 32)]
+        # 99 was never a command; 1, 2 and 4 are OpenFlow 1.0's modify,
+        # strict modify and strict delete, which the router never sends
+        # and the datapath does not take.
+        dp.handle_message(FlowMod.add(Match(tp_dst=80), output(2)))
+        dp.process_frame(frame_bytes(), 1)
+        dp.process_frame(frame_bytes(), 1)
+        assert dp.cache_len() == 1
+        before = [(e.match, e.actions, e.priority) for e in dp.table]
+        for xid, command in enumerate((99, 1, 2, 4), start=32):
+            dp.messages.clear()
+            dp.handle_message(FlowMod(command, Match(tp_dst=80), output(1), xid=xid))
+            errors = [m for m in dp.messages if isinstance(m, ErrorMessage)]
+            assert [(e.error_type, e.xid) for e in errors] == [("bad_flow_mod", xid)]
+            assert [(e.match, e.actions, e.priority) for e in dp.table] == before
+            assert dp.cache_len() == 1
 
     def test_flow_stats(self, dp):
         dp.handle_message(FlowMod.add(Match(tp_dst=80), output(2)))
@@ -326,7 +341,7 @@ class TestOutputToTable:
     matches back through the pipeline into itself, without end.
     """
 
-    @pytest.mark.parametrize("command", [FC_ADD, FC_MODIFY, FC_MODIFY_STRICT])
+    @pytest.mark.parametrize("command", [FC_ADD])
     def test_flow_mod_outputting_to_table_is_refused(self, dp, command):
         dp.handle_message(FlowMod.add(Match(dl_type=ETH_TYPE_IPV4), output(2)))
         dp.process_frame(frame_bytes(), 1)

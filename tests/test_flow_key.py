@@ -10,7 +10,6 @@ every offset, frames with one header field broken, random bytes, and
 frames carrying a trace context.
 """
 
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.net import (
@@ -28,7 +27,6 @@ from repro.net import (
 )
 from repro.net.rewrite import flow_key
 from repro.net.trace import TraceContext, with_trace
-from repro.openflow.match import FlowKey
 
 from tests.reference_codecs import Ethernet, ICMP, IPv4, TCP, UDP
 
@@ -70,10 +68,7 @@ def object_key(raw, in_port):
 
 def assert_same_key(raw, in_port=3):
     expected = object_key(raw, in_port)
-    key = flow_key(raw, in_port)
-    assert key == expected
-    if key is not None:
-        assert FlowKey.from_tuple(key).as_tuple() == expected
+    assert flow_key(raw, in_port) == expected
 
 
 # ----------------------------------------------------------------------
@@ -260,15 +255,3 @@ class TestTracedFrames:
         assert type(traced) is not bytes
         assert flow_key(traced, 2) == flow_key(raw, 2) == object_key(raw, 2)
 
-
-class TestFlowKeyObject:
-    @settings(max_examples=100, deadline=None)
-    @given(frames)
-    def test_extract_builds_the_same_tuple(self, raw):
-        assert FlowKey.extract(raw, 5).as_tuple() == flow_key(raw, 5)
-        assert FlowKey.from_tuple(flow_key(raw, 5)) == FlowKey.extract(raw, 5)
-
-    def test_extract_rejects_a_short_frame(self):
-        with pytest.raises(PacketError):
-            FlowKey.extract(b"\x00" * 13, 1)
-        assert flow_key(b"\x00" * 13, 1) is None

@@ -1,9 +1,10 @@
-"""Flow table semantics: priorities, timeouts, add/modify/delete, actions."""
+"""Flow table semantics: priorities, timeouts, add/delete, actions."""
 
 import pytest
 
 from repro.core.errors import DatapathError
 from repro.net import ETH_TYPE_IPV4, PROTO_TCP
+from repro.net.rewrite import flow_key
 from repro.openflow.actions import (
     Output,
     SetDlDst,
@@ -16,8 +17,8 @@ from repro.openflow.actions import (
     output,
     route_rewrite,
 )
-from repro.openflow.flow_table import FlowEntry, FlowTable
-from repro.openflow.match import FlowKey, Match
+from repro.openflow.flow_table import FlowEntry, FlowTable, LinearFlowTable
+from repro.openflow.match import Match
 
 from tests.reference_codecs import Ethernet, IPv4, TCP
 
@@ -29,7 +30,7 @@ def key(sport=1000, dport=80, in_port=1):
         ETH_TYPE_IPV4,
         IPv4("10.0.0.1", "10.0.0.2", proto=PROTO_TCP, payload=TCP(sport, dport)),
     )
-    return FlowKey.extract(frame.pack(), in_port)
+    return flow_key(frame.pack(), in_port)
 
 
 def tcp_frame(sport, dport, src="10.0.0.1", dst="10.0.0.2"):
@@ -96,7 +97,7 @@ class TestActions:
 
 class TestFlowEntry:
     def test_touch_updates_counters(self):
-        entry = FlowEntry(Match.any(), output(1), created_at=0.0)
+        entry = FlowEntry(Match(), output(1), created_at=0.0)
         entry.touch(1.0, 100)
         entry.touch(2.0, 50)
         assert entry.packet_count == 2
@@ -104,61 +105,64 @@ class TestFlowEntry:
         assert entry.last_used_at == 2.0
 
     def test_idle_timeout(self):
-        entry = FlowEntry(Match.any(), output(1), idle_timeout=5.0, created_at=0.0)
+        entry = FlowEntry(Match(), output(1), idle_timeout=5.0, created_at=0.0)
         entry.touch(10.0, 1)
         assert entry.expired(14.0) is None
         assert entry.expired(15.0) == "idle"
 
     def test_hard_timeout(self):
-        entry = FlowEntry(Match.any(), output(1), hard_timeout=10.0, created_at=0.0)
+        entry = FlowEntry(Match(), output(1), hard_timeout=10.0, created_at=0.0)
         entry.touch(9.0, 1)
         assert entry.expired(9.5) is None
         assert entry.expired(10.0) == "hard"
 
     def test_hard_beats_idle(self):
         entry = FlowEntry(
-            Match.any(), output(1), idle_timeout=1.0, hard_timeout=2.0, created_at=0.0
+            Match(), output(1), idle_timeout=1.0, hard_timeout=2.0, created_at=0.0
         )
         assert entry.expired(5.0) == "hard"
 
     def test_no_timeout_never_expires(self):
-        entry = FlowEntry(Match.any(), output(1), created_at=0.0)
+        entry = FlowEntry(Match(), output(1), created_at=0.0)
         assert entry.expired(1e9) is None
 
 
 class TestFlowTable:
     def test_resolve_picks_like_lookup_without_counting(self):
-        table = FlowTable()
-        table.add(FlowEntry(Match(tp_dst=80), output(1), priority=10))
-        table.add(FlowEntry(Match.any(), output(2), priority=1))
-        web = key(dport=80)
-        assert table.resolve(web.as_tuple()) is table.lookup(web)
+        tables = FlowTable(), LinearFlowTable()
+        for table in tables:
+            table.add(FlowEntry(Match(tp_dst=80), output(1), priority=10, cookie=1))
+            table.add(FlowEntry(Match(), output(2), priority=1, cookie=2))
+        for dport, cookie in ((80, 1), (443, 2)):
+            hits = [table.resolve(key(dport=dport)) for table in tables]
+            assert [hit.cookie for hit in hits] == [cookie, cookie]
+            assert [hit.packet_count for hit in hits] == [0, 0]
 
     def test_lookup_miss(self):
         table = FlowTable()
-        assert table.lookup(key()) is None
+        assert table.resolve(key()) is None
 
     def test_priority_order(self):
         table = FlowTable()
-        table.add(FlowEntry(Match.any(), output(1), priority=10))
+        table.add(FlowEntry(Match(), output(1), priority=10))
         table.add(FlowEntry(Match(tp_dst=80), output(2), priority=100))
-        hit = table.lookup(key(dport=80))
+        hit = table.resolve(key(dport=80))
         assert hit.actions[0].port == 2
-        hit2 = table.lookup(key(dport=443))
+        hit2 = table.resolve(key(dport=443))
         assert hit2.actions[0].port == 1
 
     def test_equal_priority_insertion_order(self):
         table = FlowTable()
         table.add(FlowEntry(Match(tp_dst=80), output(1), priority=50))
         table.add(FlowEntry(Match(nw_proto=PROTO_TCP), output(2), priority=50))
-        assert table.lookup(key(dport=80)).actions[0].port == 1
+        assert table.resolve(key(dport=80)).actions[0].port == 1
 
     def test_replace_same_match_priority(self):
         table = FlowTable()
         table.add(FlowEntry(Match(tp_dst=80), output(1), priority=50))
         table.add(FlowEntry(Match(tp_dst=80), output(9), priority=50))
         assert len(table) == 1
-        assert table.lookup(key(dport=80)).actions[0].port == 9
+        assert table.resolve(key(dport=80)).actions[0].port == 9
 
     def test_no_replace_different_priority(self):
         table = FlowTable()
@@ -173,20 +177,6 @@ class TestFlowTable:
         with pytest.raises(DatapathError):
             table.add(FlowEntry(Match(tp_dst=3), output(1)))
 
-    def test_modify_loose(self):
-        table = FlowTable()
-        table.add(FlowEntry(Match(tp_dst=80), output(1)))
-        table.add(FlowEntry(Match(tp_dst=443), output(1)))
-        modified = table.modify(Match.any(), output(5))
-        assert modified == 2
-        assert all(e.actions[0].port == 5 for e in table)
-
-    def test_modify_strict_needs_exact_pattern(self):
-        table = FlowTable()
-        table.add(FlowEntry(Match(tp_dst=80), output(1), priority=50))
-        assert table.modify(Match.any(), output(5), strict=True, priority=50) == 0
-        assert table.modify(Match(tp_dst=80), output(5), strict=True, priority=50) == 1
-
     def test_delete_loose_covers(self):
         table = FlowTable()
         table.add(FlowEntry(Match(tp_dst=80, nw_proto=PROTO_TCP), output(1)))
@@ -199,23 +189,9 @@ class TestFlowTable:
         table = FlowTable()
         table.add(FlowEntry(Match(tp_dst=80), output(1)))
         table.add(FlowEntry(Match(tp_dst=443), output(1)))
-        removed = table.delete(Match.any())
+        removed = table.delete(Match())
         assert len(removed) == 2
         assert len(table) == 0
-
-    def test_delete_strict(self):
-        table = FlowTable()
-        table.add(FlowEntry(Match(tp_dst=80), output(1), priority=50))
-        assert table.delete(Match(tp_dst=80), strict=True, priority=60) == []
-        assert len(table.delete(Match(tp_dst=80), strict=True, priority=50)) == 1
-
-    def test_delete_filtered_by_out_port(self):
-        table = FlowTable()
-        table.add(FlowEntry(Match(tp_dst=80), output(1)))
-        table.add(FlowEntry(Match(tp_dst=443), output(2)))
-        removed = table.delete(Match.any(), out_port=2)
-        assert len(removed) == 1
-        assert removed[0].actions[0].port == 2
 
     def test_expire(self):
         table = FlowTable()
@@ -255,7 +231,7 @@ class TestMutationEdges:
         table.add(second)
         # One entry, the new one: counters reset, actions swapped.
         assert len(table) == 1
-        winner = table.lookup(key(dport=80))
+        winner = table.resolve(key(dport=80))
         assert winner is second
         assert winner.packet_count == 0 and winner.byte_count == 0
         assert isinstance(winner.actions[0], Output) and winner.actions[0].port == 2
@@ -271,7 +247,16 @@ class TestMutationEdges:
         # same-priority sibling: insertion order is inherited.
         replacement = FlowEntry(Match(tp_dst=80), output(2), priority=10)
         table.add(replacement)
-        assert table.lookup(key(dport=80)) is replacement
+        assert table.resolve(key(dport=80)) is replacement
+
+    def test_readd_same_masked_slot_other_pattern_does_not_replace(self):
+        # Both rules hash to one bucket slot (10.0.0.0/16); only an
+        # identical pattern replaces, so the index must confirm it.
+        table = FlowTable()
+        table.add(FlowEntry(Match(nw_src="10.0.1.5", nw_src_prefix=16), output(1), priority=10))
+        table.add(FlowEntry(Match(nw_src="10.0.2.5", nw_src_prefix=16), output(2), priority=10))
+        assert len(table) == 2
+        assert table.index_stats() == {"entries": 2, "exact": 0, "wildcard_buckets": 1}
 
     def test_readd_different_priority_does_not_replace(self):
         table = FlowTable()
@@ -287,19 +272,19 @@ class TestMutationEdges:
         entry = FlowEntry(Match(tp_dst=80), output(1), idle_timeout=2.0)
         table.add(entry)
         assert entry.expired(10.0) == "idle"
-        assert table.lookup(key(dport=80)) is entry
+        assert table.resolve(key(dport=80)) is entry
         expired = table.expire(10.0)
         assert [(e, r) for e, r in expired] == [(entry, "idle")]
-        assert table.lookup(key(dport=80)) is None
+        assert table.resolve(key(dport=80)) is None
 
     def test_stats_counters_survive_eviction(self):
         table = FlowTable()
         entry = FlowEntry(Match(tp_dst=80), output(1), hard_timeout=5.0)
         table.add(entry)
-        hit = table.lookup(key(dport=80))
+        hit = table.resolve(key(dport=80))
         hit.touch(1.0, 1500)
         hit.touch(2.0, 1500)
-        miss = table.lookup(key(dport=8080))
+        miss = table.resolve(key(dport=8080))
         assert miss is None
         [(evicted, reason)] = table.expire(100.0)
         assert reason == "hard"
@@ -307,4 +292,4 @@ class TestMutationEdges:
         # messages report them).
         assert evicted.packet_count == 2 and evicted.byte_count == 3000
         assert len(table) == 0 and table.index_stats()["entries"] == 0
-        assert table.lookup(key(dport=80)) is None
+        assert table.resolve(key(dport=80)) is None

@@ -1,14 +1,16 @@
 """Differential property tests: indexed vs linear flow table.
 
-Seeded random operation sequences (add with replace/overlap-check,
-strict and loose delete and modify with and without an ``out_port``,
-idle/hard expiry, counter touches) are applied to a :class:`FlowTable`
-(the indexed implementation) and a :class:`LinearFlowTable` (the
-retained O(n) reference) in lockstep.  Each delete must return the
-identical entries in the identical order, each modify must rewrite the
-identical entries, and after every mutation both tables must pick the
-identical winner for a batch of random packet keys.  Entries are tagged
-with unique cookies so "identical" is exact, not just same-pattern.
+Seeded random operation sequences (adds, which replace a rule with the
+same pattern and priority; loose deletes, some pinning one MAC address
+as the router's evictions do and some pinning none; idle/hard expiry;
+counter touches) are applied to a :class:`FlowTable` (the indexed
+implementation) and a :class:`LinearFlowTable` (the retained O(n)
+reference) in lockstep.  Each delete must return the identical entries
+in the identical order, and after every mutation both tables must
+resolve a batch of random packet key tuples to the identical winner:
+the index's masked probe against the reference's literal
+:meth:`Match.matches` walk.  Entries are tagged with unique cookies so
+"identical" is exact, not just same-pattern.
 """
 
 import itertools
@@ -16,7 +18,6 @@ import random
 
 import pytest
 
-from repro.core.errors import DatapathError
 from repro.net import ETH_TYPE_IPV4, PROTO_TCP, PROTO_UDP
 from repro.net.addresses import IPv4Address, MACAddress
 import repro.openflow.flow_table as flow_table
@@ -27,7 +28,13 @@ from repro.openflow.flow_table import (
     LinearFlowTable,
     _covers,
 )
-from repro.openflow.match import MATCH_FIELDS, FlowKey, Match
+from repro.openflow.match import (
+    DL_SRC_INDEX,
+    MATCH_FIELDS,
+    NW_DST_INDEX,
+    NW_SRC_INDEX,
+    Match,
+)
 
 MACS = tuple(MACAddress(f"02:aa:00:00:00:{i:02x}") for i in range(1, 5))
 IPS = tuple(IPv4Address(f"10.1.{i}.{j}") for i in (0, 1) for j in (5, 6))
@@ -38,19 +45,20 @@ PRIORITIES = (1, 10, 10, 100, 0x8000)
 OUT_PORTS = (1, 2, 3)
 
 
-def random_key(rng: random.Random) -> FlowKey:
+def random_key(rng: random.Random) -> tuple:
+    """A packet key tuple, as the datapath reads it off a frame."""
     has_ip = rng.random() < 0.85
     has_tp = has_ip and rng.random() < 0.8
-    return FlowKey(
-        in_port=rng.choice((1, 2)),
-        dl_src=rng.choice(MACS),
-        dl_dst=rng.choice(MACS),
-        dl_type=ETH_TYPE_IPV4 if has_ip else 0x0806,
-        nw_src=rng.choice(IPS) if has_ip else None,
-        nw_dst=rng.choice(IPS) if has_ip else None,
-        nw_proto=rng.choice(PROTOS) if has_ip else None,
-        tp_src=rng.choice(PORTS) if has_tp else None,
-        tp_dst=rng.choice(PORTS) if has_tp else None,
+    return (
+        rng.choice((1, 2)),
+        int(rng.choice(MACS)),
+        int(rng.choice(MACS)),
+        ETH_TYPE_IPV4 if has_ip else 0x0806,
+        int(rng.choice(IPS)) if has_ip else None,
+        int(rng.choice(IPS)) if has_ip else None,
+        rng.choice(PROTOS) if has_ip else None,
+        rng.choice(PORTS) if has_tp else None,
+        rng.choice(PORTS) if has_tp else None,
     )
 
 
@@ -58,8 +66,8 @@ def random_match(rng: random.Random) -> Match:
     if rng.random() < 0.15:
         # Fully-concrete pattern: exercises the exact-match index.
         key = random_key(rng)
-        if key.nw_src is not None and key.tp_src is not None:
-            return Match.from_key(key.as_tuple())
+        if None not in key:
+            return Match.from_key(key)
     kwargs = {}
     if rng.random() < 0.4:
         kwargs["in_port"] = rng.choice((1, 2))
@@ -84,26 +92,30 @@ def random_match(rng: random.Random) -> Match:
     return Match(**kwargs)
 
 
-def flow_mod_match(rng: random.Random, table) -> tuple:
-    """A flow-mod's (match, priority): random, or an installed entry's
-    own pattern and priority (strict mods hit), or that pattern widened
-    to a subset of its fields and shorter prefixes (loose mods hit)."""
+def delete_match(rng: random.Random, table) -> Match:
+    """A loose delete's match: one MAC address, as the router's
+    evictions send; random; an installed entry's own pattern; or that
+    pattern widened to a subset of its fields and shorter prefixes."""
+    roll = rng.random()
+    if roll < 0.3:
+        field = rng.choice(("dl_src", "dl_dst"))
+        return Match(**{field: rng.choice(MACS)})
     entries = table.entries()
-    if not entries or rng.random() < 0.3:
-        return random_match(rng), rng.choice(PRIORITIES)
+    if not entries or roll < 0.5:
+        return random_match(rng)
     base = rng.choice(entries)
     if rng.random() < 0.3:
-        return base.match, base.priority
+        return base.match
     kwargs = {
-        field: getattr(base.match, field)
-        for field in MATCH_FIELDS
-        if getattr(base.match, field) is not None and rng.random() < 0.5
+        field: value
+        for field, value in zip(MATCH_FIELDS, base.match.key)
+        if value is not None and rng.random() < 0.5
     }
     for field in ("nw_src", "nw_dst"):
         if field in kwargs:
             prefix = getattr(base.match, field + "_prefix")
             kwargs[field + "_prefix"] = rng.choice([p for p in PREFIXES if p <= prefix])
-    return Match(**kwargs), rng.choice(PRIORITIES)
+    return Match(**kwargs)
 
 
 def _cookie(entry) -> object:
@@ -130,54 +142,29 @@ def run_differential(seed: int, steps: int) -> None:
             priority = rng.choice(PRIORITIES)
             idle = rng.choice((0.0, 0.0, 5.0))
             hard = rng.choice((0.0, 0.0, 12.0))
-            replace = rng.random() < 0.8
-            check_overlap = rng.random() < 0.2
             cookie = next(cookies)
-            outcomes = []
             port = rng.choice(OUT_PORTS)
             for table in (indexed, linear):
-                entry = FlowEntry(
-                    match,
-                    output(port),
-                    priority=priority,
-                    idle_timeout=idle,
-                    hard_timeout=hard,
-                    cookie=cookie,
-                    created_at=now,
+                table.add(
+                    FlowEntry(
+                        match,
+                        output(port),
+                        priority=priority,
+                        idle_timeout=idle,
+                        hard_timeout=hard,
+                        cookie=cookie,
+                        created_at=now,
+                    )
                 )
-                try:
-                    table.add(entry, replace=replace, check_overlap=check_overlap)
-                    outcomes.append("added")
-                except DatapathError:
-                    outcomes.append("overlap-refused")
-            assert outcomes[0] == outcomes[1]
-        elif roll < 0.65:
-            match, priority = flow_mod_match(rng, indexed)
-            strict = rng.random() < 0.5
-            out_port = rng.choice((None, None) + OUT_PORTS)
-            removed_indexed = indexed.delete(
-                match, strict=strict, priority=priority, out_port=out_port
-            )
-            removed_linear = linear.delete(
-                match, strict=strict, priority=priority, out_port=out_port
-            )
+        elif roll < 0.72:
+            match = delete_match(rng, indexed)
+            removed_indexed = indexed.delete(match)
+            removed_linear = linear.delete(match)
             # Same entries in the same (table) order: the datapath sends
             # flow-removed messages in this order.
             assert [e.cookie for e in removed_indexed] == [
                 e.cookie for e in removed_linear
-            ], f"seed={seed} delete {match} strict={strict} out_port={out_port}"
-        elif roll < 0.72:
-            match, priority = flow_mod_match(rng, indexed)
-            strict = rng.random() < 0.5
-            port = rng.choice(OUT_PORTS)
-            modified = [
-                table.modify(match, output(port), strict=strict, priority=priority)
-                for table in (indexed, linear)
-            ]
-            assert modified[0] == modified[1]
-            assert _outputs(indexed) == _outputs(linear), (
-                f"seed={seed} modify {match} strict={strict}"
-            )
+            ], f"seed={seed} delete {match}"
         elif roll < 0.85:
             now += rng.uniform(0.5, 6.0)
             expired_indexed = indexed.expire(now)
@@ -191,8 +178,8 @@ def run_differential(seed: int, steps: int) -> None:
         assert len(indexed) == len(linear)
         for _ in range(6):
             key = random_key(rng)
-            winner_indexed = indexed.lookup(key)
-            winner_linear = linear.lookup(key)
+            winner_indexed = indexed.resolve(key)
+            winner_linear = linear.resolve(key)
             assert _cookie(winner_indexed) == _cookie(winner_linear), (
                 f"seed={seed} key={key}: indexed={winner_indexed} "
                 f"linear={winner_linear}"
@@ -222,25 +209,10 @@ def test_differential_lookup_soak(seed):
 def test_flow_table_is_indexed_by_default():
     table = FlowTable()
     table.add(FlowEntry(Match(tp_dst=80), output(1), priority=10))
-    table.add(
-        FlowEntry(
-            Match.from_key(
-                FlowKey(
-                    in_port=1,
-                    dl_src=MACS[0],
-                    dl_dst=MACS[1],
-                    dl_type=ETH_TYPE_IPV4,
-                    nw_src=IPS[0],
-                    nw_dst=IPS[1],
-                    nw_proto=PROTO_TCP,
-                    tp_src=80,
-                    tp_dst=80,
-                ).as_tuple()
-            ),
-            output(2),
-            priority=20,
-        )
+    key = (
+        1, int(MACS[0]), int(MACS[1]), ETH_TYPE_IPV4, int(IPS[0]), int(IPS[1]), PROTO_TCP, 80, 80
     )
+    table.add(FlowEntry(Match.from_key(key), output(2), priority=20))
     stats = table.index_stats()
     assert stats == {"entries": 2, "exact": 1, "wildcard_buckets": 1}
 
@@ -248,18 +220,17 @@ def test_flow_table_is_indexed_by_default():
 def _covers_fieldwise(wide: Match, narrow: Match) -> bool:
     """The field-by-field cover test the table used before it shared the
     bucket probe's masked compare: the reference for ``_covers``."""
-    for field in MATCH_FIELDS:
-        wide_value = getattr(wide, field)
+    for index, (wide_value, narrow_value) in enumerate(zip(wide.key, narrow.key)):
         if wide_value is None:
             continue
-        narrow_value = getattr(narrow, field)
-        if field in ("nw_src", "nw_dst"):
+        if index in (NW_SRC_INDEX, NW_DST_INDEX):
+            field = MATCH_FIELDS[index]
             wide_prefix = getattr(wide, field + "_prefix")
             narrow_prefix = getattr(narrow, field + "_prefix")
             if narrow_value is None or narrow_prefix < wide_prefix:
                 return False
             mask = ((1 << wide_prefix) - 1) << (32 - wide_prefix) if wide_prefix else 0
-            if (int(wide_value) & mask) != (int(narrow_value) & mask):
+            if (wide_value & mask) != (narrow_value & mask):
                 return False
         elif narrow_value != wide_value:
             return False
@@ -274,7 +245,7 @@ def test_covers_agrees_with_fieldwise_reference():
         wide, narrow = random_match(rng), random_match(rng)
         if rng.random() < 0.3:
             # A narrowed copy of ``wide``: the pairs a loose delete hits.
-            fields = {f: getattr(wide, f) for f in MATCH_FIELDS}
+            fields = dict(zip(MATCH_FIELDS, wide.key))
             if fields["tp_dst"] is None:
                 fields["tp_dst"] = rng.choice(PORTS)
             narrow = Match(
@@ -337,7 +308,7 @@ def test_loose_delete_confirms_only_the_pinned_macs_entries(monkeypatch):
     removed = table.delete(Match(dl_src=macs[7]))
     assert [e.cookie for e in removed] == list(range(7, 1000, 50))
     assert len(confirmed) <= 20
-    assert all(m.dl_src == macs[7] for m in confirmed)
+    assert all(m.key[DL_SRC_INDEX] == int(macs[7]) for m in confirmed)
     # A MAC with no entries is answered without confirming anything.
     confirmed.clear()
     assert table.delete(Match(dl_dst=macs[7])) == []

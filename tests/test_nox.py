@@ -140,7 +140,7 @@ class TestControllerCore:
     def test_remove_flows(self, wired):
         dp, controller = wired
         controller.install_flow(Match(tp_dst=80), output(1))
-        controller.remove_flows(Match.any())
+        controller.remove_flows(Match())
         assert len(dp.table) == 0
 
     def test_stats_callback(self, wired):
@@ -153,7 +153,7 @@ class TestControllerCore:
     def test_send_without_channel_raises(self, sim):
         controller = Controller(sim)
         with pytest.raises(ControllerError):
-            controller.install_flow(Match.any(), output(1))
+            controller.install_flow(Match(), output(1))
 
 
 class TestL2Learning:

@@ -1,15 +1,23 @@
-"""OpenFlow OFPFF_CHECK_OVERLAP semantics."""
+"""Same-priority overlap: the predicate, and the fuzzer's invariant.
 
-import pytest
+OpenFlow 1.0 leaves the winner between two same-priority rules that
+match one packet undefined.  The datapath installs such rules (the
+router never sets OFPFF_CHECK_OVERLAP), and the scenario fuzzer's
+``flow-no-overlap`` invariant flags a table that holds them.
+"""
 
-from repro.core.errors import DatapathError
+from types import SimpleNamespace
+
+from repro.check.invariants import CheckContext, check_flow_no_overlap
 from repro.openflow.actions import output
-from repro.openflow.channel import SecureChannel
-from repro.openflow.datapath import Datapath
 from repro.openflow.flow_table import FlowEntry, FlowTable, _overlaps
 from repro.openflow.match import Match
-from repro.openflow.messages import ErrorMessage, FlowMod
-from repro.sim.simulator import Simulator
+
+
+def overlap_verdict(table):
+    """What the ``flow-no-overlap`` invariant says of ``table``."""
+    router = SimpleNamespace(datapath=SimpleNamespace(table=table))
+    return check_flow_no_overlap(router, CheckContext())
 
 
 class TestOverlapPredicate:
@@ -20,7 +28,7 @@ class TestOverlapPredicate:
         assert not _overlaps(Match(tp_dst=80), Match(tp_dst=443))
 
     def test_wildcard_overlaps_specific(self):
-        assert _overlaps(Match.any(), Match(tp_dst=80))
+        assert _overlaps(Match(), Match(tp_dst=80))
 
     def test_orthogonal_fields_overlap(self):
         # One constrains tp_dst, the other nw_proto: a packet can match both.
@@ -41,51 +49,27 @@ class TestTableOverlapCheck:
     def test_same_priority_overlap_rejected(self):
         table = FlowTable()
         table.add(FlowEntry(Match(tp_dst=80), output(1), priority=50))
-        with pytest.raises(DatapathError):
-            table.add(
-                FlowEntry(Match(nw_proto=6), output(2), priority=50),
-                check_overlap=True,
-            )
+        table.add(FlowEntry(Match(nw_proto=6), output(2), priority=50))
+        assert overlap_verdict(table) == (
+            "ambiguous overlap at priority 50: Match(tp_dst=80) vs Match(nw_proto=6)"
+        )
 
     def test_different_priority_allowed(self):
         table = FlowTable()
         table.add(FlowEntry(Match(tp_dst=80), output(1), priority=50))
-        table.add(
-            FlowEntry(Match(nw_proto=6), output(2), priority=60),
-            check_overlap=True,
-        )
+        table.add(FlowEntry(Match(nw_proto=6), output(2), priority=60))
         assert len(table) == 2
+        assert overlap_verdict(table) is None
 
     def test_disjoint_same_priority_allowed(self):
         table = FlowTable()
         table.add(FlowEntry(Match(tp_dst=80), output(1), priority=50))
-        table.add(
-            FlowEntry(Match(tp_dst=443), output(2), priority=50),
-            check_overlap=True,
-        )
+        table.add(FlowEntry(Match(tp_dst=443), output(2), priority=50))
         assert len(table) == 2
+        assert overlap_verdict(table) is None
 
     def test_without_flag_overlap_permitted(self):
         table = FlowTable()
         table.add(FlowEntry(Match(tp_dst=80), output(1), priority=50))
         table.add(FlowEntry(Match(nw_proto=6), output(2), priority=50))
         assert len(table) == 2
-
-
-class TestProtocolLevel:
-    def test_flow_mod_overlap_error_message(self):
-        sim = Simulator(seed=901)
-        dp = Datapath(sim)
-        dp.add_port("p1")
-        messages = []
-        channel = SecureChannel(sim, latency=0.0)
-        channel.connect(dp, messages.append)
-        dp.handle_message(FlowMod.add(Match(tp_dst=80), output(1), priority=50))
-        dp.handle_message(
-            FlowMod.add(
-                Match(nw_proto=6), output(1), priority=50, check_overlap=True
-            )
-        )
-        errors = [m for m in messages if isinstance(m, ErrorMessage)]
-        assert errors and errors[0].error_type == "overlap"
-        assert len(dp.table) == 1  # the conflicting rule was not added

@@ -18,9 +18,10 @@ from repro.net.dns_msg import (
 )
 from repro.net.ipv4 import PROTO_TCP, PROTO_UDP
 from repro.net.pcap import PcapWriter, read_all
+from repro.net.rewrite import flow_key
 from repro.openflow.actions import output
 from repro.openflow.flow_table import FlowEntry, FlowTable, _covers, matching_keys
-from repro.openflow.match import FlowKey, Match
+from repro.openflow.match import Match
 from repro.policy.engine import PolicyEngine
 from repro.policy.model import DNS_BLOCK, DNS_ONLY, NET_DENY, Policy
 from repro.core.events import EventBus
@@ -53,30 +54,32 @@ def flow_keys(draw):
         ETH_TYPE_IPV4,
         IPv4(draw(ips), draw(ips), proto=proto, payload=payload),
     )
-    return FlowKey.extract(frame.pack(), draw(st.integers(min_value=1, max_value=8)))
+    return flow_key(frame.pack(), draw(st.integers(min_value=1, max_value=8)))
 
 
 @st.composite
 def wildcard_matches(draw, key):
-    """A match derived from ``key`` with a random subset of fields kept."""
+    """A match derived from the key tuple ``key`` with a random subset of
+    fields kept."""
+    in_port, dl_src, dl_dst, dl_type, nw_src, _nw_dst, nw_proto, tp_src, tp_dst = key
     kwargs = {}
     if draw(st.booleans()):
-        kwargs["in_port"] = key.in_port
+        kwargs["in_port"] = in_port
     if draw(st.booleans()):
-        kwargs["dl_src"] = key.dl_src
+        kwargs["dl_src"] = dl_src
     if draw(st.booleans()):
-        kwargs["dl_dst"] = key.dl_dst
+        kwargs["dl_dst"] = dl_dst
     if draw(st.booleans()):
-        kwargs["dl_type"] = key.dl_type
+        kwargs["dl_type"] = dl_type
     if draw(st.booleans()):
-        kwargs["nw_proto"] = key.nw_proto
+        kwargs["nw_proto"] = nw_proto
     if draw(st.booleans()):
-        kwargs["tp_src"] = key.tp_src
+        kwargs["tp_src"] = tp_src
     if draw(st.booleans()):
-        kwargs["tp_dst"] = key.tp_dst
+        kwargs["tp_dst"] = tp_dst
     if draw(st.booleans()):
         prefix = draw(st.integers(min_value=0, max_value=32))
-        kwargs["nw_src"] = key.nw_src
+        kwargs["nw_src"] = nw_src
         kwargs["nw_src_prefix"] = prefix
     return Match(**kwargs)
 
@@ -96,19 +99,19 @@ class TestMatchProperties:
     @settings(max_examples=100)
     @given(flow_keys())
     def test_exact_match_is_exact(self, key):
-        match = Match.from_key(key.as_tuple())
+        match = Match.from_key(key)
         assert match.is_exact
         assert match.matches(key)
 
     @settings(max_examples=100)
     @given(st.data())
     def test_covers_is_consistent_with_matches(self, data):
-        """If wide covers narrow, anything narrow matches, wide matches."""
+        """If wide covers narrow, anything narrow matches, wide matches:
+        ``_covers`` agrees with ``Match.matches`` on the key tuple."""
         key = data.draw(flow_keys())
         wide = data.draw(wildcard_matches(key))
-        narrow = Match.from_key(key.as_tuple())
-        if _covers(wide, narrow):
-            assert wide.matches(key)
+        narrow = Match.from_key(key)
+        assert _covers(wide, narrow) == wide.matches(key)
 
     @settings(max_examples=100)
     @given(st.data())
@@ -117,11 +120,11 @@ class TestMatchProperties:
         ``Match.matches`` accepts, for wildcard and exact patterns."""
         keys = [data.draw(flow_keys()) for _ in range(data.draw(st.integers(1, 6)))]
         pattern = data.draw(
-            st.one_of(wildcard_matches(keys[0]), st.just(Match.from_key(keys[0].as_tuple())))
+            st.one_of(wildcard_matches(keys[0]), st.just(Match.from_key(keys[0])))
         )
-        by_tuple = {key.as_tuple(): key for key in keys}
-        expected = {t for t, key in by_tuple.items() if pattern.matches(key)}
-        assert set(matching_keys(pattern, by_tuple)) == expected
+        cached = dict.fromkeys(keys)
+        expected = {key for key in cached if pattern.matches(key)}
+        assert set(matching_keys(pattern, cached)) == expected
 
     @settings(max_examples=100)
     @given(st.data())
@@ -134,8 +137,8 @@ class TestMatchProperties:
             priority = data.draw(st.integers(min_value=0, max_value=1000))
             entry = FlowEntry(match, output(1), priority=priority)
             entries.append(entry)
-            table.add(entry, replace=False)
-        hit = table.lookup(key)
+            table.add(entry)
+        hit = table.resolve(key)
         assert hit is not None  # every entry matches by construction
         assert hit.priority == max(e.priority for e in entries)
 

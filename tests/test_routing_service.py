@@ -107,7 +107,7 @@ class TestForwarding:
         remaining = [
             e
             for e in router.datapath.table
-            if e.match.dl_src == a.mac or e.match.dl_dst == a.mac
+            if int(a.mac) in (e.match.key[1], e.match.key[2])  # dl_src, dl_dst
         ]
         assert remaining == []
 

@@ -48,8 +48,8 @@ def test_two_hour_soak():
     # 3. All traffic flows idled out after the generators stopped
     #    (DHCP/ARP control chatter may still come and go).
     data_flows = [
-        e for e in router.datapath.table if e.match.tp_dst not in (67, 68)
-        and e.match.nw_proto != 1
+        e for e in router.datapath.table if e.match.key[8] not in (67, 68)  # tp_dst
+        and e.match.key[6] != 1  # nw_proto
     ]
     assert data_flows == []
 

@@ -34,7 +34,12 @@ class WallClock(Clock):
 
 
 class SimulatedClock(Clock):
-    """Manually advanced time, driven by the event simulator."""
+    """Manually advanced time, driven by the event simulator.
+
+    The simulator's run loop writes ``_now`` itself, once per event; it
+    refuses to queue anything before now, so time still never goes
+    backwards.
+    """
 
     def __init__(self, start: float = 0.0):
         self._now = float(start)

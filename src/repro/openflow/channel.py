@@ -5,9 +5,10 @@ low-latency local TCP connection; we model it as an ordered message pipe
 with configurable one-way latency, letting benches measure how channel
 latency dominates the flow-setup path (experiment T2).
 
-Each message is one simulator event, scheduled one latency after it is
-sent; messages sent at the same instant arrive in send order because
-the simulator breaks timestamp ties by scheduling order.
+Each message is one :meth:`~repro.sim.simulator.Simulator.call_at`
+entry on the simulator's heap, due one latency after it is sent (no
+timer handle, no closure); messages sent at the same instant arrive in
+send order because the simulator breaks timestamp ties by push order.
 """
 
 from __future__ import annotations
@@ -82,7 +83,7 @@ class SecureChannel:
         if self.latency <= 0:
             deliver(msg)
             return
-        self.sim.schedule(self.latency, lambda: deliver(msg))
+        self.sim.call_at(self.sim.now + self.latency, deliver, msg)
 
     def to_controller(self, msg: OpenFlowMessage) -> None:
         """Switch → controller delivery after one channel latency."""

@@ -49,8 +49,9 @@ class Link:
         self.frames_carried = 0
         self.bytes_carried = 0
         self.frames_dropped = 0
-        # Track per-direction busy-until time so back-to-back frames queue.
-        self._busy_until = {id(a): 0.0, id(b): 0.0}
+        # Busy-until time per direction, [from a, from b], so
+        # back-to-back frames queue.
+        self._busy_until = [0.0, 0.0]
         # Optional fault-injection hook (repro.check): when set, every
         # transmission asks the fault for a delivery plan — a sequence of
         # extra-latency offsets.  () drops the frame, (0.0,) is a normal
@@ -77,20 +78,6 @@ class Link:
             ctx = self.tracer.late(frame, from_port)
         return ctx
 
-    def _serialization_delay(self, frame: bytes) -> float:
-        return len(frame) * 8.0 / self.bandwidth_bps
-
-    def _delivery_plan(self, frame: bytes):
-        """Extra-latency offsets for each copy to deliver (fault hook)."""
-        if self.fault is None:
-            return (0.0,)
-        return self.fault.plan(self.sim, frame)
-
-    def _schedule_delivery(self, destination: Port, arrival: float, frame: bytes) -> None:
-        """Deliver ``frame`` to ``destination`` at ``arrival``: one
-        simulator event per delivered copy."""
-        self.sim.schedule_at(arrival, lambda: destination.deliver(frame))
-
     def transmit(self, from_port: Port, frame: bytes) -> None:
         """Schedule delivery of ``frame`` at the far end."""
         self._carry(from_port, self.peer(from_port), frame, 1)
@@ -99,26 +86,38 @@ class Link:
         self, from_port: Port, destination: Port, frame: bytes, attempts: int
     ) -> None:
         """Put ``frame`` on the medium for ``attempts`` serialisations and
-        deliver each copy the fault plan asks for, or drop it."""
-        plan = self._delivery_plan(frame)
-        if not plan:
-            self.frames_dropped += 1
-            ctx = self._lineage(from_port, frame)
-            if ctx is not None:
-                # A drop always publishes its lineage (sampling bypassed).
-                ctx.finish("link", "drop", decision="drop", cause="link_fault")
-            return
+        deliver each copy the fault plan asks for, or drop it.  Each copy
+        is one :meth:`Simulator.call_at` entry."""
+        sim = self.sim
+        fault = self.fault
+        if fault is not None:
+            plan = fault.plan(sim, frame)
+            if not plan:
+                self.frames_dropped += 1
+                ctx = self._lineage(from_port, frame)
+                if ctx is not None:
+                    # A drop always publishes its lineage (sampling bypassed).
+                    ctx.finish("link", "drop", decision="drop", cause="link_fault")
+                return
         ctx = trace_of(frame)
         if ctx is not None and ctx.active:
             ctx.hop("link", "deliver", cause=self._deliver_cause(destination, attempts))
-        start = max(self.sim.now, self._busy_until[id(from_port)])
-        done = start + attempts * self._serialization_delay(frame)
-        self._busy_until[id(from_port)] = done
+        now = sim.now
+        busy_until = self._busy_until
+        side = from_port is self.b
+        start = busy_until[side]
+        if start < now:
+            start = now
+        done = start + attempts * (len(frame) * 8.0 / self.bandwidth_bps)
+        busy_until[side] = done
         self.frames_carried += 1
         self.bytes_carried += len(frame)
-        for extra in plan:
-            arrival = done + self.latency + extra
-            self._schedule_delivery(destination, arrival, frame)
+        arrival = done + self.latency
+        if fault is None:
+            sim.call_at(arrival, destination.deliver, frame)
+        else:
+            for extra in plan:
+                sim.call_at(arrival + extra, destination.deliver, frame)
 
     def _deliver_cause(self, destination: Port, attempts: int) -> str:
         """The cause of a traced frame's deliver hop."""

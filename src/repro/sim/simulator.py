@@ -10,10 +10,10 @@ its :class:`~repro.core.clock.SimulatedClock`.
 
 from __future__ import annotations
 
-import heapq
 import itertools
 import math
 import random
+from heapq import heappop, heappush
 from typing import Any, Callable, List, Optional, Tuple
 
 from ..core.clock import SimulatedClock
@@ -24,27 +24,22 @@ Action = Callable[[], Any]
 
 
 class ScheduledEvent:
-    """Handle for a scheduled callback; supports cancellation."""
+    """Handle for a timer; supports cancellation.
 
-    __slots__ = ("when", "seq", "action", "cancelled", "periodic", "interval")
+    ``when`` is the next firing time; ``interval`` is 0.0 for a one-shot
+    timer, else the series' period.
+    """
 
-    def __init__(
-        self,
-        when: float,
-        seq: int,
-        action: Action,
-        periodic: bool = False,
-        interval: float = 0.0,
-    ):
+    __slots__ = ("when", "action", "interval", "cancelled")
+
+    def __init__(self, when: float, action: Action, interval: float = 0.0):
         self.when = when
-        self.seq = seq
         self.action = action
-        self.cancelled = False
-        self.periodic = periodic
         self.interval = interval
+        self.cancelled = False
 
     def cancel(self) -> None:
-        """Cancelled events stay on the heap until a pop skips them."""
+        """Cancelled timers stay on the heap until a pop skips them."""
         self.cancelled = True
 
 
@@ -56,18 +51,19 @@ class Simulator:
     :class:`SimulatedClock` and an :class:`EventBus` shared by all
     simulated components.
 
-    The heap holds ``(when, seq, event)`` tuples.  ``seq`` is unique, so
-    ``heapq`` orders entries by comparing two numbers in C and never
-    reaches the event itself.
+    The heap holds two kinds of ``(when, seq, fn, arg)`` entry: a
+    delivery from :meth:`call_at` runs ``fn(arg)``, and a timer has
+    ``fn`` None and its :class:`ScheduledEvent` as ``arg``.  ``seq``
+    comes from one counter for both and is unique, so ``heapq`` orders
+    entries by comparing two numbers in C and never reaches the rest.
     """
 
     def __init__(self, seed: int = 0, start_time: float = 0.0):
         self.clock = SimulatedClock(start_time)
         self.bus = EventBus()
         self.random = random.Random(seed)
-        self._queue: List[Tuple[float, int, ScheduledEvent]] = []
+        self._queue: List[Tuple[float, int, Any, Any]] = []
         self._seq = itertools.count()
-        self._running = False
         self.events_executed = 0
 
     @property
@@ -76,19 +72,28 @@ class Simulator:
 
     def schedule(self, delay: float, action: Action) -> ScheduledEvent:
         """Run ``action`` after ``delay`` seconds of simulated time."""
-        if delay < 0:
+        if not delay >= 0:
             raise SimulationError(f"cannot schedule in the past: delay={delay}")
-        event = ScheduledEvent(self.now + delay, next(self._seq), action)
-        heapq.heappush(self._queue, (event.when, event.seq, event))
-        return event
+        return self.schedule_at(self.now + delay, action)
 
     def schedule_at(self, when: float, action: Action) -> ScheduledEvent:
         """Run ``action`` at absolute simulated time ``when``."""
-        if when < self.now:
-            raise SimulationError(f"cannot schedule in the past: {when} < {self.now}")
-        event = ScheduledEvent(when, next(self._seq), action)
-        heapq.heappush(self._queue, (when, event.seq, event))
+        event = ScheduledEvent(when, action)
+        # A timer is the heap entry whose ``fn`` is None.
+        self.call_at(when, None, event)
         return event
+
+    def call_at(self, when: float, fn: Optional[Callable[[Any], Any]], arg: Any) -> None:
+        """Run ``fn(arg)`` at absolute simulated time ``when``.
+
+        A one-shot entry with no handle, so it cannot be cancelled: the
+        form every link copy and channel message takes, so that a
+        delivery builds no :class:`ScheduledEvent` and no closure.  It
+        keeps its place among timers at the same instant, in push order.
+        """
+        if not when >= self.clock._now:
+            raise SimulationError(f"cannot schedule in the past: {when} < {self.now}")
+        heappush(self._queue, (float(when), next(self._seq), fn, arg))
 
     def schedule_periodic(
         self, interval: float, action: Action, first_delay: Optional[float] = None
@@ -104,34 +109,9 @@ class Simulator:
                 f"periodic interval must be finite and advance the clock: {interval!r}"
             )
         delay = interval if first_delay is None else first_delay
-        event = ScheduledEvent(
-            self.now + delay,
-            next(self._seq),
-            action,
-            periodic=True,
-            interval=interval,
-        )
-        heapq.heappush(self._queue, (event.when, event.seq, event))
+        event = ScheduledEvent(self.now + delay, action, interval)
+        self.call_at(event.when, None, event)
         return event
-
-    def _pop_due(self, horizon: float) -> Optional[ScheduledEvent]:
-        queue = self._queue
-        while queue:
-            if queue[0][0] > horizon:
-                return None
-            event = heapq.heappop(queue)[2]
-            if not event.cancelled:
-                return event
-        return None
-
-    def _execute(self, event: ScheduledEvent) -> None:
-        self.clock.advance_to(event.when)
-        self.events_executed += 1
-        event.action()
-        if event.periodic and not event.cancelled:
-            event.when += event.interval
-            event.seq = next(self._seq)
-            heapq.heappush(self._queue, (event.when, event.seq, event))
 
     def run_until(self, when: float) -> int:
         """Execute events up to and including time ``when``.
@@ -140,23 +120,37 @@ class Simulator:
         drains early).  Returns the number of events executed.  A
         callback that raises propagates out with the clock at its time;
         the events after it stay queued for the next call.
+
+        The loop sets the clock straight to each entry's time: every
+        push refuses a time before now (or NaN), so the heap's minimum
+        never lies behind the clock.
         """
-        if when < self.now:
+        if not when >= self.now:
             raise SimulationError(f"cannot run backwards to {when}")
-        executed = 0
-        while True:
-            event = self._pop_due(when)
-            if event is None:
-                break
-            self._execute(event)
-            executed += 1
-        self.clock.advance_to(when)
-        return executed
+        queue = self._queue
+        clock = self.clock
+        seq = self._seq
+        before = self.events_executed
+        while queue and queue[0][0] <= when:
+            at, _, fn, arg = heappop(queue)
+            if fn is not None:
+                clock._now = at
+                self.events_executed += 1
+                fn(arg)
+            elif not arg.cancelled:
+                clock._now = at
+                self.events_executed += 1
+                arg.action()
+                if arg.interval and not arg.cancelled:
+                    arg.when = at = at + arg.interval
+                    heappush(queue, (at, next(seq), None, arg))
+        clock.advance_to(when)
+        return self.events_executed - before
 
     def run_for(self, duration: float) -> int:
         """Execute events for the next ``duration`` seconds."""
         return self.run_until(self.now + duration)
 
     def pending(self) -> int:
-        """Number of scheduled, uncancelled events."""
-        return sum(1 for entry in self._queue if not entry[2].cancelled)
+        """Number of queued deliveries and uncancelled timers."""
+        return sum(1 for _, _, fn, arg in self._queue if fn is not None or not arg.cancelled)

@@ -99,6 +99,19 @@ class TestLink:
         sim.run_for(3.0)
         assert arrival == [pytest.approx(1.0), pytest.approx(2.0)]
 
+    def test_directions_queue_separately(self, sim):
+        # 1000 bytes at 8 kbit/s = 1 second on the medium, each way.
+        a, b, _link, _ = _pair(sim, latency=0.0, bandwidth_bps=8000.0)
+        arrival = {"a": [], "b": []}
+        a.on_receive(lambda data, port: arrival["a"].append(sim.now))
+        b.on_receive(lambda data, port: arrival["b"].append(sim.now))
+        a.send(b"\x00" * 1000)
+        b.send(b"\x00" * 1000)
+        b.send(b"\x00" * 1000)
+        sim.run_for(3.0)
+        assert arrival["b"] == [pytest.approx(1.0)]
+        assert arrival["a"] == [pytest.approx(1.0), pytest.approx(2.0)]
+
     def test_in_order_delivery(self, sim):
         a, b, _link, received = _pair(sim)
         for i in range(20):

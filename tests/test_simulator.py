@@ -68,11 +68,41 @@ def test_schedule_at_past_rejected():
         sim.schedule_at(4.0, lambda: None)
 
 
+@pytest.mark.parametrize("push", [
+    pytest.param(lambda sim: sim.call_at(0.5, print, "never"), id="call_at-past"),
+    pytest.param(lambda sim: sim.call_at(float("nan"), print, "never"), id="call_at-nan"),
+    pytest.param(lambda sim: sim.schedule(float("nan"), lambda: None), id="schedule-nan"),
+    pytest.param(lambda sim: sim.schedule_at(float("nan"), lambda: None), id="schedule_at-nan"),
+    pytest.param(
+        lambda sim: sim.schedule_periodic(1.0, lambda: None, first_delay=-0.5),
+        id="periodic-first-firing-past",
+    ),
+])
+def test_push_before_now_or_nan_rejected(push):
+    """The run loop sets the clock to each entry's time unchecked, so no
+    push may queue a time before now or one that compares false."""
+    sim = Simulator(start_time=1.0)
+    with pytest.raises(SimulationError, match="in the past"):
+        push(sim)
+    assert sim.pending() == 0
+
+
 def test_run_backwards_rejected():
     sim = Simulator()
     sim.run_until(5.0)
     with pytest.raises(SimulationError):
         sim.run_until(4.0)
+
+
+def test_run_until_nan_rejected():
+    sim = Simulator(start_time=1.0)
+    seen = []
+    sim.schedule_at(2.0, lambda: seen.append(sim.now))
+    with pytest.raises(SimulationError, match="backwards"):
+        sim.run_until(float("nan"))
+    assert seen == []
+    assert sim.now == 1.0
+    assert sim.pending() == 1
 
 
 def test_cancel_prevents_execution():
@@ -175,6 +205,86 @@ def test_events_executed_counter():
     sim.schedule(2.0, lambda: None)
     sim.run_until(3.0)
     assert sim.events_executed == 2
+
+
+def test_clock_stays_a_float_after_an_int_time():
+    sim = Simulator()
+    seen = []
+    sim.schedule_at(2, lambda: seen.append(sim.now))
+    sim.call_at(3, lambda arg: seen.append(sim.now), None)
+    sim.run_until(4)
+    assert seen == [2.0, 3.0]
+    assert [type(now) for now in seen] == [float, float]
+    assert type(sim.now) is float
+
+
+class TestCallAt:
+    """``call_at`` entries share the heap and its sequence counter with
+    timers."""
+
+    def test_runs_fn_with_arg_at_its_time(self):
+        sim = Simulator()
+        seen = []
+        sim.call_at(1.5, lambda arg: seen.append((sim.now, arg)), "frame")
+        assert sim.run_until(2.0) == 1
+        assert seen == [(1.5, "frame")]
+        assert sim.events_executed == 1
+
+    def test_same_instant_as_a_timer_runs_in_push_order(self):
+        sim = Simulator()
+        order = []
+        sim.call_at(1.0, order.append, "delivery-1")
+        sim.schedule_at(1.0, lambda: order.append("timer-1"))
+        sim.call_at(1.0, order.append, "delivery-2")
+        sim.schedule(1.0, lambda: order.append("timer-2"))
+        sim.call_at(0.5, order.append, "earlier")
+        sim.run_until(1.0)
+        assert order == ["earlier", "delivery-1", "timer-1", "delivery-2", "timer-2"]
+
+    def test_pushed_by_a_timer_at_now_runs_after_queued_peers(self):
+        sim = Simulator()
+        order = []
+
+        def timer():
+            order.append("timer")
+            sim.call_at(sim.now, order.append, "pushed-at-now")
+
+        sim.schedule_at(1.0, timer)
+        sim.call_at(1.0, order.append, "queued")
+        sim.run_until(1.0)
+        assert order == ["timer", "queued", "pushed-at-now"]
+
+    def test_raising_entry_leaves_later_entries_for_the_next_run(self):
+        sim = Simulator()
+        order = []
+
+        def boom(arg):
+            order.append(arg)
+            raise RuntimeError("delivery failed")
+
+        sim.call_at(1.0, order.append, "a")
+        sim.call_at(1.0, boom, "boom")
+        sim.call_at(1.0, order.append, "b")
+        sim.schedule(2.0, lambda: order.append("c"))
+        with pytest.raises(RuntimeError, match="delivery failed"):
+            sim.run_until(5.0)
+        assert order == ["a", "boom"]
+        assert sim.events_executed == 2
+        assert sim.now == 1.0
+        assert sim.pending() == 2
+        assert sim.run_until(5.0) == 2
+        assert order == ["a", "boom", "b", "c"]
+        assert sim.events_executed == 4
+        assert sim.now == 5.0
+
+    def test_pending_counts_call_at_entries(self):
+        sim = Simulator()
+        sim.call_at(1.0, print, "x")
+        sim.call_at(2.0, print, "y")
+        timer = sim.schedule(1.0, lambda: None)
+        assert sim.pending() == 3
+        timer.cancel()
+        assert sim.pending() == 2
 
 
 def test_raising_callback_leaves_later_events_for_the_next_run():

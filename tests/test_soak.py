@@ -6,13 +6,9 @@ back to empty when traffic stops, and the simulator stays healthy across
 hundreds of thousands of events.
 """
 
-import pytest
-
 from repro.sim.traffic import MailSync, WebBrowsing
 
 from tests.helpers import join_device, make_permissive_router
-
-pytestmark = pytest.mark.slow
 
 SOAK_SECONDS = 2 * 3600.0
 
@@ -53,7 +49,7 @@ def test_two_hour_soak():
     ]
     assert data_flows == []
 
-    # 4. The network still works end to end after six hours.
+    # 4. The network still works end to end after two hours.
     results = []
     laptop.ping(router.cloud.ip, lambda ok, rtt: results.append(ok))
     sim.run_for(3.0)
@@ -61,4 +57,4 @@ def test_two_hour_soak():
 
     # 5. Sessions completed in volume during the active half.
     assert web.sessions_completed > 50
-    assert mid_stats["hwdb"]["inserts"] > 1000
+    assert mid_stats["hwdb"]["insert_total"] > 1000

@@ -4,10 +4,10 @@ Scope: :mod:`repro.net` — the packet parsers that consume bytes straight
 off the (simulated) wire.  The idiom the codebase follows is::
 
     @classmethod
-    def unpack(cls, data: bytes) -> "ARP":
-        if len(data) < _WIRE_LEN:
+    def unpack(cls, data: bytes) -> "DNSMessage":
+        if len(data) < 12:
             raise PacketError(...)
-        hw = int.from_bytes(data[0:2], "big")   # now safe
+        ident = int.from_bytes(data[0:2], "big")   # now safe
 
 The rule flags, inside any function in ``repro.net``:
 

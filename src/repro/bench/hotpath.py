@@ -155,24 +155,36 @@ def bench_flow_lookup(iterations: int, clock: Clock) -> Dict[str, object]:
 def bench_sim_dispatch(iterations: int, clock: Clock) -> Dict[str, object]:
     """Plain event dispatch throughput (events/sec).
 
-    Each event is scheduled, popped and run on its own.  Callbacks land
-    100 to an instant (a traffic burst arriving at one port), so ties
-    break on scheduling order throughout.
+    Each event is pushed, popped and run on its own.  ``events`` pushes
+    deliveries with ``call_at``, the form every link copy and channel
+    message takes and the one most executed events take; ``timers``
+    schedules the same loop with ``schedule_at``.  Callbacks land 100 to
+    an instant (a traffic burst arriving at one port), so ties break on
+    push order throughout.
     """
 
-    def run(count: int) -> None:
+    def run_deliveries(count: int) -> None:
         sim = Simulator(seed=1)
         timestamps = max(count // 100, 1)
-        noop = _noop
+        call_at = sim.call_at
         for i in range(count):
-            sim.schedule_at(float(i % timestamps + 1), noop)
+            call_at(float(i % timestamps + 1), _noop, None)
         sim.run_until(float(timestamps + 1))
 
-    stats = _timed_ops(run, iterations, clock)
-    return {"events": stats}
+    def run_timers(count: int) -> None:
+        sim = Simulator(seed=1)
+        timestamps = max(count // 100, 1)
+        for i in range(count):
+            sim.schedule_at(float(i % timestamps + 1), _noop)
+        sim.run_until(float(timestamps + 1))
+
+    return {
+        "events": _timed_ops(run_deliveries, iterations, clock),
+        "timers": _timed_ops(run_timers, iterations, clock),
+    }
 
 
-def _noop() -> None:
+def _noop(_arg: object = None) -> None:
     return None
 
 

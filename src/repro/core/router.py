@@ -104,8 +104,9 @@ class HomeworkRouter:
         self.upstream_link.tracer = self.tracer
         # The cloud routes everything back through the router.
         router_upstream_ip = IPv4Address(self.config.upstream_ip) + 1
-        self.cloud.netmask = IPv4Address("255.255.255.252")
-        self.cloud.gateway = router_upstream_ip
+        self.cloud.configure_static(
+            self.cloud.ip, "255.255.255.252", gateway=router_upstream_ip
+        )
 
         # --- hwdb --------------------------------------------------------------
         self.db = HomeworkDatabase(

@@ -18,7 +18,7 @@ from typing import Dict, Optional, Tuple, TYPE_CHECKING, Union
 
 from ..core.events import Event, EventBus
 from ..hwdb.database import HomeworkDatabase
-from ..net.addresses import IPv4Address, MACAddress
+from ..net.addresses import MACAddress
 from ..net.ethernet import ETH_TYPE_IPV4
 from ..openflow.messages import STATS_FLOW, StatsReply
 
@@ -112,12 +112,12 @@ class FlowCollector:
         self.db.insert(
             "flows",
             {
-                "src_ip": str(IPv4Address(src_ip)),
-                "dst_ip": str(IPv4Address(dst_ip)),
+                "src_ip": src_ip,
+                "dst_ip": dst_ip,
                 "proto": proto,
                 "src_port": sport,
                 "dst_port": dport,
-                "src_mac": MACAddress(src_mac),
+                "src_mac": src_mac,
                 "packets": dp,
                 "bytes": db,
             },

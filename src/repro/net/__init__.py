@@ -1,15 +1,15 @@
 """Wire formats for the Homework router reproduction.
 
-Ethernet, IPv4, UDP, TCP and ICMP headers are written by one builder
-each, beside their constants, and read at fixed offsets in
-:mod:`repro.net.rewrite`; no layer object stands for them.  ARP, DNS
-and DHCP messages are codecs with symmetric pack/unpack.  Address
-types, the Internet checksum and a pcap trace writer/reader complete the
+Ethernet, ARP, IPv4, UDP, TCP and ICMP headers are written by one
+builder each, beside their constants, and read at fixed offsets in
+:mod:`repro.net.rewrite`; no layer object stands for them.  DNS and
+DHCP messages are codecs with symmetric pack/unpack.  Address types,
+the Internet checksum and a pcap trace writer/reader complete the
 package.
 """
 
 from .addresses import AddressError, IPv4Address, IPv4Network, MACAddress
-from .arp import ARP, ARP_REPLY, ARP_REQUEST
+from .arp import ARP_REPLY, ARP_REQUEST
 from .checksum import internet_checksum, pseudo_header, verify_checksum
 from .dhcp_msg import (
     BOOTREPLY,
@@ -55,7 +55,6 @@ __all__ = [
     "IPv4Address",
     "IPv4Network",
     "MACAddress",
-    "ARP",
     "ARP_REQUEST",
     "ARP_REPLY",
     "internet_checksum",

@@ -1,12 +1,13 @@
 """The base of the message codecs.
 
-ARP, DNS and DHCP messages are :class:`Packet` subclasses with symmetric
+DNS and DHCP messages are :class:`Packet` subclasses with symmetric
 ``pack()`` / ``unpack()`` methods producing real wire bytes.  The
-Ethernet, IPv4, TCP, UDP and ICMP headers around them have no objects:
-each is written by one builder beside its constants (``ethernet_frame``,
-``ipv4_packet``, ``tcp_segment``, ``udp_datagram``, ``icmp_echo``) and
-read at fixed offsets (:mod:`repro.net.rewrite`), the way Open vSwitch's
-flow extractor reads a frame.
+Ethernet, ARP, IPv4, TCP, UDP and ICMP headers around them have no
+objects: each is written by one builder beside its constants
+(``ethernet_frame``, ``arp_packet``, ``ipv4_packet``, ``tcp_segment``,
+``udp_datagram``, ``icmp_echo``) and read at fixed offsets
+(:mod:`repro.net.rewrite`), the way Open vSwitch's flow extractor reads
+a frame.
 """
 
 from __future__ import annotations

@@ -32,8 +32,10 @@ header that fails its test leaves its fields ``None``.
 bytes"): the fields a host dispatches on and the payload it hands up,
 and the payload a packet-in handler consumes, under the same acceptance
 tests, cut at the IPv4 total length and the UDP length.
+:func:`read_arp` reads an ARP packet's fields under the ARP test, for
+hosts and proxy ARP, and :func:`flow_key` takes its ARP fields from it.
 
-The tests check all three against the layer-object codecs kept in
+The tests check all four against the layer-object codecs kept in
 ``tests/reference_codecs.py``: on every frame those build or would
 parse, the key and the fields are the ones read off the unpacked
 objects, and an edit is byte-identical to unpacking the frame, assigning
@@ -45,6 +47,7 @@ from __future__ import annotations
 import struct
 from typing import Optional, Tuple
 
+from .arp import ARP_REPLY, ARP_REQUEST
 from .checksum import checksum_update
 from .ethernet import ETH_TYPE_ARP, ETH_TYPE_IPV4
 from .ipv4 import PROTO_ICMP, PROTO_TCP, PROTO_UDP
@@ -69,19 +72,17 @@ _L4_CSUM = {PROTO_TCP: 16, PROTO_UDP: 6}
 
 _IPV4_TAG = ETH_TYPE_IPV4.to_bytes(2, "big")
 
-#: An ARP packet :class:`~repro.net.arp.ARP` accepts: 28 bytes starting with hardware
+#: An ARP packet this module reads: 28 bytes starting with hardware
 #: type Ethernet, protocol type IPv4 and address lengths 6 and 4, and
 #: opcode request or reply.
 _ARP_LEN = 28
 _ARP_ETH_IPV4 = bytes([0, 1, 8, 0, 6, 4])
-_ARP_OPCODES = (1, 2)
+_ARP_OPCODES = (ARP_REQUEST, ARP_REPLY)
 _ARP_OPCODE = _L3 + 6
-_ARP_SENDER_IP = _L3 + 14
-_ARP_TARGET_IP = _L3 + 24
+_ARP_SENDER_MAC = _L3 + 8
 
 #: Ethernet header: dl_dst and dl_src as (high 16, low 32) bit halves.
 _ETH_FIELDS = struct.Struct("!HIHIH")
-_ADDR = struct.Struct("!I")
 _ADDR_PAIR = struct.Struct("!II")
 _PORT_PAIR = struct.Struct("!HH")
 #: TCP ports, seq, ack, data-offset byte and flags byte.
@@ -90,6 +91,9 @@ _TCP_FIELDS = struct.Struct("!HHIIBB")
 _UDP_FIELDS = struct.Struct("!HHH")
 #: ICMP type and code, then (past the checksum) an echo's ident and seq.
 _ICMP_FIELDS = struct.Struct("!BB2xHH")
+#: An ARP packet's sender MAC and address, then (past the target MAC)
+#: its target address.
+_ARP_FIELDS = struct.Struct("!6sI6xI")
 
 #: A flow key in ``repro.openflow.match.MATCH_FIELDS`` order: in_port,
 #: dl_src, dl_dst, dl_type, nw_src, nw_dst, nw_proto, tp_src, tp_dst,
@@ -104,6 +108,10 @@ FlowKeyTuple = Tuple[
 HostFrame = Tuple[
     int, int, Optional[int], Optional[int], Optional[int], Optional[Tuple[int, ...]], bytes
 ]
+
+#: What :func:`read_arp` reads: the opcode, the 6-byte sender MAC, and
+#: the sender and target addresses as ints.
+ArpFields = Tuple[int, bytes, int, int]
 
 
 def set_dl_dst(buf: bytearray, mac: bytes) -> None:
@@ -174,10 +182,9 @@ def flow_key(frame: bytes, in_port: int) -> Optional[FlowKeyTuple]:
                     )
             return (in_port, dl_src, dl_dst, dl_type, nw_src, nw_dst, nw_proto, None, None)
     elif dl_type == ETH_TYPE_ARP:
-        opcode = _arp_opcode(frame)
-        if opcode:
-            (sender,) = _ADDR.unpack_from(frame, _ARP_SENDER_IP)
-            (target,) = _ADDR.unpack_from(frame, _ARP_TARGET_IP)
+        arp = read_arp(frame)
+        if arp is not None:
+            opcode, _sender_mac, sender, target = arp
             return (in_port, dl_src, dl_dst, dl_type, sender, target, opcode, None, None)
     return (in_port, dl_src, dl_dst, dl_type, None, None, None, None, None)
 
@@ -230,6 +237,18 @@ def read_frame(frame: bytes) -> Optional[HostFrame]:
     return dl_dst, dl_type, nw_src, nw_dst, nw_proto, transport, frame[start:end]
 
 
+def read_arp(frame: bytes) -> Optional[ArpFields]:
+    """``(opcode, sender_mac, sender_ip, target_ip)`` of the ARP packet
+    behind the Ethernet header of ``frame``, or None when that packet
+    fails the ARP test (:func:`_arp_opcode`).  The caller has read the
+    ethertype; padding behind the 28 bytes is ignored."""
+    opcode = _arp_opcode(frame)
+    if not opcode:
+        return None
+    sender_mac, sender_ip, target_ip = _ARP_FIELDS.unpack_from(frame, _ARP_SENDER_MAC)
+    return opcode, sender_mac, sender_ip, target_ip
+
+
 def _ipv4_header_len(buf: bytes) -> int:
     """The length of the IPv4 header ``buf`` holds, else 0."""
     if len(buf) < _L3 + _IP_MIN_HEADER or buf[_ETHERTYPE:_L3] != _IPV4_TAG:
@@ -273,7 +292,9 @@ def _transport(buf: bytes, ihl: int) -> Tuple[int, int, int]:
 
 
 def _arp_opcode(buf: bytes) -> int:
-    """The opcode of the ARP packet ``ARP.unpack`` accepts in ``buf``, else 0."""
+    """The opcode of the ARP packet behind the Ethernet header of
+    ``buf``, else 0: the one ARP test, which ``flow_key`` and
+    :func:`read_arp` share."""
     if len(buf) < _L3 + _ARP_LEN or buf[_L3 : _L3 + 6] != _ARP_ETH_IPV4:
         return 0
     opcode = buf[_ARP_OPCODE] << 8 | buf[_ARP_OPCODE + 1]

@@ -21,11 +21,11 @@ from typing import Dict, Optional, TYPE_CHECKING
 from ..core.config import RouterConfig
 from ..core.events import EventBus
 from ..net.addresses import IPv4Address, MACAddress
-from ..net.arp import ARP, ARP_REQUEST
+from ..net.arp import ARP_REPLY, ARP_REQUEST, arp_packet
 from ..net.ethernet import ETH_TYPE_ARP, ETH_TYPE_IPV4, ethernet_frame
 from ..net.icmp import TYPE_ECHO_REPLY, TYPE_ECHO_REQUEST, icmp_echo
 from ..net.ipv4 import PROTO_ICMP, PROTO_TCP, PROTO_UDP, ipv4_packet
-from ..net.rewrite import FlowKeyTuple, read_frame
+from ..net.rewrite import FlowKeyTuple, read_arp, read_frame
 from ..net.trace import trace_of, with_trace
 from ..nox.component import CONTINUE, Component, STOP
 from ..nox.controller import EV_PACKET_IN
@@ -137,8 +137,7 @@ class RouterCore(Component):
         key = msg.key
         if key is None:
             return CONTINUE
-        _in_port, dl_src, _dl_dst, dl_type, *_ = key
-        self.mac_to_port[MACAddress(dl_src)] = msg.in_port
+        _in_port, _dl_src, _dl_dst, dl_type, *_ = key
         if dl_type == ETH_TYPE_ARP:
             self._handle_arp(msg, key)
             return STOP
@@ -155,27 +154,20 @@ class RouterCore(Component):
 
     def _handle_arp(self, msg: PacketIn, key: FlowKeyTuple) -> None:
         # An ARP key carries the opcode as nw_proto, None unless the
-        # packet is a well-formed request or reply.
+        # packet passes read_arp's test, so a request's fields are there.
         *_, opcode, _tp_src, _tp_dst = key
         if opcode != ARP_REQUEST:
             return
-        arp = ARP.unpack(read_frame(msg.data)[6])
+        _opcode, sender_mac, sender_ip, target_ip = read_arp(msg.data)
         # The router answers for every address: devices must never reach
         # each other at Ethernet layer, and the upstream cloud reaches us.
-        router_mac = self.config.router_mac
-        reply = ARP.reply(
-            sender_mac=router_mac,
-            sender_ip=arp.target_ip,
-            target_mac=arp.sender_mac,
-            target_ip=arp.sender_ip,
-        )
-        reply_frame = ethernet_frame(
-            arp.sender_mac.packed, router_mac.packed, ETH_TYPE_ARP, reply.pack()
-        )
+        router_mac = self.config.router_mac.packed
+        reply = arp_packet(ARP_REPLY, router_mac, target_ip, sender_mac, sender_ip)
+        reply_frame = ethernet_frame(sender_mac, router_mac, ETH_TYPE_ARP, reply)
         self._m_arp_replies.inc()
         ctx = trace_of(msg.data)
         if ctx is not None:
-            ctx.hop("router", "arp_reply", cause=f"target={arp.target_ip}")
+            ctx.hop("router", "arp_reply", cause=f"target={IPv4Address(target_ip)}")
         self.controller.send_packet(with_trace(reply_frame, ctx), output(msg.in_port))
 
     # ------------------------------------------------------------------

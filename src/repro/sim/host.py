@@ -13,7 +13,7 @@ import logging
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple, Union
 
 from ..net.addresses import IPv4Address, IPv4Network, MACAddress
-from ..net.arp import ARP
+from ..net.arp import ARP_REPLY, ARP_REQUEST, arp_packet
 from ..net.dhcp_msg import (
     DHCPACK,
     DHCPMessage,
@@ -29,7 +29,7 @@ from ..net.ethernet import ETH_TYPE_ARP, ETH_TYPE_IPV4, ethernet_frame
 from ..net.icmp import TYPE_ECHO_REPLY, TYPE_ECHO_REQUEST, icmp_echo
 from ..net.ipv4 import PROTO_ICMP, PROTO_TCP, PROTO_UDP, ipv4_packet
 from ..net.packet import PacketError
-from ..net.rewrite import read_frame
+from ..net.rewrite import read_arp, read_frame
 from ..net.tcp import ACK, FIN, RST, SYN, tcp_segment
 from ..net.trace import trace_of, with_trace
 from ..net.udp import PORT_DHCP_CLIENT, PORT_DHCP_SERVER, PORT_DNS, udp_datagram
@@ -46,6 +46,9 @@ PingCallback = Callable[[bool, float], None]
 
 _BROADCAST_IP = 0xFFFFFFFF
 _BROADCAST_MAC = b"\xff" * 6
+_ZERO_MAC = bytes(6)
+#: The /24 a DHCP ACK without a subnet-mask option leaves a host on.
+_DEFAULT_NETMASK = 0xFFFFFF00
 
 # DHCP client states.
 DHCP_INIT = "INIT"
@@ -53,6 +56,10 @@ DHCP_SELECTING = "SELECTING"
 DHCP_REQUESTING = "REQUESTING"
 DHCP_BOUND = "BOUND"
 DHCP_RENEWING = "RENEWING"
+
+
+def _address(value: Optional[int]) -> Optional[IPv4Address]:
+    return None if value is None else IPv4Address(value)
 
 
 class TCPConnection:
@@ -69,14 +76,14 @@ class TCPConnection:
         self,
         host: "Host",
         local_port: int,
-        remote_ip: IPv4Address,
+        remote_ip: int,
         remote_port: int,
     ):
         self.host = host
         self.local_port = local_port
         self.remote_ip = remote_ip
         self.remote_port = remote_port
-        self.local_ip: Optional[IPv4Address] = None  # cloud hosts answer per-IP
+        self.local_ip: Optional[int] = None  # cloud hosts answer per-IP
         self.state = "CLOSED"
         self.seq = host.sim.random.randrange(1 << 31)
         self.ack = 0
@@ -89,7 +96,7 @@ class TCPConnection:
     @property
     def key(self) -> Tuple[int, int, int]:
         """The host's demux key: local port, remote address, remote port."""
-        return (self.local_port, int(self.remote_ip), self.remote_port)
+        return (self.local_port, self.remote_ip, self.remote_port)
 
     def connect(self) -> None:
         self.state = "SYN_SENT"
@@ -115,7 +122,7 @@ class TCPConnection:
     def _send_segment(self, flags: int, data: bytes = b"") -> None:
         host = self.host
         src = host._source(self.local_ip)
-        dst = int(self.remote_ip)
+        dst = self.remote_ip
         segment = tcp_segment(
             src, dst, self.local_port, self.remote_port, self.seq, self.ack, flags, data
         )
@@ -185,14 +192,17 @@ class Host:
         self.port = Port(f"{name}.eth0")
         self.port.on_receive(self._on_frame)
 
-        self.ip: Optional[IPv4Address] = None
-        self.netmask: Optional[IPv4Address] = None
-        self.gateway: Optional[IPv4Address] = None
-        self.dns_server: Optional[IPv4Address] = None
+        # Addresses as ints, the form the frame builders take; read them
+        # as IPv4Address through the properties below.
+        self._ip: Optional[int] = None
+        self._netmask: Optional[int] = None
+        self._gateway: Optional[int] = None
+        self._dns_server: Optional[int] = None
 
-        self._arp_table: Dict[IPv4Address, MACAddress] = {}
+        # Next hop -> the 6-byte MAC its ARP packet carried.
+        self._arp_table: Dict[int, bytes] = {}
         # Packed IPv4 packets waiting for their next hop's MAC.
-        self._arp_pending: Dict[IPv4Address, List[bytes]] = {}
+        self._arp_pending: Dict[int, List[bytes]] = {}
         self._udp_handlers: Dict[int, UdpHandler] = {}
         self._tcp_listeners: Dict[int, Callable[[TCPConnection], None]] = {}
         self._tcp_conns: Dict[Tuple[int, int, int], TCPConnection] = {}
@@ -241,18 +251,34 @@ class Host:
         dns_server: Optional[Union[str, IPv4Address]] = None,
     ) -> None:
         """Bypass DHCP and set addresses directly (tests and servers)."""
-        self.ip = IPv4Address(ip)
-        self.netmask = IPv4Address(netmask)
-        self.gateway = IPv4Address(gateway) if gateway else None
-        self.dns_server = IPv4Address(dns_server) if dns_server else None
+        self._ip = int(IPv4Address(ip))
+        self._netmask = int(IPv4Address(netmask))
+        self._gateway = int(IPv4Address(gateway)) if gateway else None
+        self._dns_server = int(IPv4Address(dns_server)) if dns_server else None
         self.dhcp_state = DHCP_BOUND
 
     @property
+    def ip(self) -> Optional[IPv4Address]:
+        return _address(self._ip)
+
+    @property
+    def netmask(self) -> Optional[IPv4Address]:
+        return _address(self._netmask)
+
+    @property
+    def gateway(self) -> Optional[IPv4Address]:
+        return _address(self._gateway)
+
+    @property
+    def dns_server(self) -> Optional[IPv4Address]:
+        return _address(self._dns_server)
+
+    @property
     def network(self) -> Optional[IPv4Network]:
-        if self.ip is None or self.netmask is None:
+        if self._ip is None or self._netmask is None:
             return None
-        prefixlen = bin(int(self.netmask)).count("1")
-        return IPv4Network((self.ip, prefixlen))
+        prefixlen = bin(self._netmask).count("1")
+        return IPv4Network((self._ip, prefixlen))
 
     # ------------------------------------------------------------------
     # Frame TX/RX
@@ -288,63 +314,54 @@ class Host:
         if nw_proto is not None:
             self._on_ip(nw_src, nw_dst, nw_proto, transport, payload)
         elif dl_type == ETH_TYPE_ARP:
-            try:
-                arp = ARP.unpack(payload)
-            except PacketError:
-                return
-            self._handle_arp(arp)
+            arp = read_arp(raw)
+            if arp is not None:
+                self._handle_arp(*arp)
 
     # ------------------------------------------------------------------
     # ARP
     # ------------------------------------------------------------------
 
-    def _handle_arp(self, arp: ARP) -> None:
-        self._arp_table[arp.sender_ip] = arp.sender_mac
-        if (
-            arp.opcode == 1
-            and self.ip is not None
-            and arp.target_ip == self.ip
-        ):
-            reply = ARP.reply(self.mac, self.ip, arp.sender_mac, arp.sender_ip)
-            self.send_frame(
-                ethernet_frame(arp.sender_mac.packed, self.mac.packed, ETH_TYPE_ARP, reply.pack())
-            )
+    def _handle_arp(self, opcode: int, sender_mac: bytes, sender_ip: int, target_ip: int) -> None:
+        """Take one ARP packet: learn its sender, answer a request for
+        this host's address, and flush what waited for the sender."""
+        self._arp_table[sender_ip] = sender_mac
+        own_mac = self.mac.packed
+        if opcode == ARP_REQUEST and self._ip is not None and target_ip == self._ip:
+            reply = arp_packet(ARP_REPLY, own_mac, self._ip, sender_mac, sender_ip)
+            self.send_frame(ethernet_frame(sender_mac, own_mac, ETH_TYPE_ARP, reply))
         # Encapsulate and flush packets queued behind resolution.
-        queued = self._arp_pending.pop(arp.sender_ip, [])
-        for packet in queued:
-            self.send_frame(
-                ethernet_frame(arp.sender_mac.packed, self.mac.packed, ETH_TYPE_IPV4, packet)
-            )
+        for packet in self._arp_pending.pop(sender_ip, ()):
+            self.send_frame(ethernet_frame(sender_mac, own_mac, ETH_TYPE_IPV4, packet))
 
-    def _resolve_and_send(self, next_hop: IPv4Address, packet: bytes) -> None:
+    def _resolve_and_send(self, next_hop: int, packet: bytes) -> None:
         mac = self._arp_table.get(next_hop)
         if mac is not None:
-            self.send_frame(ethernet_frame(mac.packed, self.mac.packed, ETH_TYPE_IPV4, packet))
+            self.send_frame(ethernet_frame(mac, self.mac.packed, ETH_TYPE_IPV4, packet))
             return
         pending = self._arp_pending.setdefault(next_hop, [])
         pending.append(packet)
         if len(pending) > 1:
             return  # resolution already in flight
-        request = ARP.request(self.mac, self.ip or IPv4Address.any(), next_hop)
-        self.send_frame(
-            ethernet_frame(_BROADCAST_MAC, self.mac.packed, ETH_TYPE_ARP, request.pack())
-        )
+        # An unaddressed host asks from 0.0.0.0.
+        request = arp_packet(ARP_REQUEST, self.mac.packed, self._ip or 0, _ZERO_MAC, next_hop)
+        self.send_frame(ethernet_frame(_BROADCAST_MAC, self.mac.packed, ETH_TYPE_ARP, request))
 
     # ------------------------------------------------------------------
     # IP send/receive
     # ------------------------------------------------------------------
 
-    def _source(self, src: Optional[IPv4Address] = None) -> int:
+    def _source(self, src: Optional[int] = None) -> int:
         """The source address of a packet: ``src``, else this host's own.
 
         ``src`` is for the simulated Internet cloud, which answers for
         many addresses.  Raises ConnectionError when there is neither.
         """
         if src is None:
-            src = self.ip
+            src = self._ip
             if src is None:
                 raise ConnectionError(f"host {self.name} has no address yet")
-        return int(src)
+        return src
 
     def send_ip(self, dst: int, proto: int, payload: bytes, src: int) -> None:
         """Route an IPv4 packet from ``src`` to ``dst`` (addresses as
@@ -357,15 +374,15 @@ class Host:
         """
         self._resolve_and_send(self._next_hop(dst), ipv4_packet(src, dst, proto, payload))
 
-    def _next_hop(self, dst: int) -> IPv4Address:
-        ip, netmask = self.ip, self.netmask
-        if ip is not None and netmask is not None:
-            # The prefix is the mask's bit count, as in ``network``.
-            prefix = bin(int(netmask)).count("1")
-            if not (dst ^ int(ip)) >> (32 - prefix):
-                return IPv4Address(dst)
-        if self.gateway is not None:
-            return self.gateway
+    def _next_hop(self, dst: int) -> int:
+        ip, netmask = self._ip, self._netmask
+        # Every mask a host is given is a prefix mask (DHCP sends its
+        # network's, the ACK default is /24), so masking the difference
+        # answers as comparing the top ``prefix`` bits would.
+        if ip is not None and netmask is not None and not (dst ^ ip) & netmask:
+            return dst
+        if self._gateway is not None:
+            return self._gateway
         raise ConnectionError(f"host {self.name} has no route to {IPv4Address(dst)}")
 
     def _on_ip(
@@ -378,8 +395,8 @@ class Host:
     ) -> None:
         """Take one IPv4 packet: its addresses, protocol, transport
         fields (see ``read_frame``) and payload."""
-        ip = self.ip
-        if ip is not None and dst != int(ip) and dst != _BROADCAST_IP:
+        ip = self._ip
+        if ip is not None and dst != ip and dst != _BROADCAST_IP:
             return
         if transport is None:
             return  # a protocol or header this stack does not take
@@ -469,7 +486,7 @@ class Host:
             self.start_dhcp(retry_interval)
 
     def _broadcast_dhcp(self, msg: DHCPMessage) -> None:
-        src = int(self.ip) if self.ip is not None else 0
+        src = self._ip or 0
         datagram = udp_datagram(
             src, _BROADCAST_IP, PORT_DHCP_CLIENT, PORT_DHCP_SERVER, msg.pack()
         )
@@ -493,13 +510,13 @@ class Host:
             )
             self._broadcast_dhcp(request)
         elif mtype == DHCPACK and self.dhcp_state in (DHCP_REQUESTING, DHCP_RENEWING):
-            self.ip = msg.yiaddr
+            self._ip = int(msg.yiaddr)
             mask = msg.options.get(OPT_SUBNET_MASK)
-            self.netmask = IPv4Address(mask) if mask else IPv4Address("255.255.255.0")
+            self._netmask = int(IPv4Address(mask)) if mask else _DEFAULT_NETMASK
             router = msg.options.get(OPT_ROUTER)
-            self.gateway = IPv4Address(router[:4]) if router else None
+            self._gateway = int(IPv4Address(router[:4])) if router else None
             dns = msg.options.get(OPT_DNS_SERVER)
-            self.dns_server = IPv4Address(dns[:4]) if dns else None
+            self._dns_server = int(IPv4Address(dns[:4])) if dns else None
             lease = msg.options.get(OPT_LEASE_TIME)
             self._lease_time = float(int.from_bytes(lease, "big")) if lease else 3600.0
             self._lease_expires_at = self.sim.now + self._lease_time
@@ -509,7 +526,7 @@ class Host:
                 self.on_lease(self)
         elif mtype == DHCPNAK:
             self.dhcp_nak_count += 1
-            self.ip = None
+            self._ip = None
             self.dhcp_state = DHCP_INIT
             if self._renew_event is not None:
                 self._renew_event.cancel()
@@ -527,12 +544,12 @@ class Host:
         self._renew_event = self.sim.schedule(self._lease_time / 2, self._renew)
 
     def _renew(self) -> None:
-        if self.dhcp_state not in (DHCP_BOUND, DHCP_RENEWING) or self.ip is None:
+        if self.dhcp_state not in (DHCP_BOUND, DHCP_RENEWING) or self._ip is None:
             return
         if self.sim.now >= self._lease_expires_at:
             # Every renewal attempt went unanswered and the lease has
             # now lapsed: fall back to a fresh DISCOVER cycle.
-            self.ip = None
+            self._ip = None
             self.dhcp_state = DHCP_INIT
             if self._dhcp_retry_interval > 0:
                 self.start_dhcp(self._dhcp_retry_interval)
@@ -556,13 +573,13 @@ class Host:
     def release_dhcp(self) -> None:
         """Send DHCPRELEASE and forget the address."""
         self.dhcp_active = False
-        if self.ip is None or self._dhcp_server is None:
+        if self._ip is None or self._dhcp_server is None:
             return
         release = DHCPMessage.release(
             self.mac, self._dhcp_xid, ciaddr=self.ip, server_id=self._dhcp_server
         )
         self._broadcast_dhcp(release)
-        self.ip = None
+        self._ip = None
         self.dhcp_state = DHCP_INIT
         if self._renew_event is not None:
             self._renew_event.cancel()
@@ -598,7 +615,7 @@ class Host:
         if cached is not None:
             self.sim.schedule(0.0, lambda: callback(cached, RCODE_NOERROR))
             return
-        if self.dns_server is None:
+        if self._dns_server is None:
             raise ConnectionError(f"host {self.name} has no DNS server")
         self._dns_ident = (self._dns_ident + 1) & 0xFFFF or 1
         ident = self._dns_ident
@@ -639,7 +656,7 @@ class Host:
     ) -> TCPConnection:
         """Open a connection; returns it in SYN_SENT state."""
         conn = TCPConnection(
-            self, self._ephemeral_port(), IPv4Address(remote_ip), remote_port
+            self, self._ephemeral_port(), int(IPv4Address(remote_ip)), remote_port
         )
         self._tcp_conns[conn.key] = conn
         conn.connect()
@@ -662,7 +679,7 @@ class Host:
             conn.handle(seq, flags, payload)
             return
         if flags & SYN and not flags & ACK and dport in self._tcp_listeners:
-            child = TCPConnection(self, dport, IPv4Address(src), sport)
+            child = TCPConnection(self, dport, src, sport)
             child.state = "LISTEN_CHILD"
             child.ack = seq + 1
             self._tcp_conns[child.key] = child

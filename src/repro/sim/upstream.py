@@ -104,12 +104,12 @@ class InternetCloud(Host):
         # Answer as the address the packet was sent to: the normal stack
         # takes the packet, and sources every reply from that address,
         # as well as any ARP request a reply triggers.
-        own_ip = self.ip
-        self.ip = IPv4Address(dst)
+        own_ip = self._ip
+        self._ip = dst
         try:
             super()._on_ip(src, dst, proto, transport, payload)
         finally:
-            self.ip = own_ip
+            self._ip = own_ip
 
     def _on_tcp(
         self,
@@ -125,10 +125,10 @@ class InternetCloud(Host):
         conn = self._tcp_conns.get((dport, src, sport))
         if conn is None and flags & SYN and not flags & ACK:
             # Auto-listen: every port serves.
-            child = TCPConnection(self, dport, IPv4Address(src), sport)
+            child = TCPConnection(self, dport, src, sport)
             child.state = "LISTEN_CHILD"
             child.ack = seq + 1
-            child.local_ip = IPv4Address(dst)
+            child.local_ip = dst
             self._tcp_conns[child.key] = child
             self.connections_served += 1
             child.on_data = lambda data, c=child: self._serve_request(c, data)

@@ -1,9 +1,10 @@
-"""The Ethernet, IPv4, TCP, UDP and ICMP layer objects, as a test reference.
+"""The Ethernet, ARP, IPv4, TCP, UDP and ICMP layer objects, as a test reference.
 
 The router reads these headers at fixed offsets
-(:func:`repro.net.rewrite.flow_key` and :func:`~repro.net.rewrite.read_frame`),
-edits them in place (the ``set_*`` rewrites beside them) and writes them
-with one builder per header (``ethernet_frame``, ``ipv4_packet``,
+(:func:`repro.net.rewrite.flow_key`, :func:`~repro.net.rewrite.read_frame`
+and :func:`~repro.net.rewrite.read_arp`), edits them in place (the
+``set_*`` rewrites beside them) and writes them with one builder per
+header (``ethernet_frame``, ``arp_packet``, ``ipv4_packet``,
 ``tcp_segment``, ``udp_datagram``, ``icmp_echo``).  Nothing in ``src/``
 builds or walks a layer object.  These classes are the object codecs the
 router used before that: each layer parses its payload into the next one
@@ -22,7 +23,7 @@ from __future__ import annotations
 from typing import Optional, Type, TypeVar, Union
 
 from repro.net.addresses import IPv4Address, MACAddress
-from repro.net.arp import ARP
+from repro.net.arp import ARP_REPLY, ARP_REQUEST
 from repro.net.dhcp_msg import DHCPMessage
 from repro.net.dns_msg import DNSMessage
 from repro.net.ethernet import ETH_TYPE_ARP, ETH_TYPE_IPV4, ethernet_frame
@@ -38,7 +39,7 @@ from repro.net.udp import (
     udp_header,
 )
 
-__all__ = ["Ethernet", "ICMP", "IPv4", "Layer", "TCP", "UDP"]
+__all__ = ["ARP", "Ethernet", "ICMP", "IPv4", "Layer", "TCP", "UDP"]
 
 L = TypeVar("L", bound="Layer")
 
@@ -49,6 +50,9 @@ _IP_MIN_HEADER_LEN = 20
 _UDP_HEADER_LEN = 8
 _TCP_MIN_HEADER_LEN = 20
 _ICMP_HEADER_LEN = 8
+_ARP_WIRE_LEN = 28
+_ARP_HW_ETHERNET = 1
+_ARP_PROTO_IPV4 = 0x0800
 
 
 class Layer(Packet):
@@ -133,6 +137,85 @@ class Ethernet(Layer):
         return (
             f"Ethernet(dst={self.dst}, src={self.src}, "
             f"ethertype=0x{self.ethertype:04x})"
+        )
+
+
+class ARP(Packet):
+    """An Ethernet/IPv4 ARP packet."""
+
+    def __init__(
+        self,
+        opcode: int,
+        sender_mac: Union[str, MACAddress],
+        sender_ip: Union[str, IPv4Address],
+        target_mac: Union[str, MACAddress],
+        target_ip: Union[str, IPv4Address],
+    ):
+        if opcode not in (ARP_REQUEST, ARP_REPLY):
+            raise PacketError(f"unsupported ARP opcode: {opcode}")
+        self.opcode = opcode
+        self.sender_mac = MACAddress(sender_mac)
+        self.sender_ip = IPv4Address(sender_ip)
+        self.target_mac = MACAddress(target_mac)
+        self.target_ip = IPv4Address(target_ip)
+
+    @classmethod
+    def request(
+        cls,
+        sender_mac: Union[str, MACAddress],
+        sender_ip: Union[str, IPv4Address],
+        target_ip: Union[str, IPv4Address],
+    ) -> "ARP":
+        """A who-has request for ``target_ip``."""
+        return cls(ARP_REQUEST, sender_mac, sender_ip, MACAddress.zero(), target_ip)
+
+    @classmethod
+    def reply(
+        cls,
+        sender_mac: Union[str, MACAddress],
+        sender_ip: Union[str, IPv4Address],
+        target_mac: Union[str, MACAddress],
+        target_ip: Union[str, IPv4Address],
+    ) -> "ARP":
+        """An is-at reply answering a request."""
+        return cls(ARP_REPLY, sender_mac, sender_ip, target_mac, target_ip)
+
+    def pack(self) -> bytes:
+        return (
+            _ARP_HW_ETHERNET.to_bytes(2, "big")
+            + _ARP_PROTO_IPV4.to_bytes(2, "big")
+            + bytes([6, 4])
+            + self.opcode.to_bytes(2, "big")
+            + self.sender_mac.packed
+            + self.sender_ip.packed
+            + self.target_mac.packed
+            + self.target_ip.packed
+        )
+
+    @classmethod
+    def unpack(cls, data: bytes) -> "ARP":
+        if len(data) < _ARP_WIRE_LEN:
+            raise PacketError(f"ARP packet too short: {len(data)} bytes")
+        hw = int.from_bytes(data[0:2], "big")
+        proto = int.from_bytes(data[2:4], "big")
+        if hw != _ARP_HW_ETHERNET or proto != _ARP_PROTO_IPV4:
+            raise PacketError(f"unsupported ARP hw/proto: {hw}/{proto:#x}")
+        if data[4] != 6 or data[5] != 4:
+            raise PacketError("unexpected ARP address lengths")
+        opcode = int.from_bytes(data[6:8], "big")
+        return cls(
+            opcode=opcode,
+            sender_mac=MACAddress(data[8:14]),
+            sender_ip=IPv4Address(data[14:18]),
+            target_mac=MACAddress(data[18:24]),
+            target_ip=IPv4Address(data[24:28]),
+        )
+
+    def __repr__(self) -> str:
+        kind = "request" if self.opcode == ARP_REQUEST else "reply"
+        return (
+            f"ARP({kind}, sender={self.sender_mac}/{self.sender_ip}, "
+            f"target={self.target_mac}/{self.target_ip})"
         )
 
 

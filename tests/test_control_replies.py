@@ -13,7 +13,6 @@ import pytest
 
 from repro import HomeworkRouter, RouterConfig, Simulator
 from repro.net import (
-    ARP,
     DHCPACK,
     DHCPMessage,
     DHCPNAK,
@@ -30,6 +29,7 @@ from repro.net import (
 )
 
 from tests.helpers import join_device
+from tests.reference_codecs import ARP
 from tests.test_host_frames import ref_frame, ref_icmp_echo, ref_ipv4, ref_udp
 
 pytestmark = pytest.mark.tier1
@@ -65,7 +65,7 @@ def net(monkeypatch):
     MAC, and every frame the controller sends from then on."""
     sim, router = permissive_router()
     host = join_device(router, "tv", "02:aa:00:00:00:07")
-    host._arp_table[host.gateway] = router.config.router_mac
+    host._arp_table[int(host.gateway)] = router.config.router_mac.packed
     return sim, router, host, capture_sends(router, monkeypatch)
 
 

@@ -7,13 +7,14 @@ off them; that path lives on here as the reference, :func:`object_key`,
 over the layer objects of ``tests/reference_codecs.py``.
 For every input the two must agree: canonical frames, frames cut at
 every offset, frames with one header field broken, random bytes, and
-frames carrying a trace context.
+frames carrying a trace context.  On every ARP frame, the key's ARP
+fields are the ones :func:`~repro.net.rewrite.read_arp` hands a host or
+proxy ARP.
 """
 
 from hypothesis import given, settings, strategies as st
 
 from repro.net import (
-    ARP,
     DHCPMessage,
     DNSMessage,
     ETH_TYPE_ARP,
@@ -25,10 +26,10 @@ from repro.net import (
     PROTO_UDP,
     PacketError,
 )
-from repro.net.rewrite import flow_key
+from repro.net.rewrite import flow_key, read_arp
 from repro.net.trace import TraceContext, with_trace
 
-from tests.reference_codecs import Ethernet, ICMP, IPv4, TCP, UDP
+from tests.reference_codecs import ARP, Ethernet, ICMP, IPv4, TCP, UDP
 
 # ----------------------------------------------------------------------
 # The reference
@@ -69,6 +70,20 @@ def object_key(raw, in_port):
 def assert_same_key(raw, in_port=3):
     expected = object_key(raw, in_port)
     assert flow_key(raw, in_port) == expected
+
+
+def assert_arp_fields_agree(raw):
+    """An ARP frame's key holds ``read_arp``'s sender, target and opcode,
+    or None in all three when ``read_arp`` refuses the packet."""
+    key = flow_key(raw, 1)
+    if key is None:
+        return
+    arp = read_arp(raw)
+    if arp is None:
+        assert key[4:7] == (None, None, None)
+    else:
+        opcode, _sender_mac, sender_ip, target_ip = arp
+        assert key[4:7] == (sender_ip, target_ip, opcode)
 
 
 # ----------------------------------------------------------------------
@@ -221,7 +236,16 @@ class TestMalformedFrames:
         at, size = {"hw": (14, 2), "proto": (16, 2), "hlen": (18, 1), "plen": (19, 1),
                     "opcode": (20, 2)}[field]
         value = data.draw(st.integers(0, (1 << (8 * size)) - 1))
-        assert_same_key(_patched(raw, at, value.to_bytes(size, "big")))
+        broken = _patched(raw, at, value.to_bytes(size, "big"))
+        assert_same_key(broken)
+        assert_arp_fields_agree(broken)
+
+    @settings(max_examples=60, deadline=None)
+    @given(arp_frames())
+    def test_arp_fields_are_read_arps_at_every_cut(self, raw):
+        assert read_arp(raw) is not None
+        for cut in range(len(raw) + 1):
+            assert_arp_fields_agree(raw[:cut])
 
     @settings(max_examples=150, deadline=None)
     @given(frames, st.sampled_from([ETH_TYPE_IPV4, ETH_TYPE_ARP, 0x86DD, 0x0000]))

@@ -15,15 +15,21 @@ received frame at fixed offsets (:func:`repro.net.rewrite.read_frame`).
   every offset, with every version and IHL nibble, a total length short
   of the frame or past it, a bad TCP data offset, a bad UDP length and
   Ethernet padding.  A host fed any of them never raises.
+* **Wire-form state.**  A host keeps its addresses as ints and its ARP
+  cache as int -> 6-byte MAC.  Its next hop is the one the mask's bit
+  count chose before, for every prefix mask, and a steady transfer
+  through the router builds no address object on the frame path.
 """
 
+import sys
+from collections import Counter
 from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro import HomeworkRouter, RouterConfig
 from repro.net import (
-    ARP,
     DHCPMessage,
     DNSMessage,
     DNSRecord,
@@ -48,7 +54,8 @@ from repro.sim.host import Host, TCPConnection
 from repro.sim.simulator import Simulator
 from repro.sim.upstream import InternetCloud
 
-from tests.reference_codecs import Ethernet, ICMP, IPv4, TCP, UDP
+from tests.helpers import join_device
+from tests.reference_codecs import ARP, Ethernet, ICMP, IPv4, TCP, UDP
 
 pytestmark = pytest.mark.tier1
 
@@ -254,13 +261,15 @@ HOST_IP = "10.2.0.6"
 GATEWAY_IP = "10.2.0.5"
 ROUTER_MAC = "02:00:00:00:00:01"
 REMOTE_IP = "93.184.216.34"
+#: The router's address on the cloud's upstream /30.
+CLOUD_GATEWAY = "82.10.0.2"
 
 
 def sending_host(resolved=True):
     host = Host(Simulator(seed=3), "laptop", HOST_MAC)
     host.configure_static(HOST_IP, "255.255.255.252", gateway=GATEWAY_IP)
     if resolved:
-        host._arp_table[IPv4Address(GATEWAY_IP)] = MACAddress(ROUTER_MAC)
+        host._arp_table[int(IPv4Address(GATEWAY_IP))] = MACAddress(ROUTER_MAC).packed
     sent = []
     host.port = SimpleNamespace(send=sent.append)
     return host, sent
@@ -276,7 +285,7 @@ class TestHostFramesMatchFrozenCodecs:
            segment_payloads)
     def test_tcp_segment(self, lport, rport, seq, ack, flags, data):
         host, sent = sending_host()
-        conn = TCPConnection(host, lport, IPv4Address(REMOTE_IP), rport)
+        conn = TCPConnection(host, lport, int(IPv4Address(REMOTE_IP)), rport)
         conn.seq, conn.ack = seq, ack
         conn._send_segment(flags, data)
         segment = ref_tcp(HOST_IP, REMOTE_IP, lport, rport, seq, ack, flags, data)
@@ -323,6 +332,30 @@ class TestHostFramesMatchFrozenCodecs:
         rst = ref_tcp(HOST_IP, REMOTE_IP, 8080, 443, 77, 0x100000000, RST | ACK)
         assert sent == [ref_routed(PROTO_TCP, rst)]
 
+    def test_arp_learns_every_sender_and_answers_only_its_own_address(self):
+        host, sent = sending_host(resolved=False)
+        asker_mac, asker_ip = "02:aa:00:00:00:09", "10.2.0.5"
+        for target in ("10.2.0.7", HOST_IP):
+            request = Ethernet("ff:ff:ff:ff:ff:ff", asker_mac, ETH_TYPE_ARP,
+                               ARP.request(asker_mac, asker_ip, target))
+            host._on_frame(request.pack(), None)
+        reply = ARP.reply(HOST_MAC, HOST_IP, asker_mac, asker_ip).pack()
+        assert sent == [ref_frame(asker_mac, HOST_MAC, ETH_TYPE_ARP, reply)]
+        assert host._arp_table == {int(IPv4Address(asker_ip)): MACAddress(asker_mac).packed}
+        # A reply sent to another MAC stops at the dl_dst filter.
+        elsewhere = Ethernet("02:aa:00:00:00:99", ROUTER_MAC, ETH_TYPE_ARP,
+                             ARP.reply(ROUTER_MAC, "10.2.0.1", "02:aa:00:00:00:99", "10.2.0.9"))
+        host._on_frame(elsewhere.pack(), None)
+        assert int(IPv4Address("10.2.0.1")) not in host._arp_table
+
+    def test_unaddressed_host_asks_from_zero(self):
+        host = Host(Simulator(seed=3), "tv", HOST_MAC)
+        sent = []
+        host.port = SimpleNamespace(send=sent.append)
+        host._resolve_and_send(int(IPv4Address(GATEWAY_IP)), b"queued")
+        request = ARP.request(HOST_MAC, "0.0.0.0", GATEWAY_IP).pack()
+        assert sent == [ref_frame("ff:ff:ff:ff:ff:ff", HOST_MAC, ETH_TYPE_ARP, request)]
+
     def test_packets_queued_behind_arp_go_out_once_resolved(self):
         host, sent = sending_host(resolved=False)
         sport = host.udp_send(REMOTE_IP, 53, b"first")
@@ -344,8 +377,7 @@ class TestCloudAnswersAsTheAddressDialled:
 
     def cloud(self):
         cloud = InternetCloud(Simulator(seed=3))
-        cloud.netmask = IPv4Address("255.255.255.252")
-        cloud.gateway = IPv4Address("82.10.0.2")
+        cloud.configure_static(cloud.ip, "255.255.255.252", gateway=CLOUD_GATEWAY)
         sent = []
         cloud.port = SimpleNamespace(send=sent.append)
         return cloud, sent
@@ -358,19 +390,19 @@ class TestCloudAnswersAsTheAddressDialled:
     def test_syn_ack_and_its_arp_request(self):
         cloud, sent = self.cloud()
         self.deliver(cloud, TCP(49152, 443, seq=10, flags=SYN), PROTO_TCP)
-        request = ARP.request(cloud.mac, REMOTE_IP, "82.10.0.2").pack()
+        request = ARP.request(cloud.mac, REMOTE_IP, CLOUD_GATEWAY).pack()
         assert sent == [ref_frame("ff:ff:ff:ff:ff:ff", cloud.mac, ETH_TYPE_ARP, request)]
-        cloud._arp_table[IPv4Address("82.10.0.2")] = MACAddress(ROUTER_MAC)
+        cloud._arp_table[int(IPv4Address(CLOUD_GATEWAY))] = MACAddress(ROUTER_MAC).packed
         (conn,) = cloud._tcp_conns.values()
-        assert conn.local_ip == IPv4Address(REMOTE_IP) and cloud.ip == IPv4Address("82.10.0.1")
-        assert cloud._arp_pending[IPv4Address("82.10.0.2")] == [
+        assert conn.local_ip == int(IPv4Address(REMOTE_IP)) and cloud.ip == IPv4Address("82.10.0.1")
+        assert cloud._arp_pending[int(IPv4Address(CLOUD_GATEWAY))] == [
             ref_ipv4(REMOTE_IP, HOST_IP, PROTO_TCP,
                      ref_tcp(REMOTE_IP, HOST_IP, 443, 49152, conn.seq - 1, 11, SYN | ACK))
         ]
 
     def test_echo_reply_from_the_address_pinged(self):
         cloud, sent = self.cloud()
-        cloud._arp_table[IPv4Address("82.10.0.2")] = MACAddress(ROUTER_MAC)
+        cloud._arp_table[int(IPv4Address(CLOUD_GATEWAY))] = MACAddress(ROUTER_MAC).packed
         self.deliver(cloud, ICMP.echo_request(5, 6, b"homework"), PROTO_ICMP)
         reply = ref_ipv4(REMOTE_IP, HOST_IP, PROTO_ICMP, ref_icmp_echo(0, 5, 6, b"homework"))
         assert sent == [ref_frame(ROUTER_MAC, cloud.mac, ETH_TYPE_IPV4, reply)]
@@ -379,12 +411,114 @@ class TestCloudAnswersAsTheAddressDialled:
         cloud, sent = self.cloud()
         query = DNSMessage.query("youtube.com", ident=99)
         self.deliver(cloud, UDP(5353, 53, query), PROTO_UDP)
-        request = ARP.request(cloud.mac, "82.10.0.1", "82.10.0.2").pack()
+        request = ARP.request(cloud.mac, "82.10.0.1", CLOUD_GATEWAY).pack()
         assert sent == [ref_frame("ff:ff:ff:ff:ff:ff", cloud.mac, ETH_TYPE_ARP, request)]
         answer = query.respond([DNSRecord.a("youtube.com", cloud.lookup("youtube.com"))]).pack()
-        (queued,) = cloud._arp_pending[IPv4Address("82.10.0.2")]
+        (queued,) = cloud._arp_pending[int(IPv4Address(CLOUD_GATEWAY))]
         assert queued == ref_ipv4(REMOTE_IP, HOST_IP, PROTO_UDP,
                                   ref_udp(REMOTE_IP, HOST_IP, 53, 5353, answer))
+
+
+# ----------------------------------------------------------------------
+# Wire-form state: the next hop, and no address objects per packet
+# ----------------------------------------------------------------------
+
+
+def ref_next_hop(ip, netmask, dst, gateway):
+    """The next hop as the host chose it before: ``dst`` when its top
+    ``prefix`` bits, the mask's bit count, are the host's, else the
+    gateway."""
+    prefix = bin(int(IPv4Address(netmask))).count("1")
+    if not (int(IPv4Address(dst)) ^ int(IPv4Address(ip))) >> (32 - prefix):
+        return IPv4Address(dst)
+    return IPv4Address(gateway)
+
+
+def next_hop_asked(ip, netmask, dst, gateway=GATEWAY_IP):
+    """The address a host configured with ``ip``/``netmask`` ARPs for
+    when it first sends to ``dst``."""
+    host = Host(Simulator(seed=3), "laptop", HOST_MAC)
+    host.configure_static(ip, netmask, gateway=gateway)
+    sent = []
+    host.port = SimpleNamespace(send=sent.append)
+    host.udp_send(dst, 9, b"x")
+    (request,) = sent
+    return Ethernet.unpack(request).find(ARP).target_ip
+
+
+def prefix_mask(prefix):
+    return IPv4Address((0xFFFFFFFF << (32 - prefix)) & 0xFFFFFFFF)
+
+
+class TestNextHop:
+    @pytest.mark.parametrize("netmask", ["255.255.255.252", "255.255.255.0", "255.255.0.0",
+                                         "0.0.0.0"])
+    @pytest.mark.parametrize("dst", ["10.2.0.5", "10.2.0.7", "10.2.0.8", "10.2.0.200",
+                                     "10.2.77.1", "10.3.0.6", REMOTE_IP])
+    def test_the_masks_hosts_are_given(self, netmask, dst):
+        asked = next_hop_asked(HOST_IP, netmask, dst)
+        assert asked == ref_next_hop(HOST_IP, netmask, dst, GATEWAY_IP)
+
+    def test_on_link_and_off_link_examples(self):
+        assert next_hop_asked(HOST_IP, "255.255.255.252", "10.2.0.7") == IPv4Address("10.2.0.7")
+        assert next_hop_asked(HOST_IP, "255.255.255.252", "10.2.0.9") == IPv4Address(GATEWAY_IP)
+        assert next_hop_asked(HOST_IP, "0.0.0.0", REMOTE_IP) == IPv4Address(REMOTE_IP)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(0, 32), addrs, addrs)
+    def test_every_prefix_mask(self, prefix, ip, dst):
+        netmask = prefix_mask(prefix)
+        asked = next_hop_asked(IPv4Address(ip), netmask, IPv4Address(dst))
+        assert asked == ref_next_hop(ip, netmask, dst, GATEWAY_IP)
+
+    def test_off_link_without_a_gateway_raises(self):
+        host = Host(Simulator(seed=3), "laptop", HOST_MAC)
+        host.configure_static(HOST_IP, "255.255.255.252")
+        host.port = SimpleNamespace(send=lambda raw: None)
+        with pytest.raises(ConnectionError):
+            host.udp_send(REMOTE_IP, 9, b"x")
+        host.udp_send("10.2.0.5", 9, b"on-link needs no gateway")
+
+
+#: The modules every frame crosses: hosts and links, the wire formats,
+#: and the datapath's forwarding.
+FRAME_PATH_MODULES = ("repro.sim", "repro.net", "repro.openflow.datapath")
+
+
+def count_address_objects(monkeypatch):
+    """From now on, count each ``IPv4Address`` and ``MACAddress`` built,
+    by class and by the module that called the constructor."""
+    built = Counter()
+    for cls in (IPv4Address, MACAddress):
+        def counting(self, value, _init=cls.__init__, _cls=cls.__name__):
+            built[_cls, sys._getframe(1).f_globals.get("__name__", "")] += 1
+            _init(self, value)
+
+        monkeypatch.setattr(cls, "__init__", counting)
+    return built
+
+
+def on_frame_path(module):
+    return any(module == m or module.startswith(m + ".") for m in FRAME_PATH_MODULES)
+
+
+class TestNoAddressObjectsPerPacket:
+    def test_steady_tcp_transfer(self, monkeypatch):
+        sim = Simulator(seed=5)
+        router = HomeworkRouter(sim, config=RouterConfig(default_permit=True))
+        router.start()
+        host = join_device(router, "laptop", "02:aa:00:00:00:05")
+        conn = host.tcp_connect(router.cloud.lookup("www.youtube.com"), 80)
+        sim.run_for(0.5)
+        assert conn.state == "ESTABLISHED"
+        conn.send(b"GET 4000000\r\n")
+        sim.run_for(0.05)  # the first segments set the flows up
+        received = conn.bytes_received
+        built = count_address_objects(monkeypatch)
+        sim.run_for(0.2)
+        # Hundreds of segments one way and their ACKs the other.
+        assert conn.bytes_received - received > 200 * 1400
+        assert {key: n for key, n in built.items() if on_frame_path(key[1])} == {}
 
 
 # ----------------------------------------------------------------------
@@ -506,7 +640,7 @@ def assert_host_takes(raw):
     bare one and the cloud all take ``raw`` without raising."""
     configured = bare_host()
     configured.configure_static("10.2.0.6", "255.255.255.252", gateway="10.2.0.5")
-    configured._arp_table[IPv4Address("10.2.0.5")] = MACAddress(ROUTER_MAC)
+    configured._arp_table[int(IPv4Address("10.2.0.5"))] = MACAddress(ROUTER_MAC).packed
     configured.tcp_listen(80, lambda conn: None)
     configured.udp_bind(53, lambda data, src, sport: None)
     configured._on_frame(_addressed(raw, configured), None)

@@ -37,7 +37,7 @@ class TestArp:
         h1.udp_send("192.168.0.2", 7000, b"after-arp")
         sim.run_for(1.0)
         assert got == [b"after-arp"]
-        assert IPv4Address("192.168.0.2") in h1._arp_table
+        assert int(IPv4Address("192.168.0.2")) in h1._arp_table
 
     def test_queued_frames_flush_after_reply(self, sim, pair):
         h1, h2 = pair
@@ -53,7 +53,7 @@ class TestArp:
         # h2 learns h1's mapping from the request itself.
         h1.udp_send("192.168.0.2", 7000, b"x")
         sim.run_for(1.0)
-        assert IPv4Address("192.168.0.1") in h2._arp_table
+        assert int(IPv4Address("192.168.0.1")) in h2._arp_table
 
 
 class TestUdp:

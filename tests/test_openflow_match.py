@@ -8,7 +8,6 @@ its pattern in the same layout.
 from hypothesis import given, strategies as st
 
 from repro.net import (
-    ARP,
     ETH_TYPE_ARP,
     ETH_TYPE_IPV4,
     IPv4Address,
@@ -20,7 +19,7 @@ from repro.net import (
 from repro.net.rewrite import flow_key
 from repro.openflow.match import MATCH_FIELDS, Match
 
-from tests.reference_codecs import Ethernet, ICMP, IPv4, TCP, UDP
+from tests.reference_codecs import ARP, Ethernet, ICMP, IPv4, TCP, UDP
 
 
 def tcp_frame(sport=50000, dport=443, src_ip="10.2.0.6", dst_ip="31.13.72.36"):

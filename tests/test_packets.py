@@ -4,7 +4,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.net import (
-    ARP,
     ARP_REPLY,
     ARP_REQUEST,
     ETH_TYPE_ARP,
@@ -21,7 +20,7 @@ from repro.net import (
 from repro.net.icmp import TYPE_ECHO_REPLY
 from repro.net.tcp import ACK, SYN
 
-from tests.reference_codecs import Ethernet, ICMP, IPv4, TCP, UDP
+from tests.reference_codecs import ARP, Ethernet, ICMP, IPv4, TCP, UDP
 
 
 class TestChecksum:

@@ -13,14 +13,15 @@ over the layer objects of ``tests/reference_codecs.py``.
   object path normalised such frames; the byte path, like Open vSwitch,
   edits fields only.
 
-``internet_checksum`` is checked against the byte-pair loop it replaced.
+``internet_checksum`` is checked against the byte-pair loop it replaced,
+and the ARP builder and reader (``arp_packet``, ``read_arp``) against
+the reference ``ARP`` codec.
 """
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.net import (
-    ARP,
     DHCPMessage,
     DNSMessage,
     ETH_TYPE_ARP,
@@ -33,7 +34,9 @@ from repro.net import (
     PacketError,
     internet_checksum,
 )
+from repro.net.arp import ARP_REPLY, ARP_REQUEST, arp_packet
 from repro.net.checksum import checksum_update
+from repro.net.rewrite import read_arp
 from repro.openflow.actions import (
     Output,
     PORT_LOCAL,
@@ -47,7 +50,7 @@ from repro.openflow.actions import (
 from repro.openflow.datapath import Datapath
 from repro.sim.simulator import Simulator
 
-from tests.reference_codecs import Ethernet, ICMP, IPv4, TCP, UDP
+from tests.reference_codecs import ARP, Ethernet, ICMP, IPv4, TCP, UDP
 
 # ----------------------------------------------------------------------
 # The two paths
@@ -357,6 +360,74 @@ class TestMalformedFrames:
         raw = _patched(raw, 40, b"\x00\x00")
         for out in byte_path(raw, actions):
             assert out[40:42] == b"\x00\x00"
+
+
+# ----------------------------------------------------------------------
+# ARP: the builder and the reader
+# ----------------------------------------------------------------------
+
+
+def assert_reads_like_arp_unpack(raw):
+    """``read_arp(raw)`` against ``ARP.unpack`` of the body behind the
+    Ethernet header: the reference's fields exactly when it accepts the
+    body, else None."""
+    fields = read_arp(raw)
+    try:
+        arp = ARP.unpack(raw[14:])
+    except PacketError:
+        assert fields is None
+        return
+    assert fields == (arp.opcode, arp.sender_mac.packed, int(arp.sender_ip), int(arp.target_ip))
+    assert type(fields[1]) is bytes
+
+
+class TestArp:
+    @settings(max_examples=200, deadline=None)
+    @given(st.sampled_from([ARP_REQUEST, ARP_REPLY]), macs, ips, macs, ips)
+    def test_builder_matches_the_reference(self, opcode, smac, sip, tmac, tip):
+        built = arp_packet(opcode, smac.packed, int(sip), tmac.packed, int(tip))
+        assert built == ARP(opcode, smac, sip, tmac, tip).pack()
+
+    @settings(max_examples=200, deadline=None)
+    @given(arp_frames())
+    def test_reader_on_codec_built_frames(self, raw):
+        assert read_arp(raw) is not None
+        assert_reads_like_arp_unpack(raw)
+
+    @settings(max_examples=100, deadline=None)
+    @given(arp_frames(), st.binary(min_size=1, max_size=32))
+    def test_trailing_padding_is_accepted(self, raw, padding):
+        assert read_arp(raw + padding) == read_arp(raw)
+        assert_reads_like_arp_unpack(raw + padding)
+
+    @settings(max_examples=40, deadline=None)
+    @given(arp_frames())
+    def test_short_bodies(self, raw):
+        for cut in range(len(raw)):
+            assert_reads_like_arp_unpack(raw[:cut])
+        assert read_arp(raw[:41]) is None
+
+    @settings(max_examples=300, deadline=None)
+    @given(arp_frames(), st.data())
+    def test_broken_header_fields(self, raw, data):
+        field = data.draw(st.sampled_from(["hw", "proto", "hlen", "plen", "opcode"]))
+        at, size = {"hw": (14, 2), "proto": (16, 2), "hlen": (18, 1), "plen": (19, 1),
+                    "opcode": (20, 2)}[field]
+        value = data.draw(st.integers(0, (1 << (8 * size)) - 1))
+        assert_reads_like_arp_unpack(_patched(raw, at, value.to_bytes(size, "big")))
+
+    @pytest.mark.parametrize("opcode", [0, 3, 0x0101, 0xFFFF])
+    def test_opcodes_other_than_request_and_reply_are_rejected(self, opcode):
+        raw = Ethernet("ff:ff:ff:ff:ff:ff", "02:aa:00:00:00:05", ETH_TYPE_ARP,
+                       ARP.request("02:aa:00:00:00:05", "10.2.0.6", "10.2.0.5")).pack()
+        raw = _patched(raw, 20, opcode.to_bytes(2, "big"))
+        assert read_arp(raw) is None
+        assert_reads_like_arp_unpack(raw)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.binary(min_size=28, max_size=40))
+    def test_random_bodies(self, body):
+        assert_reads_like_arp_unpack(bytes(12) + ETH_TYPE_ARP.to_bytes(2, "big") + body)
 
 
 # ----------------------------------------------------------------------

@@ -3,9 +3,11 @@
 import pytest
 
 from repro import HomeworkRouter, RouterConfig, Simulator
-from repro.net.addresses import IPv4Address
+from repro.net import ETH_TYPE_ARP, ETH_TYPE_IPV4, PROTO_TCP, MACAddress
+from repro.net.tcp import SYN
 
 from tests.conftest import join_device
+from tests.reference_codecs import ARP, Ethernet, IPv4, TCP
 
 
 @pytest.fixture
@@ -27,19 +29,31 @@ class TestProxyArp:
         a.ping(a.gateway, lambda ok, rtt: results.append(ok))
         sim.run_for(1.0)
         assert results == [True]
-        assert a._arp_table[a.gateway] == router.config.router_mac
+        assert a._arp_table[int(a.gateway)] == router.config.router_mac.packed
 
     def test_any_address_proxied(self, net):
         sim, router, a, b = net
         # Even a direct ARP probe for the *other device's* IP is answered
         # by the router: devices never learn each other's real MACs.
-        from repro.net import ARP, ETH_TYPE_ARP, MACAddress
-        from tests.reference_codecs import Ethernet
-
         probe = ARP.request(a.mac, a.ip, b.ip)
         a.send_frame(Ethernet(MACAddress.broadcast(), a.mac, ETH_TYPE_ARP, probe).pack())
         sim.run_for(1.0)
-        assert a._arp_table.get(IPv4Address(str(b.ip))) == router.config.router_mac
+        assert a._arp_table.get(int(b.ip)) == router.config.router_mac.packed
+
+
+class TestPortLearning:
+    def test_group_bit_source_is_not_learned(self, net):
+        """``learn_port`` skips a source with the group bit set, and no
+        handler after it stores that MAC."""
+        sim, router, a, _b = net
+        group_mac = MACAddress("03:00:00:00:00:01")
+        packet_ins = router.metrics.value("openflow.packet_in_total")
+        syn = IPv4(a.ip, router.cloud.ip, PROTO_TCP, payload=TCP(40000, 80, flags=SYN))
+        a.send_frame(Ethernet(router.config.router_mac, group_mac, ETH_TYPE_IPV4, syn).pack())
+        sim.run_for(0.5)
+        assert router.metrics.value("openflow.packet_in_total") > packet_ins
+        assert group_mac not in router.router_core.mac_to_port
+        assert router.router_core.mac_to_port[a.mac] is not None
 
 
 class TestForwarding:
